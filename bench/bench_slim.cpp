@@ -1,19 +1,18 @@
-// Kestrel Slim bench: the bytes-vs-Gflop/s ablation behind the compressed
-// stream design. Sweeps every format over the storage grid
-//   {fat, idx16, fp32, idx16+fp32}
-// on a bandwidth-bound Gray-Scott Jacobian and reports the throughput of
-// each cell next to its section-6 traffic model. The full-slim column is
-// the CI gate: with both side streams on, the per-nonzero traffic halves
-// (12 B -> 6 B for CSR/SELL), so on a memory-bound matrix at least two
-// formats must clear a 1.3x speedup (slim_gate_count >= 2, asserted by
-// scripts/check.sh and CI when slim_gate_eligible).
+// Kestrel Slim bench: the bytes-vs-Gflop/s ablation behind the fp32 value
+// stream. Sweeps every format over the storage grid {fat, fp32} on a
+// bandwidth-bound banded matrix and reports the throughput of each cell
+// next to its section-6 traffic model. The fp32 column is the CI gate:
+// the per-nonzero traffic drops from 12 B to 8 B for CSR/SELL, so on a
+// memory-bound matrix at least two formats must clear a 1.3x speedup
+// (slim_gate_count >= 2, asserted by tools/bench_gates.py when
+// slim_gate_eligible).
 //
 // Eligibility mirrors the other gated benches: the host must have the
-// AVX-512 tier (the in-register vpmovzxwd / vcvtps2pd unpack the design is
-// about) — without it the metrics are still exported, the gate is skipped.
+// AVX-512 tier the gate was calibrated on — without it the metrics are
+// still exported, the gate is skipped.
 //
 // When Kestrel Pulse counters are available the bench also records the
-// MEASURED DRAM bytes of every slim multiply against the slim traffic
+// MEASURED DRAM bytes of every fp32 multiply against the fp32 traffic
 // model, under the same [0.25, 4.0] wiring band bench_hwc applies to the
 // fat formats.
 //
@@ -138,13 +137,13 @@ double measured_bytes(const mat::Matrix& a) {
 int main(int argc, char** argv) {
   bench::parse_args(argc, argv);
   bench::header(
-      "Kestrel Slim: bytes-vs-Gflop/s ablation, format x index x scalar");
+      "Kestrel Slim: bytes-vs-Gflop/s ablation, format x scalar");
 
   const simd::IsaTier best = simd::detect_best_tier();
   const bool gate_eligible = best == simd::IsaTier::kAvx512;
   std::printf("isa tier: %s (gate %s)\n", simd::tier_name(best),
               gate_eligible ? "ELIGIBLE, needs >= 1.3x on >= 2 formats"
-                            : "SKIPPED: slim unpack needs AVX-512");
+                            : "SKIPPED: calibrated on AVX-512");
 
   const bool hwc_on = prof::hwc::enable_if_capable();
   const prof::hwc::Source source = prof::hwc::source();
@@ -158,14 +157,9 @@ int main(int argc, char** argv) {
   }
 
   // The gate needs a memory-bound matrix, so the size is NOT --smoke
-  // scaled (a cache-resident matrix would measure the unpack ALU cost, not
-  // the traffic win the design buys). Smoke only trims the repetitions.
-  //
-  // The matrix is a plain banded operator rather than the Gray-Scott
-  // Jacobian: the paper's grid is periodic, and periodic wrap rows span
-  // the whole matrix width, so the all-or-nothing idx16 attach correctly
-  // declines there (tests/slim_test.cpp pins that behavior). A band is the
-  // shape slim exists for — every row's column span fits 16 bits.
+  // scaled (a cache-resident matrix would measure the widening ALU cost,
+  // not the traffic win the design buys). Smoke only trims the
+  // repetitions.
   const Index rows = 480000;
   const Index half = 8;  // 17 nonzeros per row
   const mat::Csr csr = banded_matrix(rows, half);
@@ -173,10 +167,8 @@ int main(int argc, char** argv) {
               csr.rows(), static_cast<long long>(csr.nnz()), half);
 
   const SlimConfig configs[] = {
-      {"fat", {false, false}},
-      {"idx16", {true, false}},
-      {"fp32", {false, true}},
-      {"slim", {true, true}},  // idx16 + fp32 — the gated column
+      {"fat", {.fp32 = false}},
+      {"fp32", {.fp32 = true}},  // the gated column
   };
   const char* formats[] = {"csr", "csrperm", "sell", "bcsr", "talon"};
 
@@ -189,50 +181,48 @@ int main(int argc, char** argv) {
   bool band_failed = false;
   std::printf("%-8s", "format");
   for (const SlimConfig& c : configs) std::printf(" %9s[GF/s]", c.label);
-  std::printf("  speedup  model B/mult (fat->slim)\n");
+  std::printf("  speedup  model B/mult (fat->fp32)\n");
   for (const char* fmt : formats) {
     std::printf("%-8s", fmt);
-    double fat_gf = 0.0, slim_gf = 0.0;
-    std::size_t fat_bytes = 0, slim_bytes = 0;
+    double fat_gf = 0.0, fp32_gf = 0.0;
+    std::size_t fat_bytes = 0, fp32_bytes = 0;
     for (const SlimConfig& c : configs) {
       auto m = build_format(fmt, csr);
       const bool ok = m->set_slim(c.opts);
-      // Declined attach (16-bit span overflow) falls back to fat storage;
-      // record the cell as ineligible rather than timing fat twice.
       const double t = time_gate(*m);
       const double gf = bench::gflops(*m, t);
       std::printf(" %15.2f", gf);
       const std::string key = std::string("slim/") + fmt + "/" + c.label;
       log.set_metric(key + "_gflops", gf);
       log.set_metric(key + "_eligible", ok ? 1.0 : 0.0);
-      if (c.opts.idx16 && c.opts.fp32) {
-        slim_gf = ok ? gf : 0.0;
-        slim_bytes = m->spmv_traffic_bytes();
+      if (c.opts.fp32) {
+        fp32_gf = ok ? gf : 0.0;
+        fp32_bytes = m->spmv_traffic_bytes();
         if (hwc_hw && ok && !bench::smoke_mode()) {
           const double meas = measured_bytes(*m);
           const double ratio =
               meas / static_cast<double>(m->spmv_traffic_bytes());
           log.set_metric(key + "_bytes_ratio", ratio);
           if (ratio < 0.25 || ratio > 4.0) {
-            std::printf("\nBAND FAILED: %s slim measured/model = %.3f "
+            std::printf("\nBAND FAILED: %s fp32 measured/model = %.3f "
                         "outside [0.25, 4.0]\n",
                         fmt, ratio);
             band_failed = true;
           }
         }
-      } else if (!c.opts.any()) {
+      } else {
         fat_gf = gf;
         fat_bytes = m->spmv_traffic_bytes();
       }
     }
-    const double speedup = fat_gf > 0.0 ? slim_gf / fat_gf : 0.0;
+    const double speedup = fat_gf > 0.0 ? fp32_gf / fat_gf : 0.0;
     if (speedup >= 1.3) ++gate_count;
     log.set_metric(std::string("slim/") + fmt + "/speedup", speedup);
-    std::printf("  %6.2fx  %zu -> %zu\n", speedup, fat_bytes, slim_bytes);
+    std::printf("  %6.2fx  %zu -> %zu\n", speedup, fat_bytes, fp32_bytes);
   }
 
   log.set_metric("slim_gate_count", static_cast<double>(gate_count));
-  std::printf("\n%d format(s) at >= 1.3x full-slim speedup (gate %s: "
+  std::printf("\n%d format(s) at >= 1.3x fp32 speedup (gate %s: "
               "needs >= 2)\n",
               gate_count, gate_eligible ? "eligible" : "skipped");
 

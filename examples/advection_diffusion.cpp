@@ -6,7 +6,6 @@
 //   ./advection_diffusion [-n 96] [-eps 0.01] [-bx 1.0] [-by 0.5]
 //                         [-ksp_type gmres|bicgstab] [-pc_type ilu|jacobi]
 //                         [-mat_type sell|csr]
-//                         [-mat_index 32|16] [-mat_scalar fp64|fp32]
 
 #include <cstdio>
 
@@ -14,7 +13,6 @@
 #include "base/options.hpp"
 #include "ksp/context.hpp"
 #include "mat/sell.hpp"
-#include "mat/slim.hpp"
 #include "pc/ilu0.hpp"
 #include "pc/jacobi.hpp"
 
@@ -44,11 +42,6 @@ int main(int argc, char** argv) {
     a = std::make_shared<mat::Sell>(csr);
   } else {
     a = std::make_shared<mat::Csr>(csr);
-  }
-  // Optional Kestrel Slim streams (-mat_index 16 / -mat_scalar fp32).
-  if (!mat::apply_slim_options(*a, opts)) {
-    std::printf("slim storage declined (16-bit column span exceeded); "
-                "keeping fat streams\n");
   }
   std::printf("operator: %s, %lld nonzeros\n", a->format_name().c_str(),
               static_cast<long long>(a->nnz()));

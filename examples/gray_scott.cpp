@@ -5,7 +5,7 @@
 // options the paper lists:
 //
 //   ./gray_scott [-n 128] [-steps 5] [-mat_type sell|csr]
-//                [-mat_index 32|16] [-mat_scalar fp64|fp32]
+//                [-mat_scalar fp64|fp32]
 //                [-pc_mg_levels 3] [-ksp_type gmres] [-spmv_isa avx512]
 //                [-aegis_checkpoint_every 5] [-aegis_max_rollbacks 2]
 //                [-ksp_breakdown_recovery]
@@ -68,34 +68,31 @@ int main(int argc, char** argv) {
   topts.max_rollbacks =
       static_cast<int>(opts.get_index("aegis_max_rollbacks", 2));
 
-  // Kestrel Slim applies inside the format factory: the Newton loop
-  // reassembles the Jacobian every (lagged) step, and each rebuilt operator
-  // re-attaches its slim streams. MG level operators stay fat — the
-  // smoothers' work is not bandwidth bound at coarse sizes.
-  const mat::SlimOptions slim = mat::slim_options_from(opts);
   if (use_sell) {
-    topts.newton.format_factory = [slim](const mat::Csr& a) {
-      auto s = std::make_shared<mat::Sell>(a);
-      s->set_slim(slim);
-      return std::shared_ptr<const mat::Sell>(std::move(s));
-    };
-  } else if (slim.any()) {
-    topts.newton.format_factory = [slim](const mat::Csr& a) {
-      auto c = std::make_shared<mat::Csr>(a);
-      c->set_slim(slim);
-      return std::shared_ptr<const mat::Csr>(std::move(c));
+    topts.newton.format_factory = [](const mat::Csr& a) {
+      return std::make_shared<const mat::Sell>(a);
     };
   }
+  // Kestrel Slim: -mat_scalar fp32 stores the multigrid level operators'
+  // values in fp32 (widened on load, accumulated in double). GMRES keeps
+  // multiplying the double Jacobian, so only the preconditioner works on a
+  // float-rounded operator and the Newton/GMRES iteration counts hold.
+  const mat::SlimOptions slim = mat::slim_options_from(opts);
   const auto chain = app::gray_scott_interpolation_chain(gs.grid(), levels);
-  topts.newton.pc_factory =
-      [&chain, use_sell](const mat::Csr& a) -> std::unique_ptr<pc::Pc> {
+  topts.newton.pc_factory = [&chain, use_sell, slim](const mat::Csr& a)
+      -> std::unique_ptr<pc::Pc> {
     pc::Multigrid::Options mg_opts;
-    pc::Multigrid::FormatFactory factory;
-    if (use_sell) {
-      factory = [](const mat::Csr& lvl) {
-        return std::make_shared<const mat::Sell>(lvl);
-      };
-    }
+    const pc::Multigrid::FormatFactory factory =
+        [use_sell, slim](const mat::Csr& lvl) -> mat::MatrixPtr {
+      std::shared_ptr<mat::Matrix> op;
+      if (use_sell) {
+        op = std::make_shared<mat::Sell>(lvl);
+      } else {
+        op = std::make_shared<mat::Csr>(lvl);
+      }
+      op->set_slim(slim);
+      return op;
+    };
     return std::make_unique<pc::Multigrid>(a, chain, mg_opts, factory);
   };
   topts.monitor = [&](int step, Scalar t, const Vector& state) {

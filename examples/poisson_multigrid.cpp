@@ -4,7 +4,7 @@
 // discretization-order error decay.
 //
 //   ./poisson_multigrid [-n 63] [-pc_mg_levels 4] [-mat_type sell|csr]
-//                       [-mat_index 32|16] [-mat_scalar fp64|fp32]
+//                       [-mat_scalar fp64|fp32]
 
 #include <cmath>
 #include <cstdio>
@@ -57,26 +57,28 @@ int main(int argc, char** argv) {
               "operators in %s\n",
               n, n, levels, use_sell ? "SELL" : "CSR");
 
-  mat::Csr a = app::laplacian_dirichlet(n, n);
-  // Optional Kestrel Slim streams on the fine operator (the MG hierarchy
-  // below reads the fat arrays, which slim storage keeps intact).
-  if (!mat::apply_slim_options(a, Options::global())) {
-    std::printf("slim storage declined (16-bit column span exceeded); "
-                "keeping fat streams\n");
-  }
+  const mat::Csr a = app::laplacian_dirichlet(n, n);
   std::vector<mat::Csr> interps;
   Index sz = n;
   for (int l = 0; l + 1 < levels && sz >= 7; ++l) {
     interps.push_back(interpolation(sz));
     sz = (sz - 1) / 2;
   }
+  // Kestrel Slim: -mat_scalar fp32 stores the MG level operators' values
+  // in fp32; CG keeps multiplying the double operator `a`.
+  const mat::SlimOptions slim = mat::slim_options_from(Options::global());
   pc::Multigrid::Options mg_opts;
-  pc::Multigrid::FormatFactory factory;
-  if (use_sell) {
-    factory = [](const mat::Csr& lvl) {
-      return std::make_shared<const mat::Sell>(lvl);
-    };
-  }
+  const pc::Multigrid::FormatFactory factory =
+      [use_sell, slim](const mat::Csr& lvl) -> mat::MatrixPtr {
+    std::shared_ptr<mat::Matrix> op;
+    if (use_sell) {
+      op = std::make_shared<mat::Sell>(lvl);
+    } else {
+      op = std::make_shared<mat::Csr>(lvl);
+    }
+    op->set_slim(slim);
+    return op;
+  };
   const pc::Multigrid mg(a, std::move(interps), mg_opts, factory);
   std::printf("hierarchy: %d levels, coarsest %d unknowns\n",
               mg.num_levels(), mg.level_csr(mg.num_levels() - 1).rows());

@@ -2,7 +2,6 @@
 // a vectorized SpMV, and solve a linear system with preconditioned CG.
 //
 //   ./quickstart [-n 64] [-mat_type sell|csr] [-spmv_isa avx512|avx2|avx|scalar]
-//               [-mat_index 32|16] [-mat_scalar fp64|fp32]
 
 #include <cstdio>
 
@@ -10,7 +9,6 @@
 #include "base/options.hpp"
 #include "ksp/context.hpp"
 #include "mat/sell.hpp"
-#include "mat/slim.hpp"
 #include "pc/jacobi.hpp"
 #include "simd/isa.hpp"
 
@@ -39,13 +37,6 @@ int main(int argc, char** argv) {
     a = sell;
   } else {
     a = std::make_shared<mat::Csr>(csr);
-  }
-  // Optional Kestrel Slim streams (-mat_index 16 / -mat_scalar fp32).
-  if (!mat::apply_slim_options(*a, Options::global())) {
-    std::printf("slim storage declined (16-bit column span exceeded); "
-                "keeping fat streams\n");
-  } else if (a->slim_active()) {
-    std::printf("slim streams active\n");
   }
   std::printf("format: %s, ISA tier: %s\n", a->format_name().c_str(),
               simd::tier_name(a->tier()));

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Kestrel Sentry: the full local gate. Mirrors what CI runs — a normal
-# build + test pass, the kernel-contract lint (with its self-test), and the
+# build + test pass, the kernel-contract lint (with its self-test), the
+# perfbench self-test, the bench gates (tools/bench_gates.py) and the
 # ASan/UBSan sanitizer suites. The TSan suite is optional (slow) and runs
 # with --tsan.
 #
@@ -33,6 +34,9 @@ banner "argus (kernel memory-safety / tail / traffic proofs)"
 python3 tools/argus/argus.py --repo . --self-test
 python3 tools/argus/argus.py --repo .
 
+banner "perfbench self-test (the benchmark still builds and runs)"
+python3 perfbench/run.py --self-test
+
 banner "build + full test suite"
 cmake -B build -S . -DKESTREL_WERROR=ON >/dev/null
 cmake --build build -j "$jobs"
@@ -43,34 +47,13 @@ ctest --test-dir build -L prof --output-on-failure
 ./build/examples/parallel_spmv -ranks 4 -n 64 \
   -log_view -log_trace build/kestrel_trace.json \
   -log_json build/kestrel_metrics.json
-python3 - <<'EOF'
-import json
-with open("build/kestrel_trace.json") as f:
-    trace = json.load(f)
-assert any(e.get("ph") == "X" for e in trace["traceEvents"]), "no spans"
-with open("build/kestrel_metrics.json") as f:
-    metrics = json.load(f)
-assert metrics["schema"] in ("kestrel-scope-metrics-v1",
-                             "kestrel-scope-metrics-v2"), metrics.get("schema")
-print(f"sample trace ok: {len(trace['traceEvents'])} trace events, "
-      f"{len(metrics['events'])} metric rows")
-EOF
+python3 tools/bench_gates.py trace build/kestrel_trace.json \
+  build/kestrel_metrics.json
 
 banner "bench smoke (ctest -L bench-smoke) + BENCH_spmv.json"
 ctest --test-dir build -L bench-smoke --output-on-failure
 ./build/bench/bench_fig08_formats --smoke --json build/BENCH_spmv.json
-python3 - <<'EOF'
-import json
-with open("build/BENCH_spmv.json") as f:
-    doc = json.load(f)
-assert doc["schema"] in ("kestrel-scope-metrics-v1",
-                         "kestrel-scope-metrics-v2"), doc.get("schema")
-for fmt in ("csr", "sell", "bcsr", "talon"):
-    key = f"spmv_gflops/{fmt}"
-    assert doc["metrics"].get(key, 0.0) > 0.0, key
-print("bench metrics ok:", {k: round(v, 2)
-                            for k, v in doc["metrics"].items()})
-EOF
+python3 tools/bench_gates.py spmv build/BENCH_spmv.json
 
 banner "hwc counter suite (ctest -L hwc) + BENCH_hwc.json"
 # Kestrel Pulse: on hosts without perf-event access the tests GTEST_SKIP
@@ -78,119 +61,25 @@ banner "hwc counter suite (ctest -L hwc) + BENCH_hwc.json"
 # passing, but the reason stays visible in the log.
 ctest --test-dir build -L hwc --output-on-failure
 ./build/bench/bench_hwc --smoke --json build/BENCH_hwc.json
-python3 - <<'EOF'
-import json
-with open("build/BENCH_hwc.json") as f:
-    doc = json.load(f)
-assert doc["schema"] in ("kestrel-scope-metrics-v1",
-                         "kestrel-scope-metrics-v2"), doc.get("schema")
-hwc = doc.get("hwc")
-assert hwc is not None, "v2 document must carry the hwc capability block"
-if hwc["available"]:
-    print(f"hwc ok: source {hwc['source']}, "
-          f"{len([k for k in doc['metrics'] if k.startswith('bytes_')])} "
-          f"byte metrics")
-else:
-    print(f"hwc skipped: no PMU access ({hwc['detail']}) — "
-          f"modeled bytes only")
-EOF
+python3 tools/bench_gates.py hwc build/BENCH_hwc.json
 
 banner "fabric exchange bench + BENCH_comm.json (speedup gate)"
 ./build/bench/bench_comm --smoke --json build/BENCH_comm.json
-python3 - <<'EOF'
-import json
-with open("build/BENCH_comm.json") as f:
-    doc = json.load(f)
-assert doc["schema"] in ("kestrel-scope-metrics-v1",
-                         "kestrel-scope-metrics-v2"), doc.get("schema")
-m = doc["metrics"]
-assert m["comm_alpha_s"] > 0.0, "postal-model alpha not calibrated"
-assert m["fabric/persistent_allocs_per_exchange"] == 0.0, \
-    "persistent path allocated in steady state"
-assert m["exchange_speedup"] >= 1.3, \
-    f"persistent ghost exchange only {m['exchange_speedup']:.2f}x vs mailbox"
-print(f"comm bench ok: {m['exchange_speedup']:.2f}x speedup, "
-      f"alpha={m['comm_alpha_s'] * 1e6:.2f}us, 0 steady-state allocs")
-EOF
+python3 tools/bench_gates.py comm build/BENCH_comm.json
 
 banner "flock thread-scaling bench + BENCH_threads.json (speedup gate)"
 ./build/bench/bench_threads --smoke --json build/BENCH_threads.json
-python3 - <<'EOF'
-import json
-with open("build/BENCH_threads.json") as f:
-    doc = json.load(f)
-assert doc["schema"] in ("kestrel-scope-metrics-v1",
-                         "kestrel-scope-metrics-v2"), doc.get("schema")
-m = doc["metrics"]
-for fmt in ("csr", "csrperm", "sell", "bcsr", "talon"):
-    for t in (1, 2, 4, 8):
-        key = f"{fmt}_t{t}_gflops"
-        assert m.get(key, 0.0) > 0.0, key
-if m["threads_gate_eligible"] == 1.0:
-    assert m["threads_gate_speedup"] >= 2.0, (
-        f"best 4-thread speedup only {m['threads_gate_speedup']:.2f}x "
-        f"on a {int(m['threads_hw_cores'])}-core host (gate: >= 2x)")
-    print(f"flock bench ok: {m['threads_gate_speedup']:.2f}x at 4 threads "
-          f"({int(m['threads_hw_cores'])} cores)")
-else:
-    print(f"flock gate skipped: host has only "
-          f"{int(m['threads_hw_cores'])} cores (< 4); metrics exported")
-EOF
+python3 tools/bench_gates.py threads build/BENCH_threads.json
 
-banner "slim storage suite (ctest -L slim) + BENCH_slim.json (speedup gate)"
+banner "slim fp32 suite (ctest -L slim) + BENCH_slim.json (speedup gate)"
 ctest --test-dir build -L slim --output-on-failure
 ./build/bench/bench_slim --smoke --json build/BENCH_slim.json
-python3 - <<'EOF'
-import json
-with open("build/BENCH_slim.json") as f:
-    doc = json.load(f)
-assert doc["schema"] in ("kestrel-scope-metrics-v1",
-                         "kestrel-scope-metrics-v2"), doc.get("schema")
-m = doc["metrics"]
-for fmt in ("csr", "csrperm", "sell", "bcsr", "talon"):
-    for cfg in ("fat", "idx16", "fp32", "slim"):
-        key = f"slim/{fmt}/{cfg}_gflops"
-        assert m.get(key, 0.0) > 0.0, key
-if m["slim_gate_eligible"] == 1.0:
-    assert m["slim_gate_count"] >= 2.0, (
-        f"only {int(m['slim_gate_count'])} format(s) reached 1.3x full-slim "
-        f"speedup on a bandwidth-bound matrix (gate: >= 2)")
-    print(f"slim bench ok: {int(m['slim_gate_count'])} formats >= 1.3x "
-          f"with idx16+fp32 streams")
-else:
-    print("slim gate skipped: host lacks the AVX-512 tier; metrics exported")
-EOF
+python3 tools/bench_gates.py slim build/BENCH_slim.json
 
 banner "bastion solve-service suite (ctest -L svc) + BENCH_serve.json"
 ctest --test-dir build -L svc --output-on-failure
 ./build/bench/bench_serve --smoke --json build/BENCH_serve.json
-python3 - <<'EOF'
-import json
-with open("build/BENCH_serve.json") as f:
-    doc = json.load(f)
-assert doc["schema"] in ("kestrel-scope-metrics-v1",
-                         "kestrel-scope-metrics-v2"), doc.get("schema")
-m = doc["metrics"]
-assert m["serve/capacity_rps"] > 0.0, "capacity never calibrated"
-for load in ("half", "1x", "2x"):
-    for field in ("offered_rps", "submitted", "accepted", "shed_rate",
-                  "p50_s", "p99_s"):
-        key = f"serve/{load}/{field}"
-        assert key in m, key
-# The overload proof: every over-capacity submission was a structured
-# RejectedError, and shedding grows monotonically with offered load —
-# admission control refuses work instead of queueing it without bound.
-assert m["serve/unstructured_errors"] == 0.0, \
-    f"{int(m['serve/unstructured_errors'])} submit failures were not " \
-    f"structured RejectedErrors"
-rates = [m[f"serve/{load}/shed_rate"] for load in ("half", "1x", "2x")]
-assert rates == sorted(rates), \
-    f"shed rate not monotonic in offered load: {rates}"
-assert m["serve/shed_rate_monotonic"] == 1.0, "bench disagrees on monotonicity"
-print(f"serve bench ok: capacity {m['serve/capacity_rps']:.0f} req/s, "
-      f"shed rates {[round(r, 3) for r in rates]}, "
-      f"p99(2x)/p99(0.5x) = {m['serve/p99_ratio_2x_over_half']:.2f}")
-EOF
+python3 tools/bench_gates.py serve build/BENCH_serve.json
 
 banner "aegis fault-tolerance suite (ctest -L aegis) + fault-injected solve"
 ctest --test-dir build -L aegis --output-on-failure
@@ -209,8 +98,8 @@ sanitizer_suite() {
     -DKESTREL_BUILD_BENCH=OFF -DKESTREL_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build "build-$label" -j "$jobs"
   ctest --test-dir "build-$label" -L "$label" --output-on-failure
-  # The slim differential sweep runs under every sanitizer: the compressed
-  # kernels do the repo's most intricate pointer math (base + u16 rebase).
+  # The fp32 differential sweep runs under every sanitizer: it drives every
+  # format's fp32 kernels through their masked and scalar tails.
   ctest --test-dir "build-$label" -L slim --output-on-failure
   # The bastion service battery too: worker pools + shared queues + cancel
   # flags are exactly the code sanitizers exist for.

@@ -61,11 +61,6 @@ class AbftMatrix final : public mat::Matrix {
   std::int64_t nnz() const override { return inner_->nnz(); }
   void spmv(const Scalar* x, Scalar* y) const override;
   using Matrix::spmv;
-  /// Wide multiplies bypass verification: they run the inner fat double
-  /// path (the refinement outer loop verifies its own residual products).
-  void spmv_wide(const Scalar* x, Scalar* y) const override {
-    inner_->spmv_wide(x, y);
-  }
   /// Kestrel Slim state is the wrapped format's (the inner matrix must be
   /// slimmed before wrapping — MatrixPtr is const, so set_slim declines).
   bool slim_active() const override { return inner_->slim_active(); }

@@ -117,7 +117,7 @@ std::vector<std::string> Options::unknown_option_warnings() const {
        {"ksp_type", "ksp_rtol", "ksp_atol", "ksp_max_it",
         "ksp_gmres_restart", "ksp_monitor", "ksp_breakdown_recovery",
         "ksp_max_restarts"}},
-      {"mat_", {"mat_type", "mat_index", "mat_scalar"}},
+      {"mat_", {"mat_type", "mat_scalar"}},
   };
   std::vector<std::string> out;
   for (const auto& fam : families) {

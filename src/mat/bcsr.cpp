@@ -73,76 +73,31 @@ void Bcsr::repartition(int nparts) {
 }
 
 void Bcsr::spmv(const Scalar* x, Scalar* y) const {
-  if (slim_.active()) {
-    spmv_slim(x, y);
-    return;
-  }
-  spmv_fat(x, y);
-}
-
-void Bcsr::spmv_wide(const Scalar* x, Scalar* y) const { spmv_fat(x, y); }
-
-void Bcsr::spmv_fat(const Scalar* x, Scalar* y) const {
-  KESTREL_PROF_SPMV("MatMult(bcsr)", 2 * nnz(), fat_spmv_traffic_bytes());
-  auto fn = simd::lookup_as<simd::BcsrSpmvFn>(simd::Op::kBcsrSpmv, tier_);
-  if (part_.nparts() <= 1) {
-    fn(view(), x, y);
-    return;
-  }
-  // Flock: contiguous block-row ranges through offset sub-views. rowptr
-  // values are absolute block indices into colidx/val, so only the rowptr
-  // pointer and y (by whole blocks) shift.
-  par::ThreadPool::rank_pool().run(part_.nparts(), [&](int p, int) {
-    const Index b0 = part_.begin(p);
-    const Index b1 = part_.end(p);
-    if (b0 == b1) return;
-    const BcsrView sub{b1 - b0, nb_, bs_, rowptr_.data() + b0,
-                       colidx_.data(), val_.data()};
-    fn(sub, x, y + b0 * bs_);
-  });
-}
-
-void Bcsr::spmv_slim(const Scalar* x, Scalar* y) const {
-  KESTREL_PROF_SPMV("MatMult(bcsr_slim)", 2 * nnz(), spmv_traffic_bytes());
-  auto fn =
-      simd::lookup_as<simd::BcsrSlimSpmvFn>(simd::Op::kBcsrSlimSpmv, tier_);
-  const BcsrSlimView v = slim_view();
+  KESTREL_PROF_SPMV("MatMult(bcsr)", 2 * nnz(), spmv_traffic_bytes());
+  auto fn = simd::lookup_as<simd::BcsrSpmvFn>(
+      slim_.fp32() ? simd::Op::kBcsrSpmvFp32 : simd::Op::kBcsrSpmv, tier_);
+  const BcsrView v = view();
   if (part_.nparts() <= 1) {
     fn(v, x, y);
     return;
   }
+  // Flock: contiguous block-row ranges through offset sub-views. rowptr
+  // values are absolute block indices into colidx/val/val32, so only the
+  // rowptr pointer and y (by whole blocks) shift.
   par::ThreadPool::rank_pool().run(part_.nparts(), [&](int p, int) {
     const Index b0 = part_.begin(p);
     const Index b1 = part_.end(p);
     if (b0 == b1) return;
-    BcsrSlimView sub = v;
+    BcsrView sub = v;
     sub.mb = b1 - b0;
     sub.rowptr = v.rowptr + b0;
-    if (v.base != nullptr) sub.base = v.base + b0;
     fn(sub, x, y + b0 * bs_);
   });
 }
 
-BcsrSlimView Bcsr::slim_view() const {
-  return {mb_,
-          nb_,
-          bs_,
-          slim_.idx16() ? Index{1} : Index{0},
-          slim_.fp32() ? Index{1} : Index{0},
-          rowptr_.data(),
-          colidx_.data(),
-          val_.data(),
-          slim_.idx16() ? slim_.base() : nullptr,
-          slim_.idx16() ? slim_.off16() : nullptr,
-          slim_.fp32() ? slim_.val32() : nullptr};
-}
-
 bool Bcsr::set_slim(const SlimOptions& opts) {
-  // scale = bs: base/off16 are stored in scalar column units so the kernel
-  // indexes x without a per-block multiply; bs * (block column span) must
-  // fit 16 bits.
-  return slim_.attach(opts, rowptr_.data(), mb_, colidx_.data(), val_.data(),
-                      val_.size(), bs_);
+  slim_.attach(opts, val_.data(), val_.size());
+  return true;
 }
 
 void Bcsr::get_diagonal(Vector& d) const {
@@ -204,42 +159,29 @@ std::size_t Bcsr::fat_spmv_traffic_bytes() const {
          8 * static_cast<std::size_t>(rows() + cols());
 }
 
-// Kestrel Slim traffic: fp32 halves the dominant block-value stream, the
-// 16-bit offsets halve the per-block index stream, and each block row adds
-// one 4-byte base column; the fat colidx/val streams are not touched (`alt`).
-// argus-traffic-model: bcsr_slim
+// Kestrel Slim traffic: fp32 halves the dominant block-value stream; the
+// fat val array is not touched by the fp32 kernels.
+// argus-traffic-model: bcsr_fp32
 // argus-traffic-stream: val32 = 4 * nblocks * bs * bs : esize 4
-// argus-traffic-stream: off16 = 2 * nblocks : esize 2
-// argus-traffic-stream: base = 4 * mb
+// argus-traffic-stream: colidx = 4 * nblocks
 // argus-traffic-stream: rowptr = 4 * mb + 4
 // argus-traffic-stream: y = 8 * mb * bs : wa
 // argus-traffic-stream: x = 8 * nb * bs
-// argus-traffic-stream: colidx = 0 : alt
-// argus-traffic-stream: val = 0 : alt
 // argus-traffic-bind: val_.size() = nblocks * bs * bs
 // argus-traffic-bind: colidx_.size() = nblocks
 // argus-traffic-bind: rowptr_.size() = mb + 1
-// argus-traffic-bind: mb_ = mb
 // argus-traffic-bind: sizeof(Index) = 4
 // argus-traffic-bind: rows() = mb * bs
 // argus-traffic-bind: cols() = nb * bs
-// argus-traffic-cpp: slim_spmv_traffic_bytes
-std::size_t Bcsr::slim_spmv_traffic_bytes() const {
-  return 4 * val_.size() + 2 * colidx_.size() +
-         4 * static_cast<std::size_t>(mb_) + rowptr_.size() * sizeof(Index) +
+// argus-traffic-cpp: fp32_spmv_traffic_bytes
+std::size_t Bcsr::fp32_spmv_traffic_bytes() const {
+  return 4 * val_.size() + colidx_.size() * sizeof(Index) +
+         rowptr_.size() * sizeof(Index) +
          8 * static_cast<std::size_t>(rows() + cols());
 }
 
 std::size_t Bcsr::spmv_traffic_bytes() const {
-  if (!slim_.active()) return fat_spmv_traffic_bytes();
-  if (slim_.idx16() && slim_.fp32()) return slim_spmv_traffic_bytes();
-  const std::size_t vb = slim_.fp32() ? 4 : 8;
-  const std::size_t ib = slim_.idx16() ? 2 : 4;
-  const std::size_t base_bytes =
-      slim_.idx16() ? 4 * static_cast<std::size_t>(mb_) : 0;
-  return vb * val_.size() + ib * colidx_.size() + base_bytes +
-         rowptr_.size() * sizeof(Index) +
-         8 * static_cast<std::size_t>(rows() + cols());
+  return slim_.fp32() ? fp32_spmv_traffic_bytes() : fat_spmv_traffic_bytes();
 }
 
 }  // namespace kestrel::mat

@@ -28,9 +28,8 @@ class Bcsr final : public Matrix {
   std::int64_t nnz() const override { return nnz_; }
   void spmv(const Scalar* x, Scalar* y) const override;
   using Matrix::spmv;
-  void spmv_wide(const Scalar* x, Scalar* y) const override;
   bool set_slim(const SlimOptions& opts) override;
-  bool slim_active() const override { return slim_.active(); }
+  bool slim_active() const override { return slim_.fp32(); }
   void get_diagonal(Vector& d) const override;
   void abft_col_checksum(Vector& c) const override;
   std::string format_name() const override { return "bcsr"; }
@@ -44,16 +43,15 @@ class Bcsr final : public Matrix {
   }
 
   BcsrView view() const {
-    return {mb_, nb_, bs_, rowptr_.data(), colidx_.data(), val_.data()};
+    return {mb_, nb_, bs_, rowptr_.data(), colidx_.data(), val_.data(),
+            slim_.val32()};
   }
 
   // Kestrel Slim ----------------------------------------------------------
-  const SlimStore& slim() const { return slim_; }
-  BcsrSlimView slim_view() const;
-  /// Traffic of the fat double/int32 SpMV.
+  /// Traffic of the double SpMV.
   std::size_t fat_spmv_traffic_bytes() const;
-  /// Traffic of the fully slim (idx16 + fp32) SpMV.
-  std::size_t slim_spmv_traffic_bytes() const;
+  /// Traffic of the fp32-value SpMV.
+  std::size_t fp32_spmv_traffic_bytes() const;
 
   // Kestrel Flock ----------------------------------------------------------
   // flock-pool-safe: blockrow
@@ -64,9 +62,6 @@ class Bcsr final : public Matrix {
   const FlockPartition& partition() const { return part_; }
 
  private:
-  void spmv_fat(const Scalar* x, Scalar* y) const;
-  void spmv_slim(const Scalar* x, Scalar* y) const;
-
   Index mb_ = 0, nb_ = 0, bs_ = 0;
   std::int64_t nnz_ = 0;  ///< logical scalar nonzeros (pre-fill)
   AlignedBuffer<Index> rowptr_;

@@ -64,76 +64,32 @@ Csr Csr::from_coo(const Coo& coo, bool drop_zeros) {
 }
 
 void Csr::spmv(const Scalar* x, Scalar* y) const {
-  if (slim_.active()) {
-    spmv_slim(x, y);
-    return;
-  }
-  spmv_fat(x, y);
-}
-
-void Csr::spmv_wide(const Scalar* x, Scalar* y) const { spmv_fat(x, y); }
-
-void Csr::spmv_fat(const Scalar* x, Scalar* y) const {
-  KESTREL_PROF_SPMV("MatMult(csr)", 2 * nnz(), fat_spmv_traffic_bytes());
-  auto fn = simd::lookup_as<simd::CsrSpmvFn>(simd::Op::kCsrSpmv, tier_);
+  KESTREL_PROF_SPMV("MatMult(csr)", 2 * nnz(), spmv_traffic_bytes());
+  auto fn = simd::lookup_as<simd::CsrSpmvFn>(
+      slim_.fp32() ? simd::Op::kCsrSpmvFp32 : simd::Op::kCsrSpmv, tier_);
+  const CsrView v = view();
   if (part_.nparts() <= 1) {
-    fn(view(), x, y);
+    fn(v, x, y);
     return;
   }
   // Flock: each part multiplies a contiguous row range through an offset
-  // sub-view. rowptr values are absolute into colidx/val, so only the
+  // sub-view. rowptr values are absolute into colidx/val/val32, so only the
   // rowptr pointer and y shift; per-row accumulation order is untouched
   // and the result is bitwise-identical to the serial multiply.
   par::ThreadPool::rank_pool().run(part_.nparts(), [&](int p, int) {
     const Index r0 = part_.begin(p);
     const Index r1 = part_.end(p);
     if (r0 == r1) return;
-    const CsrView sub{r1 - r0, n_, rowptr_.data() + r0, colidx_.data(),
-                      val_.data()};
-    fn(sub, x, y + r0);
-  });
-}
-
-void Csr::spmv_slim(const Scalar* x, Scalar* y) const {
-  KESTREL_PROF_SPMV("MatMult(csr_slim)", 2 * nnz(), spmv_traffic_bytes());
-  auto fn =
-      simd::lookup_as<simd::CsrSlimSpmvFn>(simd::Op::kCsrSlimSpmv, tier_);
-  const CsrSlimView v = slim_view();
-  if (part_.nparts() <= 1) {
-    fn(v, x, y);
-    return;
-  }
-  // Same Flock split as the fat path: rowptr values stay absolute into the
-  // colidx/off16/val/val32 streams, and base is per-row, so the sub-view
-  // shifts only the per-row pointers and y.
-  par::ThreadPool::rank_pool().run(part_.nparts(), [&](int p, int) {
-    const Index r0 = part_.begin(p);
-    const Index r1 = part_.end(p);
-    if (r0 == r1) return;
-    CsrSlimView sub = v;
+    CsrView sub = v;
     sub.m = r1 - r0;
     sub.rowptr = v.rowptr + r0;
-    if (v.base != nullptr) sub.base = v.base + r0;
     fn(sub, x, y + r0);
   });
-}
-
-CsrSlimView Csr::slim_view() const {
-  return {m_,
-          n_,
-          slim_.idx16() ? Index{1} : Index{0},
-          slim_.fp32() ? Index{1} : Index{0},
-          rowptr_.data(),
-          colidx_.data(),
-          val_.data(),
-          slim_.idx16() ? slim_.base() : nullptr,
-          slim_.idx16() ? slim_.off16() : nullptr,
-          slim_.fp32() ? slim_.val32() : nullptr};
 }
 
 bool Csr::set_slim(const SlimOptions& opts) {
-  return slim_.attach(opts, rowptr_.data(), m_, colidx_.data(), val_.data(),
-                      val_.size(), 1);
+  slim_.attach(opts, val_.data(), val_.size());
+  return true;
 }
 
 void Csr::get_diagonal(Vector& d) const {
@@ -183,39 +139,25 @@ std::size_t Csr::fat_spmv_traffic_bytes() const {
          24 * static_cast<std::size_t>(m_) + 8 * static_cast<std::size_t>(n_);
 }
 
-// Kestrel Slim traffic: the per-nonzero streams shrink to 4 (fp32 value) +
-// 2 (16-bit offset) bytes, and each row adds a 4-byte base-column read on
-// top of the fat model's 24 B/row. The fat colidx/val arrays are not
-// touched in this mode, so they bill zero (`alt` = replaced by the slim
-// streams above).
-// argus-traffic-model: csr_slim
+// Kestrel Slim traffic: the value stream shrinks to 4 bytes per nonzero;
+// the fat val array is not touched by the fp32 kernels.
+// argus-traffic-model: csr_fp32
 // argus-traffic-stream: val32 = 4 * nnz : esize 4
-// argus-traffic-stream: off16 = 2 * nnz : esize 2
-// argus-traffic-stream: base = 4 * m
+// argus-traffic-stream: colidx = 4 * nnz
 // argus-traffic-stream: rowptr = 8 * m : conv
 // argus-traffic-stream: y = 16 * m : wa
 // argus-traffic-stream: x = 8 * n
-// argus-traffic-stream: colidx = 0 : alt
-// argus-traffic-stream: val = 0 : alt
 // argus-traffic-bind: nnz() = nnz
 // argus-traffic-bind: m_ = m
 // argus-traffic-bind: n_ = n
-// argus-traffic-cpp: slim_spmv_traffic_bytes
-std::size_t Csr::slim_spmv_traffic_bytes() const {
-  return static_cast<std::size_t>(6 * nnz()) +
-         28 * static_cast<std::size_t>(m_) + 8 * static_cast<std::size_t>(n_);
+// argus-traffic-cpp: fp32_spmv_traffic_bytes
+std::size_t Csr::fp32_spmv_traffic_bytes() const {
+  return static_cast<std::size_t>(8 * nnz()) +
+         24 * static_cast<std::size_t>(m_) + 8 * static_cast<std::size_t>(n_);
 }
 
 std::size_t Csr::spmv_traffic_bytes() const {
-  if (!slim_.active()) return fat_spmv_traffic_bytes();
-  if (slim_.idx16() && slim_.fp32()) return slim_spmv_traffic_bytes();
-  // Partial modes swap one per-nnz stream at a time; idx16 also adds the
-  // 4 B/row base read.
-  const std::size_t vb = slim_.fp32() ? 4 : 8;
-  const std::size_t ib = slim_.idx16() ? 2 : 4;
-  const std::size_t rb = slim_.idx16() ? 28 : 24;
-  return (vb + ib) * static_cast<std::size_t>(nnz()) +
-         rb * static_cast<std::size_t>(m_) + 8 * static_cast<std::size_t>(n_);
+  return slim_.fp32() ? fp32_spmv_traffic_bytes() : fat_spmv_traffic_bytes();
 }
 
 void Csr::spmv_transpose(const Scalar* x, Scalar* y) const {

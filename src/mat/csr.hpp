@@ -36,9 +36,8 @@ class Csr final : public Matrix {
   }
   void spmv(const Scalar* x, Scalar* y) const override;
   using Matrix::spmv;
-  void spmv_wide(const Scalar* x, Scalar* y) const override;
   bool set_slim(const SlimOptions& opts) override;
-  bool slim_active() const override { return slim_.active(); }
+  bool slim_active() const override { return slim_.fp32(); }
   void get_diagonal(Vector& d) const override;
   void abft_col_checksum(Vector& c) const override;
   std::string format_name() const override { return "csr"; }
@@ -81,16 +80,15 @@ class Csr final : public Matrix {
   Index max_row_nnz() const;
 
   CsrView view() const {
-    return {m_, n_, rowptr_.data(), colidx_.data(), val_.data()};
+    return {m_, n_, rowptr_.data(), colidx_.data(), val_.data(),
+            slim_.val32()};
   }
 
   // Kestrel Slim ----------------------------------------------------------
-  const SlimStore& slim() const { return slim_; }
-  CsrSlimView slim_view() const;
-  /// Traffic of the fat double/int32 SpMV (paper section 6 model).
+  /// Traffic of the double SpMV (paper section 6 model).
   std::size_t fat_spmv_traffic_bytes() const;
-  /// Traffic of the fully slim (idx16 + fp32) SpMV.
-  std::size_t slim_spmv_traffic_bytes() const;
+  /// Traffic of the fp32-value SpMV.
+  std::size_t fp32_spmv_traffic_bytes() const;
 
   // Kestrel Flock ----------------------------------------------------------
   // flock-pool-safe: row
@@ -102,8 +100,6 @@ class Csr final : public Matrix {
 
  private:
   void validate() const;
-  void spmv_fat(const Scalar* x, Scalar* y) const;
-  void spmv_slim(const Scalar* x, Scalar* y) const;
 
   Index m_ = 0, n_ = 0;
   AlignedBuffer<Index> rowptr_;

@@ -87,19 +87,10 @@ void CsrPerm::repartition(int nparts) {
 }
 
 void CsrPerm::spmv(const Scalar* x, Scalar* y) const {
-  if (csr_.slim_active()) {
-    // Slim streams live in the inner CSR; its spmv profiles and threads
-    // itself, so delegate wholesale instead of duplicating the dispatch.
-    csr_.spmv(x, y);
-    return;
-  }
-  spmv_fat(x, y);
-}
-
-void CsrPerm::spmv_fat(const Scalar* x, Scalar* y) const {
-  KESTREL_PROF_SPMV("MatMult(csr_perm)", 2 * nnz(), fat_spmv_traffic_bytes());
-  auto fn =
-      simd::lookup_as<simd::CsrPermSpmvFn>(simd::Op::kCsrPermSpmv, tier_);
+  KESTREL_PROF_SPMV("MatMult(csr_perm)", 2 * nnz(), spmv_traffic_bytes());
+  auto fn = simd::lookup_as<simd::CsrPermSpmvFn>(
+      slim_active() ? simd::Op::kCsrPermSpmvFp32 : simd::Op::kCsrPermSpmv,
+      tier_);
   if (part_.nparts() <= 1) {
     fn(view(), x, y);
     return;

@@ -22,12 +22,9 @@ class CsrPerm final : public Matrix {
   std::int64_t nnz() const override { return csr_.nnz(); }
   void spmv(const Scalar* x, Scalar* y) const override;
   using Matrix::spmv;
-  void spmv_wide(const Scalar* x, Scalar* y) const override {
-    spmv_fat(x, y);
-  }
-  // Kestrel Slim: delegated to the inner CSR — with slim streams active,
-  // spmv() runs the csr_slim kernels directly (the grouped-permutation
-  // walk has no slim variant; the base+off16/fp32 layout is the CSR one).
+  // Kestrel Slim: the fp32 value stream lives in the inner CSR (the
+  // grouped walk reads values in CSR order) and reaches the kernels as
+  // view().csr.val32.
   bool set_slim(const SlimOptions& opts) override {
     return csr_.set_slim(opts);
   }
@@ -51,9 +48,20 @@ class CsrPerm final : public Matrix {
     return csr_.fat_spmv_traffic_bytes() +
            4 * static_cast<std::size_t>(rows());
   }
+  // argus-traffic-model: csr_perm_fp32
+  // argus-traffic-stream: @include = csr_fp32
+  // argus-traffic-stream: perm = 4 * m
+  // argus-traffic-stream: group_begin = 0 : amortized
+  // argus-traffic-stream: group_rlen = 0 : amortized
+  // argus-traffic-bind: csr_.fp32_spmv_traffic_bytes() = include_csr_fp32
+  // argus-traffic-bind: rows() = m
+  // argus-traffic-cpp: fp32_spmv_traffic_bytes
+  std::size_t fp32_spmv_traffic_bytes() const {
+    return csr_.fp32_spmv_traffic_bytes() +
+           4 * static_cast<std::size_t>(rows());
+  }
   std::size_t spmv_traffic_bytes() const override {
-    // Slim multiplies run the plain csr_slim kernels (no perm read).
-    return slim_active() ? csr_.spmv_traffic_bytes()
+    return slim_active() ? fp32_spmv_traffic_bytes()
                          : fat_spmv_traffic_bytes();
   }
 
@@ -77,8 +85,6 @@ class CsrPerm final : public Matrix {
   const FlockPartition& partition() const { return part_; }
 
  private:
-  void spmv_fat(const Scalar* x, Scalar* y) const;
-
   /// One part's view of the group structure: a contiguous run of (possibly
   /// clipped) groups in absolute position space.
   struct PartGroups {

@@ -5,6 +5,8 @@
 
 #include <immintrin.h>
 
+#include <type_traits>
+
 #include "mat/kernels/registration.hpp"
 #include "mat/kernels/views.hpp"
 #include "simd/dispatch.hpp"
@@ -15,14 +17,26 @@ namespace kestrel::mat::kernels {
 
 namespace {
 
-void bcsr_spmv_bs2_avx2(const BcsrView& a, const Scalar* x, Scalar* y) {
+/// One 2x2 block as four doubles; the fp32 stream widens on load.
+template <class V>
+inline __m256d load4(const V* p) {
+  if constexpr (std::is_same_v<V, float>) {
+    return _mm256_cvtps_pd(_mm_loadu_ps(p));
+  } else {
+    return _mm256_loadu_pd(p);
+  }
+}
+
+template <class V>
+void bcsr_spmv_bs2_avx2(const BcsrView& a, const V* val, const Scalar* x,
+                        Scalar* y) {
   for (Index ib = 0; ib < a.mb; ++ib) {
     // acc = [s0_part0, s0_part1, s1_part0, s1_part1]
     __m256d acc = _mm256_setzero_pd();
     for (Index k = a.rowptr[ib]; k < a.rowptr[ib + 1]; ++k) {
-      const Scalar* blk = a.val + static_cast<std::size_t>(k) * 4;
+      const V* blk = val + static_cast<std::size_t>(k) * 4;
       // block row-major: [b00 b01 b10 b11]
-      const __m256d b = _mm256_loadu_pd(blk);
+      const __m256d b = load4<V>(blk);
       // xc pair broadcast to both 128-bit lanes: [x0 x1 x0 x1]
       const __m128d xc = _mm_loadu_pd(x + a.colidx[k] * 2);
       const __m256d xx =
@@ -37,16 +51,14 @@ void bcsr_spmv_bs2_avx2(const BcsrView& a, const Scalar* x, Scalar* y) {
   }
 }
 
-// argus-kernel: bcsr_spmv_generic_avx2
-// argus-param: a : view BcsrView
-// argus-param: x : in extent nb * bs
-// argus-param: y : out extent mb * bs
-// argus-traffic: bcsr
-void bcsr_spmv_generic_avx2(const BcsrView& a, const Scalar* x, Scalar* y) {
+/// One body for both entry points: V is the stored value type.
+template <class V>
+void bcsr_spmv_avx2_impl(const BcsrView& a, const V* val, const Scalar* x,
+                         Scalar* y) {
   // only bs == 2 has a vector path; everything else runs the same scalar
   // algorithm as the scalar TU
   if (a.bs == 2) {
-    bcsr_spmv_bs2_avx2(a, x, y);
+    bcsr_spmv_bs2_avx2<V>(a, val, x, y);
     return;
   }
   const Index bs = a.bs;
@@ -54,7 +66,7 @@ void bcsr_spmv_generic_avx2(const BcsrView& a, const Scalar* x, Scalar* y) {
     Scalar* yr = y + ib * bs;
     for (Index r = 0; r < bs; ++r) yr[r] = 0.0;
     for (Index k = a.rowptr[ib]; k < a.rowptr[ib + 1]; ++k) {
-      const Scalar* b = a.val + static_cast<std::size_t>(k) * bs * bs;
+      const V* b = val + static_cast<std::size_t>(k) * bs * bs;
       const Scalar* xc = x + a.colidx[k] * bs;
       for (Index r = 0; r < bs; ++r) {
         Scalar sum = 0.0;
@@ -67,10 +79,29 @@ void bcsr_spmv_generic_avx2(const BcsrView& a, const Scalar* x, Scalar* y) {
   }
 }
 
+// argus-kernel: bcsr_spmv_generic_avx2
+// argus-param: a : view BcsrView
+// argus-param: x : in extent nb * bs
+// argus-param: y : out extent mb * bs
+// argus-traffic: bcsr
+void bcsr_spmv_generic_avx2(const BcsrView& a, const Scalar* x, Scalar* y) {
+  bcsr_spmv_avx2_impl<Scalar>(a, a.val, x, y);
+}
+
+// argus-kernel: bcsr_spmv_fp32_avx2
+// argus-param: a : view BcsrView
+// argus-param: x : in extent nb * bs
+// argus-param: y : out extent mb * bs
+// argus-traffic: bcsr_fp32
+void bcsr_spmv_fp32_avx2(const BcsrView& a, const Scalar* x, Scalar* y) {
+  bcsr_spmv_avx2_impl<float>(a, a.val32, x, y);
+}
+
 }  // namespace
 
 void register_bcsr_avx2() {
   KESTREL_REGISTER_KERNEL(kBcsrSpmv, kAvx2, bcsr_spmv_generic_avx2);
+  KESTREL_REGISTER_KERNEL(kBcsrSpmvFp32, kAvx2, bcsr_spmv_fp32_avx2);
 }
 
 }  // namespace kestrel::mat::kernels

@@ -5,6 +5,8 @@
 
 #include <immintrin.h>
 
+#include <type_traits>
+
 #include "mat/kernels/registration.hpp"
 #include "mat/kernels/views.hpp"
 #include "simd/dispatch.hpp"
@@ -29,12 +31,23 @@ inline Scalar hsum256(__m256d v) {
   return _mm_cvtsd_f64(_mm_add_sd(sum2, swapped));
 }
 
-inline Scalar row_dot_avx(const Scalar* val, const Index* colidx, Index len,
+/// Four stored values as doubles; the fp32 stream widens on load.
+template <class V>
+inline __m256d load4(const V* p) {
+  if constexpr (std::is_same_v<V, float>) {
+    return _mm256_cvtps_pd(_mm_loadu_ps(p));
+  } else {
+    return _mm256_loadu_pd(p);
+  }
+}
+
+template <class V>
+inline Scalar row_dot_avx(const V* val, const Index* colidx, Index len,
                           const Scalar* x) {
   __m256d acc = _mm256_setzero_pd();
   Index k = 0;
   for (; k + 4 <= len; k += 4) {
-    const __m256d vals = _mm256_loadu_pd(val + k);
+    const __m256d vals = load4<V>(val + k);
     const __m256d vx = gather4_avx(x, colidx + k);
     acc = _mm256_add_pd(acc, _mm256_mul_pd(vals, vx));
   }
@@ -43,17 +56,39 @@ inline Scalar row_dot_avx(const Scalar* val, const Index* colidx, Index len,
   return sum;
 }
 
+/// One body for every entry point: V is the stored value type, Add
+/// scatters row sums into y[rows[i]] (compressed off-diagonal rows).
+template <bool Add, class V>
+void csr_spmv_avx_impl(const CsrView& a, const V* val, const Index* rows,
+                       const Scalar* x, Scalar* y) {
+  for (Index i = 0; i < a.m; ++i) {
+    const Index begin = a.rowptr[i];
+    const Scalar sum = row_dot_avx<V>(val + begin, a.colidx + begin,
+                                      a.rowptr[i + 1] - begin, x);
+    if constexpr (Add) {
+      y[rows[i]] += sum;
+    } else {
+      y[i] = sum;
+    }
+  }
+}
+
 // argus-kernel: csr_spmv_avx
 // argus-param: a : view CsrView
 // argus-param: x : in extent n
 // argus-param: y : out extent m
 // argus-traffic: csr
 void csr_spmv_avx(const CsrView& a, const Scalar* x, Scalar* y) {
-  for (Index i = 0; i < a.m; ++i) {
-    const Index begin = a.rowptr[i];
-    y[i] = row_dot_avx(a.val + begin, a.colidx + begin,
-                       a.rowptr[i + 1] - begin, x);
-  }
+  csr_spmv_avx_impl<false, Scalar>(a, a.val, nullptr, x, y);
+}
+
+// argus-kernel: csr_spmv_fp32_avx
+// argus-param: a : view CsrView
+// argus-param: x : in extent n
+// argus-param: y : out extent m
+// argus-traffic: csr_fp32
+void csr_spmv_fp32_avx(const CsrView& a, const Scalar* x, Scalar* y) {
+  csr_spmv_avx_impl<false, float>(a, a.val32, nullptr, x, y);
 }
 
 // argus-kernel: csr_spmv_add_rows_avx
@@ -64,17 +99,14 @@ void csr_spmv_avx(const CsrView& a, const Scalar* x, Scalar* y) {
 // argus-traffic: none
 void csr_spmv_add_rows_avx(const CsrView& a, const Index* rows,
                            const Scalar* x, Scalar* y) {
-  for (Index i = 0; i < a.m; ++i) {
-    const Index begin = a.rowptr[i];
-    y[rows[i]] += row_dot_avx(a.val + begin, a.colidx + begin,
-                              a.rowptr[i + 1] - begin, x);
-  }
+  csr_spmv_avx_impl<true, Scalar>(a, a.val, rows, x, y);
 }
 
 }  // namespace
 
 void register_csr_avx() {
   KESTREL_REGISTER_KERNEL(kCsrSpmv, kAvx, csr_spmv_avx);
+  KESTREL_REGISTER_KERNEL(kCsrSpmvFp32, kAvx, csr_spmv_fp32_avx);
   KESTREL_REGISTER_KERNEL(kCsrSpmvAddRows, kAvx, csr_spmv_add_rows_avx);
 }
 

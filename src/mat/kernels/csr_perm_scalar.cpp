@@ -12,12 +12,11 @@ namespace kestrel::mat::kernels {
 
 namespace {
 
-// argus-kernel: csr_perm_spmv_scalar
-// argus-param: a : view CsrPermView
-// argus-param: x : in extent csr.n
-// argus-param: y : out extent csr.m
-// argus-traffic: csr_perm
-void csr_perm_spmv_scalar(const CsrPermView& a, const Scalar* x, Scalar* y) {
+/// One body for both entry points: V is the stored value type (double, or
+/// the fp32 stream widened to double on load).
+template <class V>
+void csr_perm_spmv_scalar_impl(const CsrPermView& a, const V* val,
+                               const Scalar* x, Scalar* y) {
   const CsrView& csr = a.csr;
   for (Index g = 0; g < a.ngroups; ++g) {
     const Index gb = a.group_begin[g];
@@ -28,17 +27,38 @@ void csr_perm_spmv_scalar(const CsrPermView& a, const Scalar* x, Scalar* y) {
       const Index base = csr.rowptr[row];
       Scalar sum = 0.0;
       for (Index j = 0; j < len; ++j) {
-        sum += csr.val[base + j] * x[csr.colidx[base + j]];
+        sum += val[base + j] * x[csr.colidx[base + j]];
       }
       y[row] = sum;
     }
   }
 }
 
+// argus-kernel: csr_perm_spmv_scalar
+// argus-param: a : view CsrPermView
+// argus-param: x : in extent csr.n
+// argus-param: y : out extent csr.m
+// argus-traffic: csr_perm
+void csr_perm_spmv_scalar(const CsrPermView& a, const Scalar* x, Scalar* y) {
+  csr_perm_spmv_scalar_impl<Scalar>(a, a.csr.val, x, y);
+}
+
+// argus-kernel: csr_perm_spmv_fp32_scalar
+// argus-param: a : view CsrPermView
+// argus-param: x : in extent csr.n
+// argus-param: y : out extent csr.m
+// argus-traffic: csr_perm_fp32
+void csr_perm_spmv_fp32_scalar(const CsrPermView& a, const Scalar* x,
+                               Scalar* y) {
+  csr_perm_spmv_scalar_impl<float>(a, a.csr.val32, x, y);
+}
+
 }  // namespace
 
 void register_csr_perm_scalar() {
   KESTREL_REGISTER_KERNEL(kCsrPermSpmv, kScalar, csr_perm_spmv_scalar);
+  KESTREL_REGISTER_KERNEL(kCsrPermSpmvFp32, kScalar,
+                          csr_perm_spmv_fp32_scalar);
 }
 
 }  // namespace kestrel::mat::kernels

@@ -30,15 +30,7 @@
   X(talon, avx512)              \
   X(gather, scalar)             \
   X(gather, avx2)               \
-  X(gather, avx512)             \
-  X(csr_slim, scalar)           \
-  X(csr_slim, avx2)             \
-  X(csr_slim, avx512)           \
-  X(sell_slim, scalar)          \
-  X(sell_slim, avx512)          \
-  X(bcsr_slim, scalar)          \
-  X(talon_slim, scalar)         \
-  X(talon_slim, avx512)
+  X(gather, avx512)
 // clang-format on
 
 namespace kestrel::mat::kernels {

@@ -4,6 +4,8 @@
 
 #include <immintrin.h>
 
+#include <type_traits>
+
 #include "mat/kernels/registration.hpp"
 #include "mat/kernels/views.hpp"
 #include "simd/dispatch.hpp"
@@ -36,8 +38,21 @@ inline void store4(Scalar* y, Index valid, __m256d acc) {
   }
 }
 
-template <bool Add>
-void sell_spmv_avx2_impl(const SellView& a, const Scalar* x, Scalar* y) {
+/// Four stored values as doubles; the fp32 stream widens on load.
+template <class V>
+inline __m256d load4(const V* p) {
+  if constexpr (std::is_same_v<V, float>) {
+    return _mm256_cvtps_pd(_mm_loadu_ps(p));
+  } else {
+    return _mm256_loadu_pd(p);
+  }
+}
+
+/// One body for every entry point: V is the stored value type, Add
+/// accumulates into y.
+template <bool Add, class V>
+void sell_spmv_avx2_impl(const SellView& a, const V* val, const Scalar* x,
+                         Scalar* y) {
   const Index c = a.c;  // multiple of 4, enforced by caller
   const Index nv = c / 4;
   __m256d acc[16];  // c <= 64
@@ -47,7 +62,7 @@ void sell_spmv_avx2_impl(const SellView& a, const Scalar* x, Scalar* y) {
     const Index end = a.sliceptr[s + 1];
     for (Index k = begin; k < end; k += c) {
       for (Index v = 0; v < nv; ++v) {
-        const __m256d vals = _mm256_loadu_pd(a.val + k + v * 4);
+        const __m256d vals = load4<V>(val + k + v * 4);
         const __m128i idx = _mm_loadu_si128(
             reinterpret_cast<const __m128i*>(a.colidx + k + v * 4));
         const __m256d vx = _mm256_i32gather_pd(x, idx, 8);
@@ -69,7 +84,16 @@ void sell_spmv_avx2_impl(const SellView& a, const Scalar* x, Scalar* y) {
 // argus-require: divides(4, c)
 // argus-traffic: sell
 void sell_spmv_avx2(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_avx2_impl<false>(a, x, y);
+  sell_spmv_avx2_impl<false, Scalar>(a, a.val, x, y);
+}
+// argus-kernel: sell_spmv_fp32_avx2
+// argus-param: a : view SellView
+// argus-param: x : in extent n
+// argus-param: y : out extent m
+// argus-require: divides(4, c)
+// argus-traffic: sell_fp32
+void sell_spmv_fp32_avx2(const SellView& a, const Scalar* x, Scalar* y) {
+  sell_spmv_avx2_impl<false, float>(a, a.val32, x, y);
 }
 // argus-kernel: sell_spmv_add_avx2
 // argus-param: a : view SellView
@@ -78,13 +102,14 @@ void sell_spmv_avx2(const SellView& a, const Scalar* x, Scalar* y) {
 // argus-require: divides(4, c)
 // argus-traffic: sell
 void sell_spmv_add_avx2(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_avx2_impl<true>(a, x, y);
+  sell_spmv_avx2_impl<true, Scalar>(a, a.val, x, y);
 }
 
 }  // namespace
 
 void register_sell_avx2() {
   KESTREL_REGISTER_KERNEL(kSellSpmv, kAvx2, sell_spmv_avx2);
+  KESTREL_REGISTER_KERNEL(kSellSpmvFp32, kAvx2, sell_spmv_fp32_avx2);
   KESTREL_REGISTER_KERNEL(kSellSpmvAdd, kAvx2, sell_spmv_add_avx2);
 }
 

@@ -11,6 +11,8 @@
 
 #include <immintrin.h>
 
+#include <type_traits>
+
 #include "mat/kernels/registration.hpp"
 #include "mat/kernels/views.hpp"
 #include "simd/dispatch.hpp"
@@ -43,8 +45,22 @@ inline void store_lanes(Scalar* y, Index nrows, Index lane0, __m512d acc) {
   }
 }
 
-template <bool Add>
-void sell_spmv_avx512_impl(const SellView& a, const Scalar* x, Scalar* y) {
+/// Eight stored values as doubles; the fp32 stream widens on load
+/// (vcvtps2pd), so the FMA and the accumulators stay double.
+template <class V>
+inline __m512d load8(const V* p) {
+  if constexpr (std::is_same_v<V, float>) {
+    return _mm512_cvtps_pd(_mm256_loadu_ps(p));
+  } else {
+    return _mm512_loadu_pd(p);
+  }
+}
+
+/// One body for every entry point: V is the stored value type, Add
+/// accumulates into y.
+template <bool Add, class V>
+void sell_spmv_avx512_impl(const SellView& a, const V* val, const Scalar* x,
+                           Scalar* y) {
   const Index c = a.c;
   if (c == 8) {
     // The production configuration (section 5.1): fixed slice height 8.
@@ -53,7 +69,7 @@ void sell_spmv_avx512_impl(const SellView& a, const Scalar* x, Scalar* y) {
       const Index begin = a.sliceptr[s];
       const Index end = a.sliceptr[s + 1];
       for (Index k = begin; k < end; k += 8) {
-        const __m512d vals = _mm512_loadu_pd(a.val + k);
+        const __m512d vals = load8<V>(val + k);
         const __m256i idx =
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a.colidx + k));
         const __m512d vx = _mm512_i32gather_pd(idx, x, 8);
@@ -74,7 +90,7 @@ void sell_spmv_avx512_impl(const SellView& a, const Scalar* x, Scalar* y) {
     const Index end = a.sliceptr[s + 1];
     for (Index k = begin; k < end; k += c) {
       for (Index v = 0; v < nv; ++v) {
-        const __m512d vals = _mm512_loadu_pd(a.val + k + v * 8);
+        const __m512d vals = load8<V>(val + k + v * 8);
         const __m256i idx = _mm256_loadu_si256(
             reinterpret_cast<const __m256i*>(a.colidx + k + v * 8));
         const __m512d vx = _mm512_i32gather_pd(idx, x, 8);
@@ -96,7 +112,16 @@ void sell_spmv_avx512_impl(const SellView& a, const Scalar* x, Scalar* y) {
 // argus-require: divides(8, c)
 // argus-traffic: sell
 void sell_spmv_avx512(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_avx512_impl<false>(a, x, y);
+  sell_spmv_avx512_impl<false, Scalar>(a, a.val, x, y);
+}
+// argus-kernel: sell_spmv_fp32_avx512
+// argus-param: a : view SellView
+// argus-param: x : in extent n
+// argus-param: y : out extent m
+// argus-require: divides(8, c)
+// argus-traffic: sell_fp32
+void sell_spmv_fp32_avx512(const SellView& a, const Scalar* x, Scalar* y) {
+  sell_spmv_avx512_impl<false, float>(a, a.val32, x, y);
 }
 // argus-kernel: sell_spmv_add_avx512
 // argus-param: a : view SellView
@@ -105,7 +130,7 @@ void sell_spmv_avx512(const SellView& a, const Scalar* x, Scalar* y) {
 // argus-require: divides(8, c)
 // argus-traffic: sell
 void sell_spmv_add_avx512(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_avx512_impl<true>(a, x, y);
+  sell_spmv_avx512_impl<true, Scalar>(a, a.val, x, y);
 }
 
 /// ESB-style bit-array variant (section 5.3): padded lanes are skipped via
@@ -210,6 +235,7 @@ void sell_spmv_avx512_prefetch(const SellView& a, const Scalar* x,
 
 void register_sell_avx512() {
   KESTREL_REGISTER_KERNEL(kSellSpmv, kAvx512, sell_spmv_avx512);
+  KESTREL_REGISTER_KERNEL(kSellSpmvFp32, kAvx512, sell_spmv_fp32_avx512);
   KESTREL_REGISTER_KERNEL(kSellSpmvAdd, kAvx512, sell_spmv_add_avx512);
   KESTREL_REGISTER_KERNEL(kSellSpmvBitmask, kAvx512, sell_spmv_bitmask_avx512);
   KESTREL_REGISTER_KERNEL(kSellSpmvPrefetch, kAvx512,

@@ -12,8 +12,11 @@ namespace kestrel::mat::kernels {
 
 namespace {
 
-template <bool Add>
-void sell_spmv_scalar_impl(const SellView& a, const Scalar* x, Scalar* y) {
+/// One body for every entry point: V is the stored value type (double, or
+/// the fp32 stream widened to double on load); Add accumulates into y.
+template <bool Add, class V>
+void sell_spmv_scalar_impl(const SellView& a, const V* val, const Scalar* x,
+                           Scalar* y) {
   const Index c = a.c;
   for (Index s = 0; s < a.nslices; ++s) {
     const Index row0 = s * c;
@@ -23,7 +26,7 @@ void sell_spmv_scalar_impl(const SellView& a, const Scalar* x, Scalar* y) {
     Scalar acc[64] = {};  // c <= 64 enforced at Sell construction
     for (Index k = a.sliceptr[s]; k < a.sliceptr[s + 1]; k += c) {
       for (Index lane = 0; lane < c; ++lane) {
-        acc[lane] += a.val[k + lane] * x[a.colidx[k + lane]];
+        acc[lane] += val[k + lane] * x[a.colidx[k + lane]];
       }
     }
     for (Index lane = 0; lane < nrows; ++lane) {
@@ -42,7 +45,15 @@ void sell_spmv_scalar_impl(const SellView& a, const Scalar* x, Scalar* y) {
 // argus-param: y : out extent m
 // argus-traffic: sell
 void sell_spmv_scalar(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_scalar_impl<false>(a, x, y);
+  sell_spmv_scalar_impl<false, Scalar>(a, a.val, x, y);
+}
+// argus-kernel: sell_spmv_fp32_scalar
+// argus-param: a : view SellView
+// argus-param: x : in extent n
+// argus-param: y : out extent m
+// argus-traffic: sell_fp32
+void sell_spmv_fp32_scalar(const SellView& a, const Scalar* x, Scalar* y) {
+  sell_spmv_scalar_impl<false, float>(a, a.val32, x, y);
 }
 // argus-kernel: sell_spmv_add_scalar
 // argus-param: a : view SellView
@@ -50,7 +61,7 @@ void sell_spmv_scalar(const SellView& a, const Scalar* x, Scalar* y) {
 // argus-param: y : out extent m
 // argus-traffic: sell
 void sell_spmv_add_scalar(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_scalar_impl<true>(a, x, y);
+  sell_spmv_scalar_impl<true, Scalar>(a, a.val, x, y);
 }
 
 /// ESB-style bit-array variant (paper section 5.3 ablation): skip padded
@@ -82,6 +93,7 @@ void sell_spmv_bitmask_scalar(const SellView& a, const Scalar* x, Scalar* y) {
 
 void register_sell_scalar() {
   KESTREL_REGISTER_KERNEL(kSellSpmv, kScalar, sell_spmv_scalar);
+  KESTREL_REGISTER_KERNEL(kSellSpmvFp32, kScalar, sell_spmv_fp32_scalar);
   KESTREL_REGISTER_KERNEL(kSellSpmvAdd, kScalar, sell_spmv_add_scalar);
   KESTREL_REGISTER_KERNEL(kSellSpmvBitmask, kScalar, sell_spmv_bitmask_scalar);
   // scalar fallback for the prefetch variant is the plain kernel

@@ -11,6 +11,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <type_traits>
 
 #include "mat/kernels/registration.hpp"
 #include "mat/kernels/views.hpp"
@@ -36,11 +37,21 @@ constexpr auto make_offsets() {
 }
 constexpr auto kOffsets = make_offsets();
 
-template <int R, bool Add>
-void talon_panel_avx2(const TalonView& a, Index p, const Scalar* x,
-                      Scalar* y) {
+/// Four packed values as doubles; the fp32 stream widens on load.
+template <class V>
+inline __m256d load4(const V* p) {
+  if constexpr (std::is_same_v<V, float>) {
+    return _mm256_cvtps_pd(_mm_loadu_ps(p));
+  } else {
+    return _mm256_loadu_pd(p);
+  }
+}
+
+template <int R, bool Add, class V>
+void talon_panel_avx2(const TalonView& a, const V* val, Index p,
+                      const Scalar* x, Scalar* y) {
   const Index row0 = a.panel_row[p];
-  const Scalar* v = a.val + a.panel_valptr[p];
+  const V* v = val + a.panel_valptr[p];
   __m256d acc[R];
   Scalar tail[R] = {};
   for (int j = 0; j < R; ++j) acc[j] = _mm256_setzero_pd();
@@ -59,7 +70,7 @@ void talon_panel_avx2(const TalonView& a, Index p, const Scalar* x,
         const __m128i idx =
             _mm_cvtepu8_epi32(_mm_cvtsi32_si128(static_cast<int>(word)));
         const __m256d xs = _mm256_i32gather_pd(x + c0, idx, 8);
-        const __m256d vals = _mm256_loadu_pd(v + k);
+        const __m256d vals = load4<V>(v + k);
         acc[j] = _mm256_fmadd_pd(vals, xs, acc[j]);
       }
       for (; k < cnt; ++k) tail[j] += v[k] * x[c0 + off[k]];
@@ -81,18 +92,21 @@ void talon_panel_avx2(const TalonView& a, Index p, const Scalar* x,
   }
 }
 
-template <bool Add>
-void talon_spmv_avx2_impl(const TalonView& a, const Scalar* x, Scalar* y) {
+/// One body for every entry point: V is the stored value type, Add
+/// accumulates into y.
+template <bool Add, class V>
+void talon_spmv_avx2_impl(const TalonView& a, const V* val, const Scalar* x,
+                          Scalar* y) {
   for (Index p = 0; p < a.npanels; ++p) {
     switch (a.panel_row[p + 1] - a.panel_row[p]) {
       case 1:
-        talon_panel_avx2<1, Add>(a, p, x, y);
+        talon_panel_avx2<1, Add, V>(a, val, p, x, y);
         break;
       case 2:
-        talon_panel_avx2<2, Add>(a, p, x, y);
+        talon_panel_avx2<2, Add, V>(a, val, p, x, y);
         break;
       default:
-        talon_panel_avx2<4, Add>(a, p, x, y);
+        talon_panel_avx2<4, Add, V>(a, val, p, x, y);
         break;
     }
   }
@@ -104,7 +118,15 @@ void talon_spmv_avx2_impl(const TalonView& a, const Scalar* x, Scalar* y) {
 // argus-param: y : out extent m
 // argus-traffic: talon
 void talon_spmv_avx2(const TalonView& a, const Scalar* x, Scalar* y) {
-  talon_spmv_avx2_impl<false>(a, x, y);
+  talon_spmv_avx2_impl<false, Scalar>(a, a.val, x, y);
+}
+// argus-kernel: talon_spmv_fp32_avx2
+// argus-param: a : view TalonView
+// argus-param: x : in extent n
+// argus-param: y : out extent m
+// argus-traffic: talon_fp32
+void talon_spmv_fp32_avx2(const TalonView& a, const Scalar* x, Scalar* y) {
+  talon_spmv_avx2_impl<false, float>(a, a.val32, x, y);
 }
 // argus-kernel: talon_spmv_add_avx2
 // argus-param: a : view TalonView
@@ -112,13 +134,14 @@ void talon_spmv_avx2(const TalonView& a, const Scalar* x, Scalar* y) {
 // argus-param: y : out extent m
 // argus-traffic: talon
 void talon_spmv_add_avx2(const TalonView& a, const Scalar* x, Scalar* y) {
-  talon_spmv_avx2_impl<true>(a, x, y);
+  talon_spmv_avx2_impl<true, Scalar>(a, a.val, x, y);
 }
 
 }  // namespace
 
 void register_talon_avx2() {
   KESTREL_REGISTER_KERNEL(kTalonSpmv, kAvx2, talon_spmv_avx2);
+  KESTREL_REGISTER_KERNEL(kTalonSpmvFp32, kAvx2, talon_spmv_fp32_avx2);
   KESTREL_REGISTER_KERNEL(kTalonSpmvAdd, kAvx2, talon_spmv_add_avx2);
 }
 

@@ -2,6 +2,13 @@
 // POD views of matrix storage handed to the ISA-specific kernel translation
 // units. Keeping these plain (no methods that touch other library headers)
 // lets every kernel TU compile with only its own -m flags.
+//
+// Every view carries an optional `val32`: the fp32 shadow of its value
+// array (Kestrel Slim, -mat_scalar fp32), entry for entry. Each kernel TU
+// compiles one body per format and ISA, templated on the stored value
+// type; its fp32 entry points read val32 and widen on load, so the
+// accumulation stays double. val32 is null when no fp32 stream is attached
+// and is never read by the double entry points.
 
 #include "base/types.hpp"
 
@@ -13,6 +20,7 @@ namespace kestrel::mat {
 // argus-extent: rowptr = m + 1
 // argus-extent: colidx = nnz
 // argus-extent: val = nnz
+// argus-extent: val32 = nnz
 // argus-fact: m >= 0
 // argus-fact: n >= 0
 // argus-fact: monotone(rowptr)
@@ -24,6 +32,7 @@ struct CsrView {
   const Index* rowptr = nullptr;
   const Index* colidx = nullptr;
   const Scalar* val = nullptr;
+  const float* val32 = nullptr;  ///< fp32 shadow of val (optional)
 };
 
 /// Sliced ELLPACK (PETSc SELL), slice height `c`. For slice s the elements
@@ -36,6 +45,7 @@ struct CsrView {
 // argus-extent: sliceptr = nslices + 1
 // argus-extent: colidx = stored
 // argus-extent: val = stored
+// argus-extent: val32 = stored
 // argus-extent: rlen = m
 // argus-extent: bitmask = stored / c
 // argus-fact: m >= 0
@@ -62,6 +72,7 @@ struct SellView {
   /// granularity: bit k of mask[word] corresponds to lane k). Null unless
   /// the bit-array variant was requested (ablation of paper section 5.3).
   const std::uint64_t* bitmask = nullptr;
+  const float* val32 = nullptr;  ///< fp32 shadow of val (optional)
 };
 
 /// CSR grouped by equal row length (PETSc AIJPERM). Rows are NOT reordered
@@ -102,161 +113,6 @@ struct CsrPermView {
 // argus-extent: block_col = nblocks
 // argus-extent: block_mask = nblocks
 // argus-extent: val = stored
-// argus-fact: m >= 0
-// argus-fact: n >= 0
-// argus-fact: npanels >= 0
-// argus-fact: monotone(panel_row)
-// argus-fact: monotone(panel_blockptr)
-// argus-fact: monotone(panel_valptr)
-// argus-fact: panel_row[0] == 0
-// argus-fact: panel_blockptr[0] == 0
-// argus-fact: panel_valptr[0] == 0
-// argus-fact: panel_row[npanels] == m
-// argus-fact: elem(block_col) in [0, n)
-// argus-fact: stride(panel_row) in {1, 2, 4}
-// argus-fact: maskbit(block_mask, block_col, n)
-// argus-fact: packed(val, panel_valptr, block_mask)
-struct TalonView {
-  Index m = 0;        ///< number of rows
-  Index n = 0;        ///< number of columns
-  Index npanels = 0;  ///< number of row panels
-  /// npanels+1; panel p covers rows [panel_row[p], panel_row[p+1]), so its
-  /// height r = panel_row[p+1] - panel_row[p] is 1, 2 or 4.
-  const Index* panel_row = nullptr;
-  const Index* panel_blockptr = nullptr;  ///< npanels+1 offsets into block_*
-  const Index* panel_valptr = nullptr;    ///< npanels+1 offsets into val
-  const Index* block_col = nullptr;       ///< first column of each block
-  /// One 8-bit mask per panel row, packed little-endian: bit k of byte j set
-  /// means A(panel_row[p] + j, block_col[b] + k) is stored.
-  const std::uint32_t* block_mask = nullptr;
-  const Scalar* val = nullptr;  ///< packed nonzeros, no padding
-};
-
-/// Kestrel Slim CSR: CSR plus optional compressed side streams (ISSUE 9 /
-/// ROADMAP "bytes are the bottleneck"). `idx16` activates the compressed
-/// column stream — per-row base column plus unsigned 16-bit offsets,
-/// unpacked in-register with vpmovzxwd — and `fp32` activates the
-/// single-precision value stream (vcvtps2pd on load, accumulation stays
-/// double). The fat colidx/val arrays are always present so kernels can mix
-/// modes; the traffic model bills the inactive streams at zero (`alt`).
-/// The `span` fact is the contract that makes compressed gathers provable:
-/// for every row i and every k in [rowptr[i], rowptr[i+1]),
-/// 0 <= base[i] + off16[k] < n.
-// argus-view: CsrSlimView
-// argus-let: nnz = rowptr[m]
-// argus-extent: rowptr = m + 1
-// argus-extent: colidx = nnz
-// argus-extent: val = nnz
-// argus-extent: base = m
-// argus-extent: off16 = nnz
-// argus-extent: val32 = nnz
-// argus-fact: m >= 0
-// argus-fact: n >= 0
-// argus-fact: monotone(rowptr)
-// argus-fact: rowptr[0] == 0
-// argus-fact: elem(colidx) in [0, n)
-// argus-fact: span(off16, base, rowptr, n)
-struct CsrSlimView {
-  Index m = 0;      ///< number of rows
-  Index n = 0;      ///< number of columns
-  Index idx16 = 0;  ///< 1 = base+off16 column stream active
-  Index fp32 = 0;   ///< 1 = float value stream active
-  const Index* rowptr = nullptr;
-  const Index* colidx = nullptr;  ///< fat indices (read when idx16 == 0)
-  const Scalar* val = nullptr;    ///< fat values (read when fp32 == 0)
-  const Index* base = nullptr;    ///< per-row first column (idx16 mode)
-  const std::uint16_t* off16 = nullptr;  ///< column offsets from base[i]
-  const float* val32 = nullptr;          ///< fp32 value stream
-};
-
-/// Kestrel Slim SELL: SELL plus the compressed side streams. The base
-/// column is per SLICE (the slim builder requires every slice's column
-/// span to fit 16 bits, falling back to fat storage otherwise), so for
-/// slice s and every stored position k in [sliceptr[s], sliceptr[s+1]),
-/// 0 <= base[s] + off16[k] < n — the same `span` contract as slim CSR with
-/// sliceptr as the segment table.
-// argus-view: SellSlimView
-// argus-let: stored = sliceptr[nslices]
-// argus-extent: sliceptr = nslices + 1
-// argus-extent: colidx = stored
-// argus-extent: val = stored
-// argus-extent: base = nslices
-// argus-extent: off16 = stored
-// argus-extent: val32 = stored
-// argus-fact: m >= 0
-// argus-fact: n >= 0
-// argus-fact: c >= 1
-// argus-fact: c <= 64
-// argus-fact: nslices == ceil_div(m, c)
-// argus-fact: monotone(sliceptr)
-// argus-fact: sliceptr[0] == 0
-// argus-fact: divides(c, elem(sliceptr))
-// argus-fact: elem(colidx) in [0, n)
-// argus-fact: span(off16, base, sliceptr, n)
-struct SellSlimView {
-  Index m = 0;        ///< logical number of rows (before slice padding)
-  Index n = 0;        ///< number of columns
-  Index c = 0;        ///< slice height
-  Index nslices = 0;  ///< number of slices = ceil(m / c)
-  Index idx16 = 0;    ///< 1 = base+off16 column stream active
-  Index fp32 = 0;     ///< 1 = float value stream active
-  const Index* sliceptr = nullptr;  ///< nslices+1 entries, offsets into val
-  const Index* colidx = nullptr;    ///< fat indices (read when idx16 == 0)
-  const Scalar* val = nullptr;      ///< fat values (read when fp32 == 0)
-  const Index* base = nullptr;      ///< per-slice base column (idx16 mode)
-  const std::uint16_t* off16 = nullptr;  ///< column offsets from base[s]
-  const float* val32 = nullptr;          ///< fp32 value stream
-};
-
-/// Kestrel Slim BCSR: per-BLOCK-ROW base plus 16-bit offsets, both in
-/// SCALAR column units (base[ib] = bs * first block column of the row,
-/// off16[k] = bs * (colidx[k] - first block column)), so the kernel indexes
-/// x as x[base[ib] + off16[k] + c] with c in [0, bs) and the span bound
-/// stays linear: 0 <= base[ib] + off16[k] <= nb*bs - bs for every block
-/// slot k in [rowptr[ib], rowptr[ib+1]). The slim builder requires
-/// bs * (block column span) to fit 16 bits.
-// argus-view: BcsrSlimView
-// argus-let: nblocks = rowptr[mb]
-// argus-extent: rowptr = mb + 1
-// argus-extent: colidx = nblocks
-// argus-extent: val = nblocks * bs * bs
-// argus-extent: base = mb
-// argus-extent: off16 = nblocks
-// argus-extent: val32 = nblocks * bs * bs
-// argus-fact: mb >= 0
-// argus-fact: nb >= 0
-// argus-fact: bs >= 1
-// argus-fact: monotone(rowptr)
-// argus-fact: rowptr[0] == 0
-// argus-fact: elem(colidx) in [0, nb)
-// argus-fact: span(off16, base, rowptr, nb * bs - bs + 1)
-struct BcsrSlimView {
-  Index mb = 0;     ///< number of block rows
-  Index nb = 0;     ///< number of block cols
-  Index bs = 0;     ///< block size
-  Index idx16 = 0;  ///< 1 = base+off16 column stream active
-  Index fp32 = 0;   ///< 1 = float value stream active
-  const Index* rowptr = nullptr;  ///< mb+1, in blocks
-  const Index* colidx = nullptr;  ///< fat block columns (idx16 == 0)
-  const Scalar* val = nullptr;    ///< fat values (fp32 == 0)
-  const Index* base = nullptr;    ///< per-block-row base, scalar columns
-  const std::uint16_t* off16 = nullptr;  ///< offsets, scalar columns
-  const float* val32 = nullptr;          ///< fp32 value stream
-};
-
-/// Kestrel Slim Talon: Talon's block_col/block_mask stream is already a
-/// compressed index encoding (a base column plus a presence mask), so slim
-/// Talon only swaps the packed value stream to fp32 — val32 mirrors val
-/// entry for entry, packed by the same masks.
-// argus-view: TalonSlimView
-// argus-let: nblocks = panel_blockptr[npanels]
-// argus-let: stored = panel_valptr[npanels]
-// argus-extent: panel_row = npanels + 1
-// argus-extent: panel_blockptr = npanels + 1
-// argus-extent: panel_valptr = npanels + 1
-// argus-extent: block_col = nblocks
-// argus-extent: block_mask = nblocks
-// argus-extent: val = stored
 // argus-extent: val32 = stored
 // argus-fact: m >= 0
 // argus-fact: n >= 0
@@ -273,18 +129,21 @@ struct BcsrSlimView {
 // argus-fact: maskbit(block_mask, block_col, n)
 // argus-fact: packed(val, panel_valptr, block_mask)
 // argus-fact: packed(val32, panel_valptr, block_mask)
-struct TalonSlimView {
+struct TalonView {
   Index m = 0;        ///< number of rows
   Index n = 0;        ///< number of columns
   Index npanels = 0;  ///< number of row panels
-  Index fp32 = 0;     ///< 1 = float value stream active
+  /// npanels+1; panel p covers rows [panel_row[p], panel_row[p+1]), so its
+  /// height r = panel_row[p+1] - panel_row[p] is 1, 2 or 4.
   const Index* panel_row = nullptr;
-  const Index* panel_blockptr = nullptr;
-  const Index* panel_valptr = nullptr;
-  const Index* block_col = nullptr;
+  const Index* panel_blockptr = nullptr;  ///< npanels+1 offsets into block_*
+  const Index* panel_valptr = nullptr;    ///< npanels+1 offsets into val
+  const Index* block_col = nullptr;       ///< first column of each block
+  /// One 8-bit mask per panel row, packed little-endian: bit k of byte j set
+  /// means A(panel_row[p] + j, block_col[b] + k) is stored.
   const std::uint32_t* block_mask = nullptr;
-  const Scalar* val = nullptr;   ///< fat packed values (fp32 == 0)
-  const float* val32 = nullptr;  ///< fp32 packed values
+  const Scalar* val = nullptr;  ///< packed nonzeros, no padding
+  const float* val32 = nullptr;  ///< fp32 shadow of val (optional)
 };
 
 /// Block CSR (PETSc BAIJ) with square bs x bs blocks stored row-major per
@@ -294,6 +153,7 @@ struct TalonSlimView {
 // argus-extent: rowptr = mb + 1
 // argus-extent: colidx = nblocks
 // argus-extent: val = nblocks * bs * bs
+// argus-extent: val32 = nblocks * bs * bs
 // argus-fact: mb >= 0
 // argus-fact: nb >= 0
 // argus-fact: bs >= 1
@@ -307,6 +167,7 @@ struct BcsrView {
   const Index* rowptr = nullptr;  ///< mb+1, in blocks
   const Index* colidx = nullptr;  ///< block column indices
   const Scalar* val = nullptr;    ///< bs*bs scalars per block
+  const float* val32 = nullptr;   ///< fp32 shadow of val (optional)
 };
 
 }  // namespace kestrel::mat

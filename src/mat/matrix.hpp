@@ -28,19 +28,14 @@ class Matrix {
   /// y = A * x (raw pointers; y must not alias x).
   virtual void spmv(const Scalar* x, Scalar* y) const = 0;
 
-  /// y = A * x through the fat double/int32 streams even when slim storage
-  /// is active. The iterative-refinement outer loop computes its residuals
-  /// through this so the correction target is full double precision.
-  virtual void spmv_wide(const Scalar* x, Scalar* y) const { spmv(x, y); }
+  /// Kestrel Slim: attach (or, with fp32 off, drop) the fp32 value stream
+  /// (-mat_scalar fp32). Returns false when the format has no fp32 kernels;
+  /// the matrix then keeps multiplying in double. spmv() on an fp32 stream
+  /// multiplies a float-rounded operator, so use it for preconditioner
+  /// operators, not for the operator a Krylov method solves.
+  virtual bool set_slim(const SlimOptions& opts) { return !opts.fp32; }
 
-  /// Kestrel Slim: attach compressed-index / fp32 side streams
-  /// (-mat_index 16 / -mat_scalar fp32). Returns false when the format
-  /// cannot honor the request (unsupported format, or a segment's column
-  /// span overflows 16 bits); the matrix then keeps its fat streams.
-  /// An empty request always succeeds and clears any active slim state.
-  virtual bool set_slim(const SlimOptions& opts) { return !opts.any(); }
-
-  /// True when spmv() currently runs on slim side streams.
+  /// True when spmv() currently reads the fp32 value stream.
   virtual bool slim_active() const { return false; }
 
   /// y = A * x with size checks.

@@ -129,8 +129,9 @@ void Sell::repartition(int nparts) {
 
 void Sell::run_partitioned(simd::SellSpmvFn fn, const Scalar* x,
                            Scalar* out) const {
+  const SellView v = view();
   if (part_.nparts() <= 1) {
-    fn(view(), x, out);
+    fn(v, x, out);
     return;
   }
   par::ThreadPool::rank_pool().run(part_.nparts(), [&](int p, int) {
@@ -139,37 +140,20 @@ void Sell::run_partitioned(simd::SellSpmvFn fn, const Scalar* x,
     if (s0 == s1) return;
     // Slice s0+s' becomes local slice s': the kernel derives row0 = s'*c, so
     // output shifts by s0*c and the local m clips the final partial slice.
-    // sliceptr values stay absolute into colidx/val (and the bitmask, which
-    // kernels index by absolute element position), so those pointers do not
-    // move.
+    // sliceptr values stay absolute into colidx/val/val32 (and the bitmask,
+    // which kernels index by absolute element position), so those pointers
+    // do not move.
     const Index row0 = s0 * c_;
-    const Index local_m = std::min(m_ - row0, (s1 - s0) * c_);
-    const SellView sub{local_m,
-                       n_,
-                       c_,
-                       s1 - s0,
-                       sliceptr_.data() + s0,
-                       colidx_.data(),
-                       val_.data(),
-                       rlen_.data(),
-                       bitmask_.empty() ? nullptr : bitmask_.data()};
+    SellView sub = v;
+    sub.m = std::min(m_ - row0, (s1 - s0) * c_);
+    sub.nslices = s1 - s0;
+    sub.sliceptr = v.sliceptr + s0;
     fn(sub, x, out + row0);
   });
 }
 
-void Sell::spmv(const Scalar* x, Scalar* y) const {
-  if (slim_.active()) {
-    spmv_slim(x, y);
-    return;
-  }
-  spmv_fat(x, y);
-}
-
-void Sell::spmv_wide(const Scalar* x, Scalar* y) const { spmv_fat(x, y); }
-
-void Sell::spmv_fat(const Scalar* x, Scalar* y) const {
-  KESTREL_PROF_SPMV("MatMult(sell)", 2 * nnz(), fat_spmv_traffic_bytes());
-  // Kernel tier constraints: the AVX-512 kernel needs c % 8 == 0, the
+simd::IsaTier Sell::vector_tier() const {
+  // Kernel tier constraints: the AVX-512 kernels need c % 8 == 0, the
   // AVX/AVX2 kernels need c % 4 == 0; anything else runs scalar.
   simd::IsaTier want = tier_;
   if (want == simd::IsaTier::kAvx512 && c_ % 8 != 0) {
@@ -179,7 +163,14 @@ void Sell::spmv_fat(const Scalar* x, Scalar* y) const {
       c_ % 4 != 0) {
     want = simd::IsaTier::kScalar;
   }
-  auto fn = simd::lookup_as<simd::SellSpmvFn>(simd::Op::kSellSpmv, want);
+  return want;
+}
+
+void Sell::spmv(const Scalar* x, Scalar* y) const {
+  KESTREL_PROF_SPMV("MatMult(sell)", 2 * nnz(), spmv_traffic_bytes());
+  auto fn = simd::lookup_as<simd::SellSpmvFn>(
+      slim_.fp32() ? simd::Op::kSellSpmvFp32 : simd::Op::kSellSpmv,
+      vector_tier());
   if (perm_.empty()) {
     run_partitioned(fn, x, y);
     return;
@@ -189,80 +180,16 @@ void Sell::spmv_fat(const Scalar* x, Scalar* y) const {
   spmv_sorted_fixup(y);
 }
 
-void Sell::spmv_slim(const Scalar* x, Scalar* y) const {
-  KESTREL_PROF_SPMV("MatMult(sell_slim)", 2 * nnz(), spmv_traffic_bytes());
-  // The slim AVX-512 kernel is written for the production slice height
-  // c == 8 only; other heights take the scalar slim kernel (lookup_as
-  // falls through the unregistered AVX2/AVX tiers by itself).
-  const simd::IsaTier want = c_ == 8 ? tier_ : simd::IsaTier::kScalar;
-  auto fn =
-      simd::lookup_as<simd::SellSlimSpmvFn>(simd::Op::kSellSlimSpmv, want);
-  if (perm_.empty()) {
-    run_partitioned_slim(fn, x, y);
-    return;
-  }
-  sorted_tmp_.resize(m_);
-  run_partitioned_slim(fn, x, sorted_tmp_.data());
-  spmv_sorted_fixup(y);
-}
-
-void Sell::run_partitioned_slim(simd::SellSlimSpmvFn fn, const Scalar* x,
-                                Scalar* out) const {
-  const SellSlimView v = slim_view();
-  if (part_.nparts() <= 1) {
-    fn(v, x, out);
-    return;
-  }
-  par::ThreadPool::rank_pool().run(part_.nparts(), [&](int p, int) {
-    const Index s0 = part_.begin(p);
-    const Index s1 = part_.end(p);
-    if (s0 == s1) return;
-    // Same shift rules as the fat sub-view; base is indexed per slice, so
-    // it moves with sliceptr while the element streams stay absolute.
-    const Index row0 = s0 * c_;
-    SellSlimView sub = v;
-    sub.m = std::min(m_ - row0, (s1 - s0) * c_);
-    sub.nslices = s1 - s0;
-    sub.sliceptr = v.sliceptr + s0;
-    if (v.base != nullptr) sub.base = v.base + s0;
-    fn(sub, x, out + row0);
-  });
-}
-
-SellSlimView Sell::slim_view() const {
-  return {m_,
-          n_,
-          c_,
-          nslices_,
-          slim_.idx16() ? Index{1} : Index{0},
-          slim_.fp32() ? Index{1} : Index{0},
-          sliceptr_.data(),
-          colidx_.data(),
-          val_.data(),
-          slim_.idx16() ? slim_.base() : nullptr,
-          slim_.idx16() ? slim_.off16() : nullptr,
-          slim_.fp32() ? slim_.val32() : nullptr};
-}
-
 bool Sell::set_slim(const SlimOptions& opts) {
-  // Segments are whole slices: the padded entries carry in-row column
-  // indices, so the slice-wide column span is what must fit 16 bits.
-  return slim_.attach(opts, sliceptr_.data(), nslices_, colidx_.data(),
-                      val_.data(), val_.size(), 1);
+  slim_.attach(opts, val_.data(), val_.size());
+  return true;
 }
 
 void Sell::spmv_add(const Scalar* x, Scalar* y) const {
   KESTREL_PROF_SPMV("MatMultAdd(sell)", 2 * nnz(), fat_spmv_traffic_bytes());
-  simd::IsaTier want = tier_;
-  if (want == simd::IsaTier::kAvx512 && c_ % 8 != 0) {
-    want = simd::IsaTier::kAvx2;
-  }
-  if ((want == simd::IsaTier::kAvx2 || want == simd::IsaTier::kAvx) &&
-      c_ % 4 != 0) {
-    want = simd::IsaTier::kScalar;
-  }
   KESTREL_CHECK(perm_.empty(), "spmv_add does not support sigma sorting");
-  auto fn = simd::lookup_as<simd::SellSpmvAddFn>(simd::Op::kSellSpmvAdd, want);
+  auto fn = simd::lookup_as<simd::SellSpmvAddFn>(simd::Op::kSellSpmvAdd,
+                                                 vector_tier());
   run_partitioned(fn, x, y);
 }
 
@@ -378,40 +305,25 @@ std::size_t Sell::fat_spmv_traffic_bytes() const {
          10 * static_cast<std::size_t>(m_) + 8 * static_cast<std::size_t>(n_);
 }
 
-// Kestrel Slim traffic: 6 B per stored element (4 fp32 value + 2 offset)
-// plus one 4-byte base column per slice; the fat colidx/val streams are not
-// touched in this mode (`alt`).
-// argus-traffic-model: sell_slim
+// Kestrel Slim traffic: the value stream shrinks to 4 bytes per element;
+// the fat val array is not touched by the fp32 kernels.
+// argus-traffic-model: sell_fp32
 // argus-traffic-stream: val32 = 4 * nnz : esize 4
-// argus-traffic-stream: off16 = 2 * nnz : esize 2
-// argus-traffic-stream: base = 4 * nslices
+// argus-traffic-stream: colidx = 4 * nnz
 // argus-traffic-stream: sliceptr = 2 * m : conv
 // argus-traffic-stream: y = 8 * m
 // argus-traffic-stream: x = 8 * n
-// argus-traffic-stream: colidx = 0 : alt
-// argus-traffic-stream: val = 0 : alt
 // argus-traffic-bind: nnz() = nnz
 // argus-traffic-bind: m_ = m
 // argus-traffic-bind: n_ = n
-// argus-traffic-bind: nslices_ = nslices
-// argus-traffic-cpp: slim_spmv_traffic_bytes
-std::size_t Sell::slim_spmv_traffic_bytes() const {
-  return static_cast<std::size_t>(6 * nnz()) +
-         10 * static_cast<std::size_t>(m_) +
-         4 * static_cast<std::size_t>(nslices_) +
-         8 * static_cast<std::size_t>(n_);
+// argus-traffic-cpp: fp32_spmv_traffic_bytes
+std::size_t Sell::fp32_spmv_traffic_bytes() const {
+  return static_cast<std::size_t>(8 * nnz()) +
+         10 * static_cast<std::size_t>(m_) + 8 * static_cast<std::size_t>(n_);
 }
 
 std::size_t Sell::spmv_traffic_bytes() const {
-  if (!slim_.active()) return fat_spmv_traffic_bytes();
-  if (slim_.idx16() && slim_.fp32()) return slim_spmv_traffic_bytes();
-  const std::size_t vb = slim_.fp32() ? 4 : 8;
-  const std::size_t ib = slim_.idx16() ? 2 : 4;
-  const std::size_t base_bytes =
-      slim_.idx16() ? 4 * static_cast<std::size_t>(nslices_) : 0;
-  return (vb + ib) * static_cast<std::size_t>(nnz()) +
-         10 * static_cast<std::size_t>(m_) + base_bytes +
-         8 * static_cast<std::size_t>(n_);
+  return slim_.fp32() ? fp32_spmv_traffic_bytes() : fat_spmv_traffic_bytes();
 }
 
 void Sell::copy_values_from(const Csr& csr) {

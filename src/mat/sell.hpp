@@ -47,9 +47,8 @@ class Sell final : public Matrix {
   std::int64_t nnz() const override { return nnz_; }
   void spmv(const Scalar* x, Scalar* y) const override;
   using Matrix::spmv;
-  void spmv_wide(const Scalar* x, Scalar* y) const override;
   bool set_slim(const SlimOptions& opts) override;
-  bool slim_active() const override { return slim_.active(); }
+  bool slim_active() const override { return slim_.fp32(); }
   void get_diagonal(Vector& d) const override;
   void abft_col_checksum(Vector& c) const override;
   std::string format_name() const override { return "sell"; }
@@ -105,16 +104,14 @@ class Sell final : public Matrix {
   SellView view() const {
     return {m_,      n_,   c_,           nslices_,
             sliceptr_.data(), colidx_.data(), val_.data(), rlen_.data(),
-            bitmask_.empty() ? nullptr : bitmask_.data()};
+            bitmask_.empty() ? nullptr : bitmask_.data(), slim_.val32()};
   }
 
   // Kestrel Slim ----------------------------------------------------------
-  const SlimStore& slim() const { return slim_; }
-  SellSlimView slim_view() const;
-  /// Traffic of the fat double/int32 SpMV (paper section 6 model).
+  /// Traffic of the double SpMV (paper section 6 model).
   std::size_t fat_spmv_traffic_bytes() const;
-  /// Traffic of the fully slim (idx16 + fp32) SpMV.
-  std::size_t slim_spmv_traffic_bytes() const;
+  /// Traffic of the fp32-value SpMV.
+  std::size_t fp32_spmv_traffic_bytes() const;
 
   // Kestrel Flock ----------------------------------------------------------
   // flock-pool-safe: slice
@@ -132,12 +129,8 @@ class Sell final : public Matrix {
   /// (sliceptr values are absolute into colidx/val, so only the sliceptr
   /// pointer, m and the output shift); serial when the partition is.
   void run_partitioned(simd::SellSpmvFn fn, const Scalar* x, Scalar* out) const;
-  /// Slim twin of run_partitioned (base is per-slice, so it shifts with
-  /// sliceptr; the element streams stay absolute).
-  void run_partitioned_slim(simd::SellSlimSpmvFn fn, const Scalar* x,
-                            Scalar* out) const;
-  void spmv_fat(const Scalar* x, Scalar* y) const;
-  void spmv_slim(const Scalar* x, Scalar* y) const;
+  /// tier_ lowered to the highest tier whose kernels support slice height c.
+  simd::IsaTier vector_tier() const;
 
   Index m_ = 0, n_ = 0;
   Index c_ = kZmmDoubles;
@@ -152,7 +145,7 @@ class Sell final : public Matrix {
   AlignedBuffer<std::uint64_t> bitmask_;
   mutable Vector sorted_tmp_;  ///< scratch for sigma-sorted SpMV output
   FlockPartition part_;        ///< Flock slice partition
-  SlimStore slim_;             ///< Kestrel Slim side streams
+  SlimStore slim_;             ///< Kestrel Slim fp32 value stream
 };
 
 }  // namespace kestrel::mat

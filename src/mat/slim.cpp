@@ -1,23 +1,14 @@
 #include "mat/slim.hpp"
 
-#include <algorithm>
-#include <cstdint>
 #include <string>
 
 #include "base/error.hpp"
 #include "base/options.hpp"
-#include "mat/matrix.hpp"
 
 namespace kestrel::mat {
 
 SlimOptions slim_options_from(const Options& opts) {
   SlimOptions o;
-  const std::string idx = opts.get_string("mat_index", "32");
-  if (idx == "16") {
-    o.idx16 = true;
-  } else if (idx != "32") {
-    throw OptionsError("mat_index", idx, "32 or 16", __FILE__, __LINE__);
-  }
   const std::string sca = opts.get_string("mat_scalar", "fp64");
   if (sca == "fp32") {
     o.fp32 = true;
@@ -27,77 +18,15 @@ SlimOptions slim_options_from(const Options& opts) {
   return o;
 }
 
-bool apply_slim_options(Matrix& m, const Options& opts) {
-  const SlimOptions o = slim_options_from(opts);
-  if (!o.any()) return true;
-  return m.set_slim(o);
-}
-
-void SlimStore::clear() {
-  idx16_ = false;
-  fp32_ = false;
-  base_.resize(0);
-  off16_.resize(0);
-  val32_.resize(0);
-}
-
-bool SlimStore::attach(const SlimOptions& opts, const Index* seg, Index nseg,
-                       const Index* colidx, const Scalar* val,
-                       std::size_t nvals, Index scale) {
-  clear();
-  if (opts.idx16) {
-    if (!try_build_idx16(seg, nseg, colidx, scale)) {
-      clear();
-      return false;
-    }
-    idx16_ = true;
-  }
-  if (opts.fp32) {
-    build_val32(val, nvals);
-    fp32_ = true;
-  }
-  return true;
-}
-
-bool SlimStore::attach_values(const SlimOptions& opts, const Scalar* val,
-                              std::size_t nvals) {
-  clear();
-  if (opts.fp32) {
-    build_val32(val, nvals);
-    fp32_ = true;
-  }
-  return true;
+void SlimStore::attach(const SlimOptions& opts, const Scalar* val,
+                       std::size_t nvals) {
+  fp32_ = opts.fp32;
+  if (!fp32_) val32_.resize(0);
+  refresh_values(val, nvals);
 }
 
 void SlimStore::refresh_values(const Scalar* val, std::size_t nvals) {
-  if (fp32_) build_val32(val, nvals);
-}
-
-bool SlimStore::try_build_idx16(const Index* seg, Index nseg,
-                                const Index* colidx, Index scale) {
-  base_.resize(static_cast<std::size_t>(nseg));
-  const Index total = seg != nullptr ? seg[nseg] : 0;
-  off16_.resize(static_cast<std::size_t>(total));
-  for (Index i = 0; i < nseg; ++i) {
-    const Index b = seg[i];
-    const Index e = seg[i + 1];
-    Index lo = 0;
-    if (b < e) {
-      lo = colidx[b];
-      for (Index k = b + 1; k < e; ++k) lo = std::min(lo, colidx[k]);
-    }
-    base_[static_cast<std::size_t>(i)] = lo * scale;
-    for (Index k = b; k < e; ++k) {
-      const std::int64_t off =
-          static_cast<std::int64_t>(colidx[k] - lo) * scale;
-      if (off > 65535) return false;  // span overflows u16: caller stays fat
-      off16_[static_cast<std::size_t>(k)] = static_cast<std::uint16_t>(off);
-    }
-  }
-  return true;
-}
-
-void SlimStore::build_val32(const Scalar* val, std::size_t nvals) {
+  if (!fp32_) return;
   val32_.resize(nvals);
   for (std::size_t i = 0; i < nvals; ++i) {
     val32_[i] = static_cast<float>(val[i]);

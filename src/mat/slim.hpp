@@ -1,27 +1,20 @@
 #pragma once
-// Kestrel Slim: optional compressed side streams for the SpMV formats.
+// Kestrel Slim: an optional fp32 value stream for the SpMV formats.
 //
-// SpMV on large matrices is bandwidth bound, and most of the bytes are the
-// per-nonzero streams: an 8-byte value and a 4-byte column index.  Slim
-// storage shrinks both without giving up the double-precision interface:
+// SpMV on large matrices is bandwidth bound, and the biggest per-nonzero
+// stream is the 8-byte value.  With -mat_scalar fp32 a format keeps a
+// single-precision shadow of its value array; its fp32 kernel entry points
+// (the same templated body as the double ones) read the shadow and widen
+// on load (vcvtps2pd), so accumulation stays double and only the memory
+// traffic is single precision.
 //
-//   * idx16 (-mat_index 16): per-segment (row / slice / block row) base
-//     column plus 16-bit offsets.  The kernels rebase in-register
-//     (vpmovzxwd + vpaddd), so the gather index stream costs 2 B/nnz
-//     instead of 4.  Rows whose column span does not fit 16 bits make the
-//     whole attach fail (all-or-nothing) and the matrix stays fat.
-//   * fp32 (-mat_scalar fp32): a single-precision shadow of the value
-//     array.  Kernels widen on load (vcvtps2pd) and accumulate in double,
-//     so only the memory traffic is single precision.  ksp::refine_solve
-//     wraps fp32 solves in outer double iterative refinement to recover
-//     full double accuracy.
-//
-// The fat arrays are always kept: they stay the source of truth for
-// assembly, ABFT checksums and the `spmv_wide` double path the refinement
-// outer loop uses.
+// The result is a perturbed operator (values rounded to float), so fp32 is
+// meant for preconditioner operators — e.g. multigrid level operators —
+// where the outer Krylov method keeps working on the double operator.  The
+// fat arrays are always kept: they stay the source of truth for assembly,
+// ABFT checksums and every double multiply.
 
 #include <cstddef>
-#include <cstdint>
 
 #include "base/aligned.hpp"
 #include "base/types.hpp"
@@ -32,69 +25,33 @@ class Options;
 
 namespace kestrel::mat {
 
-class Matrix;
-
-/// Requested slim modes, orthogonal to the storage format.
+/// Requested slim mode, orthogonal to the storage format.
 struct SlimOptions {
-  bool idx16 = false;  ///< -mat_index 16: base + 16-bit column offsets
-  bool fp32 = false;   ///< -mat_scalar fp32: single-precision value stream
-  bool any() const { return idx16 || fp32; }
+  bool fp32 = false;  ///< -mat_scalar fp32: single-precision value stream
 };
 
-/// Parses -mat_index {32|16} and -mat_scalar {fp64|fp32} from an options
-/// database; throws OptionsError on any other value.
+/// Parses -mat_scalar {fp64|fp32} from an options database; throws
+/// OptionsError on any other value.
 SlimOptions slim_options_from(const Options& opts);
 
-/// Reads the slim options from `opts` and applies them to `m`.  Returns
-/// false when the format declined (e.g. a row's column span overflows 16
-/// bits); the matrix then keeps its fat streams and stays fully usable.
-bool apply_slim_options(Matrix& m, const Options& opts);
-
-/// Side-stream storage owned by a format instance.  The format decides what
-/// the segments are (CSR rows, SELL slices, BCSR block rows) and in which
-/// units offsets are stored (BCSR uses scalar columns: offsets and base are
-/// pre-multiplied by the block size so the kernel never rescales).
+/// The fp32 shadow of a format's value array.
 class SlimStore {
  public:
-  bool idx16() const { return idx16_; }
   bool fp32() const { return fp32_; }
-  bool active() const { return idx16_ || fp32_; }
 
-  /// Drops all side streams and deactivates both modes.
-  void clear();
-
-  /// All-or-nothing attach for segment-indexed formats.  `seg` has
-  /// `nseg + 1` entries delimiting segments of `colidx`; `scale` converts
-  /// index units to x-vector offsets (1 for CSR/SELL, bs for BCSR).
-  /// Returns false — leaving the store inactive — when some segment's
-  /// scaled column span exceeds 16 bits and idx16 was requested.
-  bool attach(const SlimOptions& opts, const Index* seg, Index nseg,
-              const Index* colidx, const Scalar* val, std::size_t nvals,
-              Index scale);
-
-  /// Value-stream-only attach (Talon: block metadata is already a
-  /// compressed index stream, so idx16 is trivially satisfied).
-  bool attach_values(const SlimOptions& opts, const Scalar* val,
-                     std::size_t nvals);
+  /// Builds the shadow of `val` when `opts.fp32`, else drops it.
+  void attach(const SlimOptions& opts, const Scalar* val, std::size_t nvals);
 
   /// Re-shadows the fp32 stream after the fat values changed in place
   /// (copy_values_from and friends).  No-op when fp32 is off.
   void refresh_values(const Scalar* val, std::size_t nvals);
 
-  const Index* base() const { return base_.data(); }
-  const std::uint16_t* off16() const { return off16_.data(); }
-  const float* val32() const { return val32_.data(); }
+  /// The shadow, or null when fp32 is off (the views' val32 field).
+  const float* val32() const { return fp32_ ? val32_.data() : nullptr; }
 
  private:
-  bool try_build_idx16(const Index* seg, Index nseg, const Index* colidx,
-                       Index scale);
-  void build_val32(const Scalar* val, std::size_t nvals);
-
-  bool idx16_ = false;
   bool fp32_ = false;
-  AlignedBuffer<Index> base_;            ///< per-segment base column
-  AlignedBuffer<std::uint16_t> off16_;   ///< per-entry offset from base
-  AlignedBuffer<float> val32_;           ///< fp32 shadow of the value array
+  AlignedBuffer<float> val32_;
 };
 
 }  // namespace kestrel::mat

@@ -152,8 +152,9 @@ void Talon::repartition(int nparts) {
 
 void Talon::run_partitioned(simd::TalonSpmvFn fn, const Scalar* x,
                             Scalar* y) const {
+  const TalonView v = view();
   if (part_.nparts() <= 1) {
-    fn(view(), x, y);
+    fn(v, x, y);
     return;
   }
   // Flock: contiguous panel ranges through offset sub-views. All three
@@ -165,58 +166,7 @@ void Talon::run_partitioned(simd::TalonSpmvFn fn, const Scalar* x,
     const Index p0 = part_.begin(p);
     const Index p1 = part_.end(p);
     if (p0 == p1) return;
-    const TalonView sub{m_,
-                        n_,
-                        p1 - p0,
-                        panel_row_.data() + p0,
-                        panel_blockptr_.data() + p0,
-                        panel_valptr_.data() + p0,
-                        block_col_.data(),
-                        block_mask_.data(),
-                        val_.data()};
-    fn(sub, x, y);
-  });
-}
-
-void Talon::spmv(const Scalar* x, Scalar* y) const {
-  if (slim_.active()) {
-    spmv_slim(x, y);
-    return;
-  }
-  spmv_fat(x, y);
-}
-
-void Talon::spmv_wide(const Scalar* x, Scalar* y) const { spmv_fat(x, y); }
-
-void Talon::spmv_fat(const Scalar* x, Scalar* y) const {
-  KESTREL_PROF_SPMV("MatMult(talon)", 2 * nnz(), fat_spmv_traffic_bytes());
-  // No tier constraints: every kernel handles all panel heights, and the
-  // missing AVX tier falls back to scalar through dispatch.
-  auto fn = simd::lookup_as<simd::TalonSpmvFn>(simd::Op::kTalonSpmv, tier_);
-  run_partitioned(fn, x, y);
-}
-
-void Talon::spmv_slim(const Scalar* x, Scalar* y) const {
-  KESTREL_PROF_SPMV("MatMult(talon_slim)", 2 * nnz(), spmv_traffic_bytes());
-  auto fn = simd::lookup_as<simd::TalonSlimSpmvFn>(simd::Op::kTalonSlimSpmv,
-                                                   tier_);
-  run_partitioned_slim(fn, x, y);
-}
-
-void Talon::run_partitioned_slim(simd::TalonSlimSpmvFn fn, const Scalar* x,
-                                 Scalar* y) const {
-  const TalonSlimView v = slim_view();
-  if (part_.nparts() <= 1) {
-    fn(v, x, y);
-    return;
-  }
-  // Same shift rules as the fat sub-view: the panel arrays hold absolute
-  // positions into block_col/block_mask/val32, so only their pointers move.
-  par::ThreadPool::rank_pool().run(part_.nparts(), [&](int p, int) {
-    const Index p0 = part_.begin(p);
-    const Index p1 = part_.end(p);
-    if (p0 == p1) return;
-    TalonSlimView sub = v;
+    TalonView sub = v;
     sub.npanels = p1 - p0;
     sub.panel_row = v.panel_row + p0;
     sub.panel_blockptr = v.panel_blockptr + p0;
@@ -225,25 +175,19 @@ void Talon::run_partitioned_slim(simd::TalonSlimSpmvFn fn, const Scalar* x,
   });
 }
 
-TalonSlimView Talon::slim_view() const {
-  return {m_,
-          n_,
-          npanels_,
-          slim_.fp32() ? Index{1} : Index{0},
-          panel_row_.data(),
-          panel_blockptr_.data(),
-          panel_valptr_.data(),
-          block_col_.data(),
-          block_mask_.data(),
-          val_.data(),
-          slim_.val32()};
+void Talon::spmv(const Scalar* x, Scalar* y) const {
+  KESTREL_PROF_SPMV("MatMult(talon)", 2 * nnz(), spmv_traffic_bytes());
+  // No tier constraints: every kernel handles all panel heights, and the
+  // missing AVX tier falls back to scalar through dispatch.
+  auto fn = simd::lookup_as<simd::TalonSpmvFn>(
+      slim_.fp32() ? simd::Op::kTalonSpmvFp32 : simd::Op::kTalonSpmv, tier_);
+  run_partitioned(fn, x, y);
 }
 
 bool Talon::set_slim(const SlimOptions& opts) {
-  // idx16 is a no-op here (block_col + mask already is the compressed
-  // index stream); only fp32 materializes a side stream, mirroring the
-  // packed value order exactly.
-  return slim_.attach_values(opts, val_.data(), val_.size());
+  // The fp32 shadow mirrors the packed value order exactly.
+  slim_.attach(opts, val_.data(), val_.size());
+  return true;
 }
 
 void Talon::spmv_add(const Scalar* x, Scalar* y) const {
@@ -364,8 +308,8 @@ std::size_t Talon::fat_spmv_traffic_bytes() const {
 
 // Kestrel Slim traffic: only the packed value stream changes (4 B fp32
 // instead of 8 B double); the block/panel metadata is identical and the fat
-// val array is not touched (`alt`).
-// argus-traffic-model: talon_slim
+// val array is not touched by the fp32 kernels.
+// argus-traffic-model: talon_fp32
 // argus-traffic-stream: val32 = 4 * nnz : esize 4
 // argus-traffic-stream: block_col = 4 * nblocks
 // argus-traffic-stream: block_mask = 4 * nblocks
@@ -374,14 +318,13 @@ std::size_t Talon::fat_spmv_traffic_bytes() const {
 // argus-traffic-stream: panel_valptr = 4 * npanels
 // argus-traffic-stream: y = 8 * m : wa
 // argus-traffic-stream: x = 8 * n
-// argus-traffic-stream: val = 0 : alt
 // argus-traffic-bind: num_blocks() = nblocks
 // argus-traffic-bind: nnz_ = nnz
 // argus-traffic-bind: npanels_ = npanels
 // argus-traffic-bind: m_ = m
 // argus-traffic-bind: n_ = n
-// argus-traffic-cpp: slim_spmv_traffic_bytes
-std::size_t Talon::slim_spmv_traffic_bytes() const {
+// argus-traffic-cpp: fp32_spmv_traffic_bytes
+std::size_t Talon::fp32_spmv_traffic_bytes() const {
   return 4 * static_cast<std::size_t>(nnz_) +
          8 * static_cast<std::size_t>(num_blocks()) +
          12 * static_cast<std::size_t>(npanels_) +
@@ -389,7 +332,7 @@ std::size_t Talon::slim_spmv_traffic_bytes() const {
 }
 
 std::size_t Talon::spmv_traffic_bytes() const {
-  return slim_.fp32() ? slim_spmv_traffic_bytes() : fat_spmv_traffic_bytes();
+  return slim_.fp32() ? fp32_spmv_traffic_bytes() : fat_spmv_traffic_bytes();
 }
 
 void Talon::copy_values_from(const Csr& csr) {

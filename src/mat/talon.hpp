@@ -52,9 +52,8 @@ class Talon final : public Matrix {
   std::int64_t nnz() const override { return nnz_; }
   void spmv(const Scalar* x, Scalar* y) const override;
   using Matrix::spmv;
-  void spmv_wide(const Scalar* x, Scalar* y) const override;
   bool set_slim(const SlimOptions& opts) override;
-  bool slim_active() const override { return slim_.active(); }
+  bool slim_active() const override { return slim_.fp32(); }
   void get_diagonal(Vector& d) const override;
   void abft_col_checksum(Vector& c) const override;
   std::string format_name() const override { return "talon"; }
@@ -91,20 +90,16 @@ class Talon final : public Matrix {
             panel_valptr_.data(),
             block_col_.data(),
             block_mask_.data(),
-            val_.data()};
+            val_.data(),
+            slim_.val32()};
   }
 
   // Kestrel Slim ----------------------------------------------------------
-  // Talon's block metadata (base column + presence mask) is already a
-  // compressed index stream, so -mat_index 16 is trivially satisfied and
-  // only -mat_scalar fp32 changes the storage: val32 mirrors the packed
-  // value walk entry for entry.
-  const SlimStore& slim() const { return slim_; }
-  TalonSlimView slim_view() const;
-  /// Traffic of the fat double SpMV.
+  /// Traffic of the double SpMV.
   std::size_t fat_spmv_traffic_bytes() const;
-  /// Traffic of the fp32 SpMV.
-  std::size_t slim_spmv_traffic_bytes() const;
+  /// Traffic of the fp32-value SpMV (val32 mirrors the packed value walk
+  /// entry for entry).
+  std::size_t fp32_spmv_traffic_bytes() const;
 
   // Kestrel Flock ----------------------------------------------------------
   // flock-pool-safe: panel
@@ -119,10 +114,6 @@ class Talon final : public Matrix {
   void build(const Csr& csr, const TalonOptions& opts);
   void run_partitioned(simd::TalonSpmvFn fn, const Scalar* x,
                        Scalar* y) const;
-  void run_partitioned_slim(simd::TalonSlimSpmvFn fn, const Scalar* x,
-                            Scalar* y) const;
-  void spmv_fat(const Scalar* x, Scalar* y) const;
-  void spmv_slim(const Scalar* x, Scalar* y) const;
 
   Index m_ = 0, n_ = 0;
   Index npanels_ = 0;

@@ -40,38 +40,28 @@ SpmvWorkload SpmvWorkload::split(int parts) const {
           talon_blocks / parts,  talon_panels / parts};
 }
 
-std::size_t SpmvWorkload::traffic_bytes(ModelFormat fmt, bool idx16,
-                                        bool fp32) const {
+std::size_t SpmvWorkload::traffic_bytes(ModelFormat fmt) const {
   const auto m = static_cast<std::size_t>(rows);
   const auto nz = static_cast<std::size_t>(nnz);
-  // Per-stored-element streams: 8-byte (or 4-byte fp32) value plus a 4-byte
-  // column index, or a 2-byte offset when idx16 is on. idx16 also reads one
-  // 4-byte base per segment (row for CSR, slice for SELL); that term is
-  // added per format below. Mirrors the mat::*::spmv_traffic_bytes models.
-  const std::size_t vb = fp32 ? 4 : 8;
-  const std::size_t ib = idx16 ? 2 : 4;
+  // Per-stored-element streams: 8-byte value plus a 4-byte column index.
+  // Mirrors the mat::*::spmv_traffic_bytes models.
   switch (fmt) {
-    case ModelFormat::kSell: {
-      const std::size_t slices = (m + 7) / 8;  // per-slice idx16 bases
-      return (vb + ib) * nz + 10 * m + (idx16 ? 4 * slices : 0) +
-             8 * m;  // section 6, n == m (square)
-    }
+    case ModelFormat::kSell:
+      return 12 * nz + 10 * m + 8 * m;  // section 6, n == m (square)
     case ModelFormat::kCsrPerm:
-      return (vb + ib) * nz + 24 * m + (idx16 ? 4 * m : 0) + 8 * m +
-             4 * m;  // + permutation array
+      return 12 * nz + 24 * m + 8 * m + 4 * m;  // + permutation array
     case ModelFormat::kTalon: {
-      // vb bytes per value (no per-entry column index — idx16 does not
-      // apply), 8 per beta block (start column + mask), 12 per panel, plus
-      // x and y. Mirrors mat::Talon::spmv_traffic_bytes; geometry estimated
-      // when not given.
+      // 8 bytes per value (no per-entry column index), 8 per beta block
+      // (start column + mask), 12 per panel, plus x and y. Mirrors
+      // mat::Talon::spmv_traffic_bytes; geometry estimated when not given.
       const auto blocks = static_cast<std::size_t>(
           talon_blocks > 0 ? talon_blocks : (nnz + 5) / 6);
       const auto panels = static_cast<std::size_t>(
           talon_panels > 0 ? talon_panels : (rows + 1) / 2);
-      return vb * nz + 8 * blocks + 12 * panels + 8 * m + 8 * m;
+      return 8 * nz + 8 * blocks + 12 * panels + 8 * m + 8 * m;
     }
     default:
-      return (vb + ib) * nz + 24 * m + (idx16 ? 4 * m : 0) + 8 * m;
+      return 12 * nz + 24 * m + 8 * m;
   }
 }
 

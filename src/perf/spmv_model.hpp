@@ -47,13 +47,8 @@ struct SpmvWorkload {
   /// Workload divided over `parts` equal pieces.
   SpmvWorkload split(int parts) const;
 
-  /// Section 6 minimum-traffic byte counts. The slim flags mirror the
-  /// runtime storage options: `idx16` swaps each 4-byte column index for a
-  /// 2-byte offset plus a 4-byte per-row (CSR) or per-slice (SELL) base;
-  /// `fp32` halves the value stream to 4 bytes per stored element. Talon
-  /// has no separate index stream, so only `fp32` applies there.
-  std::size_t traffic_bytes(ModelFormat fmt, bool idx16 = false,
-                            bool fp32 = false) const;
+  /// Section 6 minimum-traffic byte counts.
+  std::size_t traffic_bytes(ModelFormat fmt) const;
 };
 
 struct KernelCost {

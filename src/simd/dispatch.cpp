@@ -40,10 +40,14 @@ const char* op_name(Op op) {
   switch (op) {
     case Op::kCsrSpmv:
       return "csr_spmv";
+    case Op::kCsrSpmvFp32:
+      return "csr_spmv_fp32";
     case Op::kCsrSpmvAddRows:
       return "csr_spmv_add_rows";
     case Op::kSellSpmv:
       return "sell_spmv";
+    case Op::kSellSpmvFp32:
+      return "sell_spmv_fp32";
     case Op::kSellSpmvAdd:
       return "sell_spmv_add";
     case Op::kSellSpmvBitmask:
@@ -52,10 +56,16 @@ const char* op_name(Op op) {
       return "sell_spmv_prefetch";
     case Op::kCsrPermSpmv:
       return "csr_perm_spmv";
+    case Op::kCsrPermSpmvFp32:
+      return "csr_perm_spmv_fp32";
     case Op::kBcsrSpmv:
       return "bcsr_spmv";
+    case Op::kBcsrSpmvFp32:
+      return "bcsr_spmv_fp32";
     case Op::kTalonSpmv:
       return "talon_spmv";
+    case Op::kTalonSpmvFp32:
+      return "talon_spmv_fp32";
     case Op::kTalonSpmvAdd:
       return "talon_spmv_add";
     case Op::kGatherPack:

@@ -38,35 +38,28 @@ using TalonSpmvFn = void (*)(const mat::TalonView&, const Scalar* x,
 /// hardware gathers (vgatherdpd); indices must be valid for x.
 using GatherPackFn = void (*)(const Scalar* x, const Index* idx, Index n,
                               Scalar* out);
-/// Kestrel Slim SpMV: the view carries both the fat and the compressed
-/// streams; the kernel branches on the idx16/fp32 mode flags. Accumulation
-/// is always double.
-using CsrSlimSpmvFn = void (*)(const mat::CsrSlimView&, const Scalar* x,
-                               Scalar* y);
-using SellSlimSpmvFn = void (*)(const mat::SellSlimView&, const Scalar* x,
-                                Scalar* y);
-using BcsrSlimSpmvFn = void (*)(const mat::BcsrSlimView&, const Scalar* x,
-                                Scalar* y);
-using TalonSlimSpmvFn = void (*)(const mat::TalonSlimView&, const Scalar* x,
-                                 Scalar* y);
 
+/// Every format's main SpMV op has an `...Fp32` twin with the same function
+/// type: the kernel reads the view's fp32 value stream (val32) instead of
+/// val and widens on load, so accumulation stays double (Kestrel Slim).
 enum class Op : int {
   kCsrSpmv = 0,
+  kCsrSpmvFp32,
   kCsrSpmvAddRows,
   kSellSpmv,
+  kSellSpmvFp32,
   kSellSpmvAdd,
   kSellSpmvBitmask,   ///< ESB-style masked variant (ablation)
   kSellSpmvPrefetch,  ///< unrolled + software-prefetch variant (ablation,
                       ///< paper section 5.5)
   kCsrPermSpmv,
+  kCsrPermSpmvFp32,
   kBcsrSpmv,
+  kBcsrSpmvFp32,
   kTalonSpmv,
+  kTalonSpmvFp32,
   kTalonSpmvAdd,
   kGatherPack,
-  kCsrSlimSpmv,   ///< Kestrel Slim: compressed-stream SpMV variants
-  kSellSlimSpmv,
-  kBcsrSlimSpmv,
-  kTalonSlimSpmv,
   kOpCount,
 };
 

@@ -13,7 +13,6 @@ View contracts (src/mat/kernels/views.hpp, above each struct):
   // argus-fact: maskbit(block_mask, block_col, n)
   // argus-fact: packed(val, panel_valptr)
   // argus-fact: group(perm, group_begin, group_rlen, csr.rowptr)
-  // argus-fact: span(off16, base, rowptr, n)
   // argus-fact: stride(panel_row) in {1, 2, 4}
   // argus-field: csr : CsrView            (nested view member)
 
@@ -77,7 +76,7 @@ def parse_annot_expr(text: str, where: str) -> Expr:
 @dataclass
 class Fact:
     kind: str                 # cmp|monotone|elem|divides|divides_elem|maskbit
-    #                         # |packed|group|stride|span|
+    #                         # |packed|group|stride
     args: tuple = ()
     where: str = ""
 
@@ -102,7 +101,7 @@ def parse_fact(text: str, where: str) -> Fact:
         return Fact("stride", (m.group(1), vals), where)
     m = _CALLFORM_RE.match(text)
     if m and m.group(1) in ("monotone", "divides", "maskbit", "packed",
-                            "group", "maskword", "span"):
+                            "group", "maskword"):
         fn = m.group(1)
         args = _split_args(m.group(2))
         if fn == "monotone":
@@ -132,11 +131,6 @@ def parse_fact(text: str, where: str) -> Fact:
             return Fact("packed", tuple(args), where)
         if fn == "group":
             return Fact("group", tuple(args), where)
-        if fn == "span":
-            # span(off16, base, seg, bound): for every segment i and every
-            # k in [seg[i], seg[i+1]), 0 <= base[i] + off16[k] < bound.
-            return Fact("span", (args[0], args[1], args[2],
-                                 parse_annot_expr(args[3], where)), where)
     m = _CMP_RE.match(text)
     if m:
         lhs = parse_annot_expr(m.group(1), where)

@@ -127,6 +127,11 @@ class ViewV(Val):
 
 
 @dataclass
+class TypeV(Val):
+    name: str                 # canonical type bound to a `class V` parameter
+
+
+@dataclass
 class TableV(Val):
     name: str
     sem: str                  # "setbits"
@@ -150,13 +155,11 @@ class State:
         self.flow: Optional[str] = None      # return|break|continue
         self.retval: Optional[Val] = None
         self.grl_seen: List[Tuple[str, Poly]] = []   # (grl array, index poly)
-        self.base_seen: List[Tuple[str, Poly]] = []  # (base array, index poly)
         self.types: Dict[str, str] = {}      # declared var -> type name
 
     def fork(self) -> "State":
         st = State(dict(self.env), self.db.copy())
         st.grl_seen = list(self.grl_seen)
-        st.base_seen = list(self.base_seen)
         st.types = dict(self.types)
         return st
 
@@ -201,7 +204,6 @@ class Interp:
         self.packed_arrays: set = set()     # arrays with packed discipline
         self.elem_div_sym: Dict[str, Poly] = {}
         self.groups: List[Tuple[str, str, str, str]] = []
-        self.spans: List[Tuple[str, str, str, Poly]] = []  # off,base,seg,bound
         self.kernel = ""
         self._fresh = itertools.count()
         self._depth = 0
@@ -364,10 +366,6 @@ class Interp:
             perm, gb, grl, rowptr = fact.args
             self.groups.append((prefix + perm, prefix + gb, prefix + grl,
                                 prefix + rowptr))
-        elif fact.kind == "span":
-            off, base, seg, bound = fact.args
-            self.spans.append((prefix + off, prefix + base, prefix + seg,
-                               self.annot_poly(bound, scope, prefix, where)))
         else:
             raise ContractError(where, f"unhandled fact kind {fact.kind}")
 
@@ -676,7 +674,6 @@ class Interp:
             val.tag = ("maskword", ptr.array, ptr.off)
         if info is not None and info.kind in ("view", "param"):
             self._group_hook(st, ptr.array, ptr.off)
-            self._span_hook(st, ptr.array, ptr.off)
         return val
 
     def _group_hook(self, st: State, arr: str, idx: Poly) -> None:
@@ -703,33 +700,6 @@ class Interp:
                         rp1 = Poly.atom(ArrElem(rowptr, pe + 1))
                         ln = Poly.atom(ArrElem(grl, g))
                         st.db.add_eq(rp1, rp0 + ln)
-
-    def _span_hook(self, st: State, arr: str, idx: Poly,
-                   width: Optional[int] = None,
-                   bound: Optional[Poly] = None) -> None:
-        """span(off, base, seg, B): reading base[i] records i; reading
-        off[k] with a provable seg[i] <= k < seg[i+1] establishes
-        0 <= base[i] + off[k] < B for the recorded segment i. `width`
-        and `bound` carry the lane count / mask bound of a vector load
-        whose index poly contains LANE."""
-        for off_arr, base_arr, seg_arr, b in self.spans:
-            if arr == base_arr:
-                if all(idx.key() != g.key() for _a, g in st.base_seen):
-                    st.base_seen.append((base_arr, idx))
-            elif arr == off_arr:
-                db = st.db if width is None else self.lane_db(st, width,
-                                                              bound)
-                pr = Prover(db)
-                for b_arr, i in st.base_seen:
-                    if b_arr != base_arr:
-                        continue
-                    lo = Poly.atom(ArrElem(seg_arr, i))
-                    hi = Poly.atom(ArrElem(seg_arr, i + 1))
-                    if pr.prove_ge0(idx - lo) and pr.prove_lt(idx, hi):
-                        s = Poly.atom(ArrElem(base_arr, i)) + \
-                            Poly.atom(ArrElem(off_arr, idx))
-                        st.db.add_ge0(s)
-                        st.db.add_lt(s, b)
 
     def _setbit_value(self, st: State, word: IntV, line: int) -> Val:
         """Reading a set-bit-position table row: fresh value in [0,8) plus
@@ -974,6 +944,9 @@ class Interp:
             return [(st, NullV())]
         if name in ("std::memcpy", "memcpy"):
             return self._memcpy(e, st)
+        if name == "std::is_same_v":
+            a, b = (self._resolve_type(t, st, e.line) for t in e.targs)
+            return [(st, IntV(Poly.const(1 if a.name == b.name else 0)))]
         if name.startswith(("_mm512_", "_mm256_", "_mm_")):
             outs = []
             for st1, vals in self._eval_args(st, e.args):
@@ -1067,7 +1040,10 @@ class Interp:
                 raise Unsupported(e.line, f"arity mismatch calling {fn.name}")
             callee_env: Dict[str, Val] = {}
             for (kind, tname), text in zip(fn.tparams, e.targs):
-                callee_env[tname] = self._resolve_targ(text, st1, e.line)
+                callee_env[tname] = (
+                    self._resolve_type(text, st1, e.line)
+                    if kind in ("class", "typename") else
+                    self._resolve_targ(text, st1, e.line))
             if len(e.targs) not in (0, len(fn.tparams)):
                 raise Unsupported(e.line, "template argument mismatch")
             for p, v in zip(fn.params, vals):
@@ -1079,7 +1055,6 @@ class Interp:
                 callee_env.setdefault(bname, IntV(Poly.const(bval)))
             callee = State(callee_env, st1.db)
             callee.grl_seen = list(st1.grl_seen)
-            callee.base_seen = list(st1.base_seen)
             self._depth += 1
             try:
                 ends = self.exec_block(fn.body, [callee])
@@ -1088,7 +1063,6 @@ class Interp:
             for es in ends:
                 ret = State(dict(st1.env), es.db)
                 ret.grl_seen = list(es.grl_seen)
-                ret.base_seen = list(es.base_seen)
                 outs.append((ret, es.retval if es.retval is not None
                              else NullV()))
         return outs
@@ -1108,6 +1082,19 @@ class Interp:
         if t in _BUILTIN_INTS:
             return IntV(Poly.const(_BUILTIN_INTS[t]))
         raise Unsupported(line, f"cannot resolve template argument {t!r}")
+
+    _TYPE_ALIASES = {"Scalar": "double", "double": "double", "float": "float"}
+
+    def _resolve_type(self, text: str, st: State, line: int) -> TypeV:
+        """A type template argument: a value type the kernels instantiate
+        over, or a `class V` parameter already bound in `st`."""
+        t = text.strip()
+        if t in self._TYPE_ALIASES:
+            return TypeV(self._TYPE_ALIASES[t])
+        v = st.env.get(t)
+        if isinstance(v, TypeV):
+            return v
+        raise Unsupported(line, f"cannot resolve type argument {t!r}")
 
     # -- SIMD intrinsics -----------------------------------------------------
     _FLOAT_SHUFFLES = (
@@ -1160,20 +1147,9 @@ class Interp:
             return FloatVecV(wd)
         if op in ("loadu_si256", "loadu_si128"):
             return self._int_vload(st, vals[0], bits, line, None, name)
-        if op == "loadl_epi64":
-            return self._int_vload(st, vals[0], 64, line, None, name)
         if op == "maskz_loadu_epi32":
             m = self._mask_of(vals[0], wi, line, name)
             return self._int_vload(st, vals[1], bits, line, m, name)
-        if op == "maskz_loadu_epi16":
-            m = self._mask_of(vals[0], bits // 16, line, name)
-            return self._int_vload(st, vals[1], bits, line, m, name)
-        if op == "cvtepu16_epi32":
-            v = vals[0]
-            if not isinstance(v, VecV):
-                raise Unsupported(line, f"{name} on non-vector")
-            # Zero-extend the low `wi` 16-bit lanes; lane polys carry over.
-            return VecV(v.lane, min(v.width, wi), 4, v.tag)
         if op in ("loadu_ps", "load_ps"):
             self._mem(st, vals[0], wi, line, write=False, what=name)
             return FloatVecV(wi)
@@ -1207,6 +1183,11 @@ class Interp:
             self._gather(st, base, idx, wd, line, mask=m, write=False,
                          what=name)
             return FloatVecV(wd)
+        if op == "i32gather_ps":
+            base, idx = self._base_idx(vals[:2], line, name)
+            self._gather(st, base, idx, wi, line, mask=None, write=False,
+                         what=name)
+            return FloatVecV(wi)
         if op == "i32gather_epi32":
             base, idx = self._base_idx(vals[:2], line, name)
             self._gather(st, base, idx, wi, line, mask=None, write=False,
@@ -1248,8 +1229,6 @@ class Interp:
         if bound is not None:
             v.tag = ("maskedload", bound)
         self._group_hook(st, ptr.array, ptr.off + Poly.atom(LANE))
-        self._span_hook(st, ptr.array, ptr.off + Poly.atom(LANE), width,
-                        bound)
         return v
 
     def _base_idx(self, two: List[Val], line: int,

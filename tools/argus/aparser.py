@@ -1,10 +1,11 @@
 """Argus C++-subset parser.
 
 Recursive-descent parser for the dialect the kernel TUs are written in:
-namespaces, function templates over `<int R, bool Add>`-style parameter
-lists, declarations (including arrays and alignas), for/while/do/if
+namespaces, function templates over `<int R, bool Add, class V>`-style
+parameter lists, declarations (including arrays and alignas), for/while/do/if
 (+`if constexpr`)/switch/return, and the expression grammar the kernels use
-(calls with explicit template arguments, member access, casts, intrinsics).
+(calls with explicit template arguments, member access, casts, intrinsics,
+and the `std::is_same_v<A, B>` trait that value-type dispatch keys on).
 
 The goal is *faithful structure*, not full C++: anything outside the dialect
 is a parse error, which Argus reports as a TU-level violation — a kernel that
@@ -739,6 +740,11 @@ class Parser:
         if t.kind == "id":
             name = self._parse_qualified_name()
             targs: Tuple[str, ...] = ()
+            if name == "std::is_same_v":
+                # Type trait: a nullary "call" whose template arguments are
+                # the two types compared.
+                return Call(line=t.line, fn=name,
+                            targs=self._parse_template_args())
             if self.at("<") and self._template_call_ahead():
                 targs = self._parse_template_args()
             if self.at("("):

@@ -88,7 +88,9 @@ kernel-op-scalar
     (kAvx/kAvx2/kAvx512) must also be registered at IsaTier::kScalar
     somewhere in src/mat/kernels/. kernel-table-scalar enforces this per
     *format*; this rule enforces it per *operation*, catching a new op
-    (e.g. kGatherPack) added vector-only inside an existing format's TUs.
+    (e.g. kGatherPack) added vector-only inside an existing format's TUs —
+    including a format's fp32 twin (kCsrSpmvFp32, ...), whose vector entry
+    points need a scalar fp32 registration of their own.
     The scalar registration is what guarantees dispatch never fails on a
     non-AVX host and gives the differential tests their oracle. The
     registration-table half of the contract (the TU itself must be a
@@ -153,14 +155,6 @@ ABFT_HOOK = "abft_col_checksum"
 UTILITY_FORMATS = {"gather"}
 
 
-def home_format(fmt: str) -> str:
-    """Format whose src/mat files own a kernel family's bookkeeping.
-
-    Kestrel Slim registers `<fmt>_slim` table cells, but the slim kernels
-    are dispatched from the parent format's spmv: csr.cpp reports the perf
-    of `csr_slim`, carries its ABFT hook and its Flock granularity. There
-    is deliberately no src/mat/csr_slim.cpp."""
-    return fmt[:-len("_slim")] if fmt.endswith("_slim") else fmt
 VECTOR_TIER_TOKENS = {"kAvx", "kAvx2", "kAvx512"}
 TABLE_CELL_RE = re.compile(r"^\s*X\((\w+),\s*(\w+)\)", re.MULTILINE)
 REGISTER_MACRO_RE = re.compile(r"KESTREL_REGISTER_KERNEL\(\s*(\w+)\s*,\s*(\w+)")
@@ -464,8 +458,7 @@ def check_kernel_perf_reporting(repo: str) -> list[Violation]:
     if not cells:
         return []
     violations = []
-    homes = sorted({home_format(fmt) for fmt, isa in cells
-                    if isa in ISA_TIER_TOKEN})
+    homes = sorted({fmt for fmt, isa in cells if isa in ISA_TIER_TOKEN})
     for fmt in homes:
         if fmt in UTILITY_FORMATS:
             continue
@@ -491,8 +484,7 @@ def check_abft_hook(repo: str) -> list[Violation]:
     if not cells:
         return []
     violations = []
-    for fmt in sorted({home_format(fmt) for fmt, isa in cells
-                       if isa in ISA_TIER_TOKEN}):
+    for fmt in sorted({fmt for fmt, isa in cells if isa in ISA_TIER_TOKEN}):
         if fmt in UTILITY_FORMATS:
             continue
         candidates = [os.path.join("src", "mat", f"{fmt}.cpp"),
@@ -529,8 +521,7 @@ def check_flock_pool_safety(repo: str) -> list[Violation]:
         return []
     violations = []
     kernels_dir = os.path.join(repo, KERNELS_DIR)
-    for fmt in sorted({home_format(fmt) for fmt, isa in cells
-                       if isa in ISA_TIER_TOKEN}):
+    for fmt in sorted({fmt for fmt, isa in cells if isa in ISA_TIER_TOKEN}):
         if fmt in UTILITY_FORMATS:
             candidates = []
             if os.path.isdir(kernels_dir):
@@ -565,46 +556,6 @@ def check_flock_pool_safety(repo: str) -> list[Violation]:
                 f"family '{fmt}' declares unknown flock-pool-safe "
                 f"granularity {bad} — use one of "
                 f"{', '.join(sorted(FLOCK_GRANULARITIES))}"))
-    return violations
-
-
-def check_slim_kernel_contract(repo: str) -> list[Violation]:
-    """Every Kestrel Slim kernel TU (src/mat/kernels/<fmt>_slim_<isa>.cpp)
-    must carry the argus-contract header naming its own slim format — the
-    Argus proof battery keys its span/traffic facts on it — and must have a
-    scalar counterpart TU on disk, the oracle the differential sweep in
-    tests/slim_test.cpp compares every vector tier against."""
-    violations = []
-    kernels_dir = os.path.join(repo, KERNELS_DIR)
-    if not os.path.isdir(kernels_dir):
-        return violations
-    for name in sorted(os.listdir(kernels_dir)):
-        m = KERNEL_TU_RE.match(name)
-        if not m:
-            continue
-        stem = name[:-len(".cpp")]
-        fmt, isa = None, None
-        for cand in ISA_TIER_TOKEN:
-            if stem.endswith("_" + cand):
-                fmt, isa = stem[:-(len(cand) + 1)], cand
-        if fmt is None or not fmt.endswith("_slim"):
-            continue
-        rel = os.path.join(KERNELS_DIR, name)
-        header = re.compile(
-            rf"^\s*//\s*argus-contract:\s*format={fmt}\s+isa={isa}\s*$",
-            re.MULTILINE)
-        if not header.search(read_text(os.path.join(repo, rel))):
-            violations.append(Violation(
-                "slim-kernel-contract", rel, 0,
-                f"slim kernel TU declares no '// argus-contract: "
-                f"format={fmt} isa={isa}' header — the Argus battery "
-                f"cannot prove its u16 rebase / fp32 widen memory-safe"))
-        scalar_rel = os.path.join(KERNELS_DIR, f"{fmt}_scalar.cpp")
-        if not os.path.isfile(os.path.join(repo, scalar_rel)):
-            violations.append(Violation(
-                "slim-kernel-contract", rel, 0,
-                f"slim kernel TU has no scalar counterpart {scalar_rel} — "
-                f"the differential sweep has no oracle for '{fmt}'"))
     return violations
 
 
@@ -738,7 +689,6 @@ def lint(repo: str) -> list[Violation]:
     violations += check_kernel_perf_reporting(repo)
     violations += check_abft_hook(repo)
     violations += check_flock_pool_safety(repo)
-    violations += check_slim_kernel_contract(repo)
     violations += check_kernel_op_scalar(repo)
     violations += check_argus_contracts(repo)
     violations += check_svc_structured_errors(repo)
@@ -1139,39 +1089,27 @@ def self_test() -> int:
         expect("utility_no_flock", {v.rule for v in lint(fx)},
                "flock-pool-safety", True)
 
-        # Kestrel Slim scaffolding: a well-formed slim scalar TU.
-        slim_scalar_tu = (
-            CLEAN_SCALAR_TU
-            .replace("foo_spmv_scalar", "foo_slim_spmv_scalar")
-            .replace("register_foo_scalar", "register_foo_slim_scalar")
-            .replace("format=foo isa=scalar", "format=foo_slim isa=scalar")
-            .replace("kFooSpmv", "kFooSlimSpmv"))
-
-        # 22. Slim kernel TU that never declares its argus-contract header
-        # (the scalar counterpart exists, so only the header rule fires).
-        fx = os.path.join(tmp, "slim_no_contract_header")
+        # 22. An fp32 twin registered vector-only: foo_avx512.cpp adds a
+        # kFooSpmvFp32 entry point, but foo_scalar.cpp registers only the
+        # double kFooSpmv. The format still has a scalar table cell, so
+        # kernel-table-scalar is satisfied; kernel-op-scalar must fire, since
+        # fp32 dispatch on a non-AVX host would find no kernel and the
+        # differential sweep no oracle.
+        fx = os.path.join(tmp, "fp32_no_scalar")
         _make_clean_fixture(fx)
-        _write(fx, os.path.join(KERNELS_DIR, "foo_slim_scalar.cpp"),
-               slim_scalar_tu.replace(
-                   "// argus-contract: format=foo_slim isa=scalar\n", ""))
-        expect("slim_no_contract_header", {v.rule for v in lint(fx)},
-               "slim-kernel-contract", True)
+        _write(fx, os.path.join(KERNELS_DIR, "foo_avx512.cpp"),
+               CLEAN_AVX512_TU.replace(
+                   "  KESTREL_REGISTER_KERNEL(kFooSpmv, kAvx512, "
+                   "foo_spmv_avx512);\n",
+                   "  KESTREL_REGISTER_KERNEL(kFooSpmv, kAvx512, "
+                   "foo_spmv_avx512);\n"
+                   "  KESTREL_REGISTER_KERNEL(kFooSpmvFp32, kAvx512, "
+                   "foo_spmv_avx512);\n"))
+        rules = {v.rule for v in lint(fx)}
+        expect("fp32_no_scalar", rules, "kernel-op-scalar", True)
+        expect("fp32_no_scalar", rules, "kernel-table-scalar", False)
 
-        # 23. Slim vector TU with a proper contract header but no scalar
-        # counterpart on disk: the differential sweep would have no oracle.
-        fx = os.path.join(tmp, "slim_no_scalar_oracle")
-        _make_clean_fixture(fx)
-        _write(fx, os.path.join(KERNELS_DIR, "foo_slim_avx512.cpp"),
-               CLEAN_AVX512_TU
-               .replace("foo_spmv_avx512", "foo_slim_spmv_avx512")
-               .replace("register_foo_avx512", "register_foo_slim_avx512")
-               .replace("format=foo isa=avx512",
-                        "format=foo_slim isa=avx512")
-               .replace("kFooSpmv", "kFooSlimSpmv"))
-        expect("slim_no_scalar_oracle", {v.rule for v in lint(fx)},
-               "slim-kernel-contract", True)
-
-        # 24. A bare std::* throw inside the service layer must fire: the
+        # 23. A bare std::* throw inside the service layer must fire: the
         # decline carries no structure a client could dispatch on.
         fx = os.path.join(tmp, "svc_bare_throw")
         _make_clean_fixture(fx)
@@ -1183,7 +1121,7 @@ def self_test() -> int:
         expect("svc_bare_throw", {v.rule for v in lint(fx)},
                "svc-structured-errors", True)
 
-        # 25. Structured throws in src/svc/ stay quiet, as do std::* throws
+        # 24. Structured throws in src/svc/ stay quiet, as do std::* throws
         # outside the service layer (other layers own their own policy).
         fx = os.path.join(tmp, "svc_structured_throw")
         _make_clean_fixture(fx)
@@ -1204,7 +1142,7 @@ def self_test() -> int:
         for f in failures:
             print("  " + f, file=sys.stderr)
         return 1
-    print("kestrel_lint self-test passed (28 fixtures).")
+    print("kestrel_lint self-test passed (27 fixtures).")
     return 0
 
 
