@@ -6,9 +6,9 @@
 // core operations needed by a practical PDE solver".
 //
 // This bench times the per-Newton-iteration matrix pipeline for each
-// format: Jacobian COO assembly -> CSR, conversion to the compute format,
-// and the pattern-reuse value refresh that amortizes conversion after the
-// first iteration.
+// format: Jacobian evaluation written straight into CSR, conversion to
+// the compute format, and the pattern-reuse value refresh that amortizes
+// conversion after the first iteration.
 
 #include <cstdio>
 
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
 
   const double t_spmv = bench::time_spmv(sell);
 
-  std::printf("%-42s %10.2f ms\n", "Jacobian eval + COO->CSR assembly",
+  std::printf("%-42s %10.2f ms\n", "Jacobian eval + direct CSR fill",
               1e3 * t_jac);
   std::printf("%-42s %10.2f ms\n", "CSR -> SELL conversion (first time)",
               1e3 * t_sell);

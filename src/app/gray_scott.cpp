@@ -1,9 +1,9 @@
 #include "app/gray_scott.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "base/error.hpp"
-#include "mat/coo.hpp"
 
 namespace kestrel::app {
 
@@ -49,43 +49,73 @@ mat::Csr GrayScott::rhs_jacobian(const Vector& state) const {
   const Scalar cx = 1.0 / (grid_.hx() * grid_.hx());
   const Scalar cy = 1.0 / (grid_.hy() * grid_.hy());
 
-  mat::Coo coo(size(), size());
-  coo.reserve(static_cast<std::size_t>(grid_.nodes()) * 12);
+  // Every row stores the full 2x2 block of each of its 5 stencil nodes, the
+  // way PETSc's DMDA assembly preallocates them (the cross-component
+  // neighbor couplings are structural zeros). This reproduces the paper's
+  // matrix shape: exactly 10 stored elements per row, so the arrays are
+  // sized up front and filled in place.
+  constexpr Index kRowNnz = 10;
+  const GIndex total = static_cast<GIndex>(size()) * kRowNnz;
+  if (total > IndexOverflowError::ceiling()) {
+    throw IndexOverflowError(total, "Gray-Scott Jacobian nonzero count",
+                             __FILE__, __LINE__);
+  }
+  AlignedBuffer<Index> rowptr(static_cast<std::size_t>(size()) + 1);
+  AlignedBuffer<Index> colidx(static_cast<std::size_t>(total));
+  AlignedBuffer<Scalar> val(static_cast<std::size_t>(total));
+  for (Index r = 0; r <= size(); ++r) {
+    rowptr[static_cast<std::size_t>(r)] = r * kRowNnz;
+  }
+
+  const Scalar du_diag = -2.0 * params_.d1 * (cx + cy);
+  const Scalar dv_diag = -2.0 * params_.d2 * (cx + cy);
+  const Scalar wu_x = params_.d1 * cx, wv_x = params_.d2 * cx;
+  const Scalar wu_y = params_.d1 * cy, wv_y = params_.d2 * cy;
   for (Index j = 0; j < n; ++j) {
     for (Index i = 0; i < n; ++i) {
-      const Scalar u = state[grid_.idx(i, j, 0)];
-      const Scalar v = state[grid_.idx(i, j, 1)];
       const Index ru = grid_.idx(i, j, 0);
-      const Index rv = grid_.idx(i, j, 1);
+      const Scalar u = state[ru];
+      const Scalar v = state[ru + 1];
 
-      // Diffusion stencil, inserted as full 2x2 blocks per neighbor the way
-      // PETSc's DMDA assembly preallocates them (the cross-component
-      // neighbor couplings are structural zeros). This reproduces the
-      // paper's matrix shape: exactly 10 stored elements per row.
-      const Scalar du_diag = -2.0 * params_.d1 * (cx + cy);
-      const Scalar dv_diag = -2.0 * params_.d2 * (cx + cy);
-      const struct {
-        Index di, dj;
-        Scalar wu, wv;
-      } neighbors[] = {{-1, 0, params_.d1 * cx, params_.d2 * cx},
-                       {+1, 0, params_.d1 * cx, params_.d2 * cx},
-                       {0, -1, params_.d1 * cy, params_.d2 * cy},
-                       {0, +1, params_.d1 * cy, params_.d2 * cy}};
-      for (const auto& nb : neighbors) {
-        coo.add(ru, grid_.idx(i + nb.di, j + nb.dj, 0), nb.wu);
-        coo.add(ru, grid_.idx(i + nb.di, j + nb.dj, 1), 0.0);
-        coo.add(rv, grid_.idx(i + nb.di, j + nb.dj, 0), 0.0);
-        coo.add(rv, grid_.idx(i + nb.di, j + nb.dj, 1), nb.wv);
+      // Per stencil node: the u-column and the 2x2 block
+      // {uu, uv; vu, vv} it contributes to rows (ru, ru + 1).
+      struct Block {
+        Index col;
+        Scalar uu, uv, vu, vv;
+      } blocks[5] = {
+          {ru, du_diag - v * v - params_.gamma, -2.0 * u * v, v * v,
+           dv_diag + 2.0 * u * v - (params_.gamma + params_.kappa)},
+          {grid_.idx(i - 1, j, 0), wu_x, 0.0, 0.0, wv_x},
+          {grid_.idx(i + 1, j, 0), wu_x, 0.0, 0.0, wv_x},
+          {grid_.idx(i, j - 1, 0), wu_y, 0.0, 0.0, wv_y},
+          {grid_.idx(i, j + 1, 0), wu_y, 0.0, 0.0, wv_y}};
+      // Columns ascend with the node; the periodic wrap puts the boundary
+      // neighbors out of stencil order.
+      for (int b = 1; b < 5; ++b) {
+        for (int p = b; p > 0 && blocks[p].col < blocks[p - 1].col; --p) {
+          std::swap(blocks[p], blocks[p - 1]);
+        }
       }
 
-      // reaction coupling (the local 2x2 block)
-      coo.add(ru, ru, du_diag - v * v - params_.gamma);
-      coo.add(ru, rv, -2.0 * u * v);
-      coo.add(rv, ru, v * v);
-      coo.add(rv, rv, dv_diag + 2.0 * u * v - (params_.gamma + params_.kappa));
+      const std::size_t at = static_cast<std::size_t>(ru) * kRowNnz;
+      Index* cu = colidx.data() + at;
+      Index* cv = cu + kRowNnz;
+      Scalar* vu = val.data() + at;
+      Scalar* vv = vu + kRowNnz;
+      for (int b = 0; b < 5; ++b) {
+        cu[2 * b] = cv[2 * b] = blocks[b].col;
+        cu[2 * b + 1] = cv[2 * b + 1] = blocks[b].col + 1;
+        // 0.0 + x is what a summing assembly (PETSc ADD_VALUES into zeroed
+        // storage) stores: it turns the -0.0 of -2uv at v = 0 into +0.0.
+        vu[2 * b] = 0.0 + blocks[b].uu;
+        vu[2 * b + 1] = 0.0 + blocks[b].uv;
+        vv[2 * b] = 0.0 + blocks[b].vu;
+        vv[2 * b + 1] = 0.0 + blocks[b].vv;
+      }
     }
   }
-  return coo.to_csr();
+  return mat::Csr::adopt(size(), size(), std::move(rowptr), std::move(colidx),
+                         std::move(val));
 }
 
 void GrayScott::initial_condition(Vector& state) const {

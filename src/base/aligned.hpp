@@ -27,6 +27,9 @@ inline void* aligned_malloc(std::size_t bytes, std::size_t alignment) {
   KESTREL_CHECK(alignment != 0 && (alignment & (alignment - 1)) == 0,
                 "alignment must be a power of two");
   if (bytes == 0) bytes = alignment;
+  KESTREL_CHECK(
+      bytes <= std::numeric_limits<std::size_t>::max() - (alignment - 1),
+      "allocation size overflow");
   // round size up to a multiple of alignment as required by aligned_alloc
   const std::size_t rounded = (bytes + alignment - 1) / alignment * alignment;
   void* p = std::aligned_alloc(alignment, rounded);
@@ -103,6 +106,8 @@ class AlignedBuffer {
   /// Discards contents; new contents are uninitialized.
   void resize(std::size_t n) {
     if (n == size_) return;
+    KESTREL_CHECK(n <= std::numeric_limits<std::size_t>::max() / sizeof(T),
+                  "allocation size overflow");
     aligned_free(data_);
     data_ = nullptr;
     size_ = 0;

@@ -1,8 +1,9 @@
 #pragma once
 // Coordinate-format assembly buffer: the MatSetValues stage. Entries may be
 // added in any order; duplicates are summed at finalization (PETSc
-// ADD_VALUES semantics). Every structured-grid assembly path in Kestrel
-// builds a Coo first and converts to the compute format.
+// ADD_VALUES semantics). Most assembly paths build a Coo first and convert
+// to the compute format; the producers on the Gray-Scott Newton path (the
+// Jacobian and the MG interpolation) fill CSR directly.
 
 #include <vector>
 

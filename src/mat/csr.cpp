@@ -23,13 +23,20 @@ AlignedBuffer<T> to_aligned(const std::vector<T>& v) {
 
 Csr::Csr(Index m, Index n, std::vector<Index> rowptr,
          std::vector<Index> colidx, std::vector<Scalar> val)
-    : m_(m),
-      n_(n),
-      rowptr_(to_aligned(rowptr)),
-      colidx_(to_aligned(colidx)),
-      val_(to_aligned(val)) {
-  validate();
-  repartition(par::configured_threads());
+    : Csr(adopt(m, n, to_aligned(rowptr), to_aligned(colidx),
+                to_aligned(val))) {}
+
+Csr Csr::adopt(Index m, Index n, AlignedBuffer<Index> rowptr,
+               AlignedBuffer<Index> colidx, AlignedBuffer<Scalar> val) {
+  Csr a;
+  a.m_ = m;
+  a.n_ = n;
+  a.rowptr_ = std::move(rowptr);
+  a.colidx_ = std::move(colidx);
+  a.val_ = std::move(val);
+  a.validate();
+  a.repartition(par::configured_threads());
+  return a;
 }
 
 void Csr::repartition(int nparts) {
@@ -43,6 +50,15 @@ void Csr::validate() const {
   KESTREL_CHECK(rowptr_[0] == 0, "rowptr[0] must be 0");
   for (Index i = 0; i < m_; ++i) {
     KESTREL_CHECK(rowptr_[i] <= rowptr_[i + 1], "rowptr must be monotone");
+  }
+  // Sizes before contents: the column checks below index colidx_ through
+  // rowptr_.
+  KESTREL_CHECK(colidx_.size() ==
+                    static_cast<std::size_t>(
+                        rowptr_[static_cast<std::size_t>(m_)]),
+                "colidx size mismatch");
+  KESTREL_CHECK(val_.size() == colidx_.size(), "val size mismatch");
+  for (Index i = 0; i < m_; ++i) {
     for (Index k = rowptr_[i]; k + 1 < rowptr_[i + 1]; ++k) {
       KESTREL_CHECK(colidx_[k] < colidx_[k + 1],
                     "column indices must be strictly increasing per row");
@@ -52,11 +68,6 @@ void Csr::validate() const {
                     "column index out of range");
     }
   }
-  KESTREL_CHECK(colidx_.size() ==
-                    static_cast<std::size_t>(
-                        m_ == 0 ? 0 : rowptr_[static_cast<std::size_t>(m_)]),
-                "colidx size mismatch");
-  KESTREL_CHECK(val_.size() == colidx_.size(), "val size mismatch");
 }
 
 Csr Csr::from_coo(const Coo& coo, bool drop_zeros) {
@@ -187,7 +198,7 @@ void Csr::copy_values_from(const Csr& other) {
 }
 
 Csr Csr::transpose() const {
-  std::vector<Index> rowptr(static_cast<std::size_t>(n_) + 1, 0);
+  AlignedBuffer<Index> rowptr(static_cast<std::size_t>(n_) + 1, 0);
   const Index total = static_cast<Index>(nnz());
   for (Index k = 0; k < total; ++k) {
     rowptr[static_cast<std::size_t>(colidx_[k]) + 1]++;
@@ -196,8 +207,8 @@ Csr Csr::transpose() const {
     rowptr[static_cast<std::size_t>(j) + 1] +=
         rowptr[static_cast<std::size_t>(j)];
   }
-  std::vector<Index> colidx(static_cast<std::size_t>(total));
-  std::vector<Scalar> val(static_cast<std::size_t>(total));
+  AlignedBuffer<Index> colidx(static_cast<std::size_t>(total));
+  AlignedBuffer<Scalar> val(static_cast<std::size_t>(total));
   std::vector<Index> next(rowptr.begin(), rowptr.end() - 1);
   for (Index i = 0; i < m_; ++i) {
     for (Index k = rowptr_[i]; k < rowptr_[i + 1]; ++k) {
@@ -206,7 +217,7 @@ Csr Csr::transpose() const {
       val[static_cast<std::size_t>(pos)] = val_[k];
     }
   }
-  return Csr(n_, m_, std::move(rowptr), std::move(colidx), std::move(val));
+  return adopt(n_, m_, std::move(rowptr), std::move(colidx), std::move(val));
 }
 
 Csr Csr::extract(const std::vector<Index>& rows,

@@ -26,6 +26,13 @@ class Csr final : public Matrix {
   Csr(Index m, Index n, std::vector<Index> rowptr, std::vector<Index> colidx,
       std::vector<Scalar> val);
 
+  /// Adopts CSR arrays already in aligned storage, without a copy. Same
+  /// requirements, checks and row partitioning as the vector constructor
+  /// (which delegates here); producers that know their sizes up front fill
+  /// these buffers directly.
+  static Csr adopt(Index m, Index n, AlignedBuffer<Index> rowptr,
+                   AlignedBuffer<Index> colidx, AlignedBuffer<Scalar> val);
+
   static Csr from_coo(const Coo& coo, bool drop_zeros = false);
 
   // Matrix interface -------------------------------------------------------

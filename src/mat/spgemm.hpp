@@ -16,6 +16,13 @@ Csr galerkin(const Csr& a, const Csr& p);
 /// C = alpha*A + beta*B (same dimensions; sparsity is the union).
 Csr add(Scalar alpha, const Csr& a, Scalar beta, const Csr& b);
 
+/// A <- I + beta*A in place, with exactly the arithmetic of
+/// add(1.0, identity(n), beta, A): 1.0 + beta*a_ii on the diagonal and
+/// 0.0 + beta*a_ij elsewhere. Needs a square A that stores every diagonal
+/// entry (and no fp32 value stream); otherwise returns false and leaves A
+/// untouched, and the caller falls back to add().
+bool shift_identity_in_place(Scalar beta, Csr& a);
+
 /// Identity matrix of order n.
 Csr identity(Index n);
 

@@ -111,6 +111,11 @@ struct GhostChannel {
   /// receiver validates it in wait_any when a fault plan is attached.
   std::atomic<std::uint64_t> xsum{0};
   std::atomic<int> sender_parked{0};
+  /// Receiver teardown: a closed channel takes no further copies, and
+  /// `writers` counts senders inside the copy into dest, so the receiver
+  /// can wait them out before its slice is freed.
+  std::atomic<bool> closed{false};
+  std::atomic<int> writers{0};
   std::mutex mu;  ///< parking only; never taken on the fast path
   std::condition_variable cv;
 };
@@ -375,6 +380,19 @@ std::shared_ptr<PersistentExchange> Comm::open_exchange(
 PersistentExchange::PersistentExchange(Fabric* fabric, int rank)
     : fabric_(fabric), rank_(rank) {}
 
+PersistentExchange::~PersistentExchange() {
+  // The receive slices are freed with their owner right after this. A peer
+  // that passed its armed check before this rank unwound on a failure may
+  // still be copying into one: close every channel, then wait such writers
+  // out. Pairs with the writers/closed handshake in send().
+  for (const RecvSlot& r : recvs_) {
+    r.ch->closed.store(true, std::memory_order_seq_cst);
+    while (r.ch->writers.load(std::memory_order_seq_cst) != 0) {
+      std::this_thread::yield();
+    }
+  }
+}
+
 void PersistentExchange::arm() {
   KESTREL_CHECK(round_ == 0 || completed_ == nrecv(),
                 "arm: previous exchange round not fully drained");
@@ -497,6 +515,14 @@ void PersistentExchange::send(int send_idx, const Scalar* packed,
   // open_exchange, so this cross-thread validation is race-free.
   KESTREL_CHECK(count == ch.recv_count,
                 "send: sender plan count does not match receiver plan count");
+  // Enter the copy. Against the receiver's close-then-drain (both seq_cst),
+  // either the receiver sees this writer and waits for it, or this sender
+  // sees the channel closed and leaves the freed slice alone.
+  ch.writers.fetch_add(1, std::memory_order_seq_cst);
+  if (ch.closed.load(std::memory_order_seq_cst)) {
+    ch.writers.fetch_sub(1, std::memory_order_seq_cst);
+    fabric_->abort_failure();
+  }
   std::memcpy(ch.dest, packed, static_cast<std::size_t>(count) *
                                    sizeof(Scalar));
   if (plan != nullptr && plan->corrupts_messages()) {
@@ -507,6 +533,7 @@ void PersistentExchange::send(int send_idx, const Scalar* packed,
                                            sizeof(Scalar)),
         std::memory_order_relaxed);
   }
+  ch.writers.fetch_sub(1, std::memory_order_seq_cst);
   st.channel_sends++;
   st.payload_copies++;
   if (prof::enabled()) {

@@ -114,6 +114,9 @@ class PersistentExchange {
  public:
   PersistentExchange(const PersistentExchange&) = delete;
   PersistentExchange& operator=(const PersistentExchange&) = delete;
+  /// Closes the receive channels and waits out any sender still copying
+  /// into their slices, so the slices' owner can free them.
+  ~PersistentExchange();
 
   int nsend() const { return static_cast<int>(sends_.size()); }
   int nrecv() const { return static_cast<int>(recvs_.size()); }

@@ -85,6 +85,9 @@ NewtonResult newton_solve(const NonlinearFunction& f, Vector& u,
         if (plog != nullptr) plog->end(ev_jac);
         if (!pc || (it - 1) % opts.pc_lag == 0 || attempt > 0) {
           if (plog != nullptr) plog->begin(ev_pc);
+          // Drop the stale preconditioner first, so one hierarchy is alive
+          // at a time instead of two.
+          pc.reset();
           pc = pc_factory(jac);
           if (plog != nullptr) plog->end(ev_pc);
         }

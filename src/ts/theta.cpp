@@ -33,8 +33,12 @@ class ThetaStage final : public snes::NonlinearFunction {
   }
 
   mat::Csr jacobian(const Vector& u) const override {
-    // G'(u) = I - dt*theta*J_f(u)
-    const mat::Csr jf = f_.rhs_jacobian(u);
+    // G'(u) = I - dt*theta*J_f(u), formed in J_f's own storage whenever
+    // J_f stores its whole diagonal (bitwise the same as the add() path).
+    mat::Csr jf = f_.rhs_jacobian(u);
+    KESTREL_CHECK(jf.rows() == size() && jf.cols() == size(),
+                  "theta: Jacobian size mismatch");
+    if (mat::shift_identity_in_place(-dt_ * theta_, jf)) return jf;
     return mat::add(1.0, mat::identity(size()), -dt_ * theta_, jf);
   }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "base/aligned.hpp"
@@ -81,6 +82,18 @@ TEST(Aligned, BufferResizeDiscards) {
   a.resize(0);
   EXPECT_TRUE(a.empty());
   EXPECT_EQ(a.data(), nullptr);
+}
+
+TEST(Aligned, RejectsSizeOverflow) {
+  // n * sizeof(T), and the round-up to the alignment, would otherwise wrap
+  // to a tiny allocation behind a huge size().
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(AlignedBuffer<double>(kMax / 4), Error);
+  EXPECT_THROW(aligned_malloc(kMax - 8, 64), Error);
+  AlignedBuffer<double> a(4, 1.0);
+  EXPECT_THROW(a.resize(kMax / 4), Error);
+  EXPECT_EQ(a.size(), 4u);  // a rejected resize keeps the old contents
+  EXPECT_DOUBLE_EQ(a[3], 1.0);
 }
 
 TEST(Aligned, AllocatorWorksWithStdVector) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "base/error.hpp"
 #include "mat/coo.hpp"
 #include "mat/csr.hpp"
@@ -53,17 +56,58 @@ TEST(Coo, ColumnsSortedWithinRows) {
   EXPECT_EQ(cols[2], 7);
 }
 
+template <class T>
+AlignedBuffer<T> aligned(const std::vector<T>& v) {
+  AlignedBuffer<T> out(v.size());
+  std::copy(v.begin(), v.end(), out.begin());
+  return out;
+}
+
 TEST(Csr, ValidationCatchesBadStructure) {
-  // rowptr not starting at zero
-  EXPECT_THROW(Csr(1, 1, {1, 1}, {}, {}), Error);
-  // rowptr not monotone
-  EXPECT_THROW(Csr(2, 2, {0, 2, 1}, {0, 1}, {1.0, 1.0}), Error);
-  // column out of range
-  EXPECT_THROW(Csr(1, 2, {0, 1}, {5}, {1.0}), Error);
-  // unsorted columns in a row
-  EXPECT_THROW(Csr(1, 3, {0, 2}, {2, 0}, {1.0, 1.0}), Error);
-  // duplicate column in a row
-  EXPECT_THROW(Csr(1, 3, {0, 2}, {1, 1}, {1.0, 1.0}), Error);
+  // The vector constructor and the adopting factory reject the same inputs.
+  struct Case {
+    const char* what;
+    Index m, n;
+    std::vector<Index> rowptr, colidx;
+    std::vector<Scalar> val;
+  };
+  const Case cases[] = {
+      {"negative dimension", -1, 1, {0}, {}, {}},
+      {"rowptr not starting at zero", 1, 1, {1, 1}, {}, {}},
+      {"rowptr not monotone", 2, 2, {0, 2, 1}, {0, 1}, {1.0, 1.0}},
+      {"column out of range", 1, 2, {0, 1}, {5}, {1.0}},
+      {"negative column", 1, 2, {0, 1}, {-1}, {1.0}},
+      {"unsorted columns in a row", 1, 3, {0, 2}, {2, 0}, {1.0, 1.0}},
+      {"duplicate column in a row", 1, 3, {0, 2}, {1, 1}, {1.0, 1.0}},
+      {"empty rowptr", 0, 0, {}, {}, {}},
+      {"rowptr too short", 2, 2, {0, 1}, {0}, {1.0}},
+      {"rowptr too long", 1, 2, {0, 1, 1}, {0}, {1.0}},
+      {"colidx shorter than rowptr[m]", 1, 3, {0, 2}, {1}, {1.0, 1.0}},
+      {"colidx longer than rowptr[m]", 1, 3, {0, 1}, {0, 1}, {1.0}},
+      {"val shorter than colidx", 1, 3, {0, 2}, {0, 1}, {1.0}},
+      {"val longer than colidx", 1, 3, {0, 1}, {0}, {1.0, 1.0}},
+  };
+  for (const Case& c : cases) {
+    EXPECT_THROW(Csr(c.m, c.n, c.rowptr, c.colidx, c.val), Error) << c.what;
+    EXPECT_THROW(Csr::adopt(c.m, c.n, aligned(c.rowptr), aligned(c.colidx),
+                            aligned(c.val)),
+                 Error)
+        << c.what;
+  }
+}
+
+TEST(Csr, AdoptTakesTheBuffersWithoutCopying) {
+  AlignedBuffer<Index> rowptr = aligned<Index>({0, 2, 3});
+  AlignedBuffer<Index> colidx = aligned<Index>({0, 1, 1});
+  AlignedBuffer<Scalar> val = aligned<Scalar>({1.0, 2.0, 3.0});
+  const Index* cols = colidx.data();
+  const Scalar* vals = val.data();
+  const Csr a =
+      Csr::adopt(2, 2, std::move(rowptr), std::move(colidx), std::move(val));
+  EXPECT_EQ(a.colidx(), cols);
+  EXPECT_EQ(a.val(), vals);
+  EXPECT_TRUE(
+      testing::bitwise_equal(a, Csr(2, 2, {0, 2, 3}, {0, 1, 1}, {1.0, 2.0, 3.0})));
 }
 
 TEST(Csr, EmptyMatrixIsValid) {

@@ -5,7 +5,10 @@
 
 #include "app/gray_scott.hpp"
 #include "base/error.hpp"
+#include "base/rng.hpp"
+#include "mat/coo.hpp"
 #include "mat/sell.hpp"
+#include "test_matrices.hpp"
 
 namespace kestrel::app {
 namespace {
@@ -99,6 +102,67 @@ TEST(GrayScott, JacobianDiffusionSignsAndSymmetryOfPattern) {
   EXPECT_NEAR(jac.at(g.idx(3, 2, 0), g.idx(2, 2, 0)), d1h2, 1e-12);
   // cross-component neighbor entries are structural zeros
   EXPECT_DOUBLE_EQ(jac.at(g.idx(2, 2, 0), g.idx(3, 2, 1)), 0.0);
+}
+
+// Reference assembly: every stencil entry added as a COO triplet and
+// summed from +0.0 on conversion (PETSc ADD_VALUES semantics).
+mat::Csr coo_jacobian(const GrayScott& gs, const Vector& state) {
+  const Grid2D& g = gs.grid();
+  const GrayScottParams& p = gs.params();
+  const Scalar cx = 1.0 / (g.hx() * g.hx());
+  const Scalar cy = 1.0 / (g.hy() * g.hy());
+  mat::Coo coo(gs.size(), gs.size());
+  for (Index j = 0; j < g.ny(); ++j) {
+    for (Index i = 0; i < g.nx(); ++i) {
+      const Scalar u = state[g.idx(i, j, 0)];
+      const Scalar v = state[g.idx(i, j, 1)];
+      const Index ru = g.idx(i, j, 0);
+      const Index rv = g.idx(i, j, 1);
+      const Scalar du_diag = -2.0 * p.d1 * (cx + cy);
+      const Scalar dv_diag = -2.0 * p.d2 * (cx + cy);
+      const struct {
+        Index di, dj;
+        Scalar wu, wv;
+      } neighbors[] = {{-1, 0, p.d1 * cx, p.d2 * cx},
+                       {+1, 0, p.d1 * cx, p.d2 * cx},
+                       {0, -1, p.d1 * cy, p.d2 * cy},
+                       {0, +1, p.d1 * cy, p.d2 * cy}};
+      for (const auto& nb : neighbors) {
+        coo.add(ru, g.idx(i + nb.di, j + nb.dj, 0), nb.wu);
+        coo.add(ru, g.idx(i + nb.di, j + nb.dj, 1), 0.0);
+        coo.add(rv, g.idx(i + nb.di, j + nb.dj, 0), 0.0);
+        coo.add(rv, g.idx(i + nb.di, j + nb.dj, 1), nb.wv);
+      }
+      coo.add(ru, ru, du_diag - v * v - p.gamma);
+      coo.add(ru, rv, -2.0 * u * v);
+      coo.add(rv, ru, v * v);
+      coo.add(rv, rv, dv_diag + 2.0 * u * v - (p.gamma + p.kappa));
+    }
+  }
+  return coo.to_csr();
+}
+
+TEST(GrayScott, JacobianBitwiseMatchesCooAssembly) {
+  // The initial condition has v = 0 outside the seeded square, where
+  // -2uv is -0.0 and the summing assembly stores +0.0. The random states
+  // add exact zeros of either sign and negative values.
+  for (Index n : {4, 5, 8, 64}) {
+    const GrayScott gs(n);
+    Vector u;
+    gs.initial_condition(u);
+    EXPECT_TRUE(testing::bitwise_equal(gs.rhs_jacobian(u), coo_jacobian(gs, u)))
+        << "initial condition, n = " << n;
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      Rng rng(seed);
+      for (Index i = 0; i < u.size(); ++i) {
+        const double r = rng.next_double();
+        u[i] = r < 0.2 ? 0.0 : r < 0.3 ? -0.0 : rng.uniform(-1.0, 1.0);
+      }
+      EXPECT_TRUE(
+          testing::bitwise_equal(gs.rhs_jacobian(u), coo_jacobian(gs, u)))
+          << "seed " << seed << ", n = " << n;
+    }
+  }
 }
 
 TEST(GrayScott, InterpolationChainShrinksToRequestedDepth) {

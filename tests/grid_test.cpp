@@ -5,6 +5,8 @@
 #include "app/grid2d.hpp"
 #include "app/laplacian.hpp"
 #include "base/error.hpp"
+#include "mat/coo.hpp"
+#include "test_matrices.hpp"
 
 namespace kestrel::app {
 namespace {
@@ -88,6 +90,54 @@ TEST(Grid2D, InterpolationPreservesDofSeparation) {
     }
   }
   (void)c;
+}
+
+// Reference assembly: bilinear weights added as COO triplets, coinciding
+// columns summed on conversion.
+mat::Csr coo_interpolation(const Grid2D& g) {
+  const Grid2D coarse = g.coarsen();
+  mat::Coo p(g.size(), coarse.size());
+  for (Index j = 0; j < g.ny(); ++j) {
+    for (Index i = 0; i < g.nx(); ++i) {
+      const Index ci = i / 2;
+      const Index cj = j / 2;
+      const bool ox = (i % 2) != 0;
+      const bool oy = (j % 2) != 0;
+      for (Index c = 0; c < g.dof(); ++c) {
+        const Index row = g.idx(i, j, c);
+        if (!ox && !oy) {
+          p.add(row, coarse.idx(ci, cj, c), 1.0);
+        } else if (ox && !oy) {
+          p.add(row, coarse.idx(ci, cj, c), 0.5);
+          p.add(row, coarse.idx(ci + 1, cj, c), 0.5);
+        } else if (!ox && oy) {
+          p.add(row, coarse.idx(ci, cj, c), 0.5);
+          p.add(row, coarse.idx(ci, cj + 1, c), 0.5);
+        } else {
+          p.add(row, coarse.idx(ci, cj, c), 0.25);
+          p.add(row, coarse.idx(ci + 1, cj, c), 0.25);
+          p.add(row, coarse.idx(ci, cj + 1, c), 0.25);
+          p.add(row, coarse.idx(ci + 1, cj + 1, c), 0.25);
+        }
+      }
+    }
+  }
+  return p.to_csr();
+}
+
+TEST(Grid2D, InterpolationBitwiseMatchesCooAssembly) {
+  // nx = 2 coarsens to a single node column, where both x neighbors wrap
+  // onto one coarse node and their weights merge into one entry.
+  for (Index nx : {2, 4, 6, 16}) {
+    for (Index ny : {2, 4, 6}) {
+      for (Index dof : {1, 2}) {
+        const Grid2D g(nx, ny, dof);
+        EXPECT_TRUE(
+            testing::bitwise_equal(g.interpolation(), coo_interpolation(g)))
+            << nx << "x" << ny << " dof " << dof;
+      }
+    }
+  }
 }
 
 TEST(Grid2D, RejectsOversizedGrids) {

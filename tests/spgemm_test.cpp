@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "app/gray_scott.hpp"
 #include "base/error.hpp"
 #include "mat/dense.hpp"
 #include "mat/spgemm.hpp"
@@ -91,6 +95,111 @@ TEST(Spgemm, GalerkinPreservesSymmetry) {
     for (Index j = 0; j < 4; ++j) {
       EXPECT_NEAR(ac.at(i, j), ac.at(j, i), 1e-13);
     }
+  }
+}
+
+// Reference product: one Gustavson pass that grows its output row by row,
+// with the same (ka, kb) accumulation order as spgemm.
+Csr reference_spgemm(const Csr& a, const Csr& b) {
+  std::vector<Index> rowptr{0};
+  std::vector<Index> colidx;
+  std::vector<Scalar> val;
+  std::vector<Scalar> acc(static_cast<std::size_t>(b.cols()), 0.0);
+  std::vector<Index> marker(static_cast<std::size_t>(b.cols()), -1);
+  std::vector<Index> row_cols;
+  for (Index i = 0; i < a.rows(); ++i) {
+    row_cols.clear();
+    for (std::size_t ka = 0; ka < a.row_cols(i).size(); ++ka) {
+      const Index k = a.row_cols(i)[ka];
+      for (std::size_t kb = 0; kb < b.row_cols(k).size(); ++kb) {
+        const auto j = static_cast<std::size_t>(b.row_cols(k)[kb]);
+        if (marker[j] != i) {
+          marker[j] = i;
+          acc[j] = 0.0;
+          row_cols.push_back(static_cast<Index>(j));
+        }
+        acc[j] += a.row_vals(i)[ka] * b.row_vals(k)[kb];
+      }
+    }
+    std::sort(row_cols.begin(), row_cols.end());
+    for (Index j : row_cols) {
+      colidx.push_back(j);
+      val.push_back(acc[static_cast<std::size_t>(j)]);
+    }
+    rowptr.push_back(static_cast<Index>(colidx.size()));
+  }
+  return Csr(a.rows(), b.cols(), std::move(rowptr), std::move(colidx),
+             std::move(val));
+}
+
+TEST(Spgemm, BitwiseMatchesReferenceGustavson) {
+  const Csr empty_rows = testing::with_empty_rows(24);
+  const Csr rect_a = testing::uniform_random(14, 10, 3, 1);
+  const Csr rect_b = testing::uniform_random(10, 17, 4, 2);
+  const struct {
+    const char* what;
+    Csr a, b;
+  } cases[] = {
+      {"rectangular", rect_a, rect_b},
+      {"empty rows in A", empty_rows, testing::uniform_random(24, 9, 3, 5)},
+      {"empty rows in B", testing::uniform_random(7, 24, 4, 6), empty_rows},
+      {"empty rows in both", empty_rows, empty_rows},
+      {"0-row A", Csr(0, 10, {0}, {}, {}), rect_b},
+      {"inner dimension 0", Csr(3, 0, {0, 0, 0, 0}, {}, {}),
+       Csr(0, 4, {0}, {}, {})},
+      {"power-law rows", testing::power_law(40), testing::power_law(40, 9)},
+  };
+  for (const auto& c : cases) {
+    EXPECT_TRUE(
+        testing::bitwise_equal(spgemm(c.a, c.b), reference_spgemm(c.a, c.b)))
+        << c.what;
+  }
+}
+
+TEST(Spgemm, GalerkinChainBitwiseMatchesReference) {
+  // The multigrid set-up products on a Gray-Scott Jacobian: R (A P).
+  const app::GrayScott gs(16);
+  Vector u;
+  gs.initial_condition(u);
+  Csr a = gs.rhs_jacobian(u);
+  for (const Csr& p : app::gray_scott_interpolation_chain(gs.grid(), 3)) {
+    const Csr r = p.transpose();
+    const Csr ap = spgemm(a, p);
+    ASSERT_TRUE(testing::bitwise_equal(ap, reference_spgemm(a, p)));
+    a = spgemm(r, ap);
+    ASSERT_TRUE(testing::bitwise_equal(a, reference_spgemm(r, ap)));
+  }
+}
+
+TEST(Spgemm, ShiftIdentityInPlaceBitwiseMatchesAdd) {
+  const app::GrayScott gs(8);
+  Vector u;
+  gs.initial_condition(u);
+  // Zero entries of either sign exercise the signed-zero sums.
+  Csr mixed = add(1.0, identity(30), 1.0, testing::uniform_random(30, 30, 4));
+  for (Index k = 0; k < mixed.nnz(); k += 3) {
+    mixed.mutable_val()[k] = k % 2 == 0 ? 0.0 : -0.0;
+  }
+  for (const Csr& j : {gs.rhs_jacobian(u), mixed}) {
+    for (Scalar beta : {-0.5, 0.25, 0.0}) {
+      Csr shifted = j;
+      ASSERT_TRUE(shift_identity_in_place(beta, shifted));
+      EXPECT_TRUE(
+          testing::bitwise_equal(shifted, add(1.0, identity(j.rows()), beta, j)))
+          << "beta " << beta;
+    }
+  }
+}
+
+TEST(Spgemm, ShiftIdentityInPlaceDeclinesWithoutEveryDiagonal) {
+  // A row without its diagonal, empty rows, and a rectangular matrix: the
+  // shift declines and leaves the matrix as it was.
+  const Csr no_diag(3, 3, {0, 2, 3, 5}, {0, 1, 2, 0, 1}, {1, 2, 3, 4, 5});
+  for (const Csr& j : {no_diag, testing::with_empty_rows(12),
+                       testing::uniform_random(4, 6, 6)}) {
+    Csr shifted = j;
+    EXPECT_FALSE(shift_identity_in_place(-0.5, shifted));
+    EXPECT_TRUE(testing::bitwise_equal(shifted, j));
   }
 }
 

@@ -3,6 +3,7 @@
 // shapes that stress SpMV kernels differently (banded PDE-like, uniform
 // random, power-law row lengths, empty rows, a dense row, tiny edge cases).
 
+#include <cstring>
 #include <vector>
 
 #include "base/rng.hpp"
@@ -124,6 +125,20 @@ inline mat::Csr straddling_boundaries(Index n, std::uint64_t seed = 8) {
     if (i % 8 == 7 && i + 1 < n) coo.add(i, i + 1, rng.uniform(-1.0, 1.0));
   }
   return coo.to_csr();
+}
+
+/// Same shape and bitwise-identical rowptr, colidx and val arrays (so
+/// +0.0 and -0.0 differ).
+inline bool bitwise_equal(const mat::Csr& a, const mat::Csr& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols() || a.nnz() != b.nnz()) {
+    return false;
+  }
+  const auto rows = static_cast<std::size_t>(a.rows()) + 1;
+  const auto nz = static_cast<std::size_t>(a.nnz());
+  return std::memcmp(a.rowptr(), b.rowptr(), rows * sizeof(Index)) == 0 &&
+         (nz == 0 ||
+          (std::memcmp(a.colidx(), b.colidx(), nz * sizeof(Index)) == 0 &&
+           std::memcmp(a.val(), b.val(), nz * sizeof(Scalar)) == 0));
 }
 
 /// Deterministic dense reference product y = A x.
