@@ -109,9 +109,9 @@ ExchangeResult time_exchange(int nranks, Index count, int iters, int trials,
       best = std::min(best, comm.allreduce(dt, Comm::ReduceOp::kMax));
     }
 
-    // Counter window: a separate collective-free block, so barrier/allreduce
-    // mailbox traffic cannot leak into the per-exchange figures and the
-    // persistent path's steady-state allocs come out exactly zero.
+    // Counter window: exactly `iters` exchange rounds and nothing else, so
+    // the per-exchange figures divide cleanly. (Collectives touch no
+    // mailbox counter; they run on the fabric's combining slot.)
     comm.barrier();
     const par::FabricStats before = comm.stats();
     for (int i = 0; i < iters; ++i) round();

@@ -2,8 +2,9 @@
 # Kestrel Sentry: the full local gate. Mirrors what CI runs — a normal
 # build + test pass, the kernel-contract lint (with its self-test), the
 # perfbench self-test, the bench gates (tools/bench_gates.py) and the
-# ASan/UBSan sanitizer suites. The TSan suite is optional (slow) and runs
-# with --tsan.
+# ASan/UBSan sanitizer suites, with the `stress` gate (repeated, shuffled
+# concurrency suites) under ASan. The TSan suite, stress gate included, is
+# optional (slow) and runs with --tsan.
 #
 # Usage:  scripts/check.sh [--tsan] [-j N]
 
@@ -104,6 +105,11 @@ sanitizer_suite() {
   # The bastion service battery too: worker pools + shared queues + cancel
   # flags are exactly the code sanitizers exist for.
   ctest --test-dir "build-$label" -L svc --output-on-failure
+  # The stress gate: the concurrency suites 50 times over, shuffled, so a
+  # 1-in-N race fails here (registered in sanitizer builds only).
+  if [[ "$label" != ubsan ]]; then
+    ctest --test-dir "build-$label" -L stress --output-on-failure
+  fi
 }
 
 sanitizer_suite address asan

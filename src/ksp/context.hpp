@@ -20,7 +20,7 @@ class SeqContext final : public LinearContext {
   void apply_operator(const Vector& x, Vector& y) override {
     a_.spmv(x, y);
   }
-  void apply_pc(const Vector& r, Vector& z) override;
+  const pc::Pc* preconditioner() const override { return pc_; }
 
  private:
   const mat::Matrix& a_;
@@ -42,7 +42,7 @@ class ParContext final : public LinearContext {
   void apply_operator(const Vector& x, Vector& y) override {
     a_.spmv_local(x.data(), y, comm_);
   }
-  void apply_pc(const Vector& r, Vector& z) override;
+  const pc::Pc* preconditioner() const override { return pc_; }
   Scalar dot(const Vector& a, const Vector& b) override {
     return comm_.allreduce(a.dot(b), par::Comm::ReduceOp::kSum);
   }

@@ -5,7 +5,6 @@
 #include "aegis/fault.hpp"
 #include "base/error.hpp"
 #include "base/rng.hpp"
-#include "ksp/context.hpp"
 #include "pc/pc.hpp"
 #include "prof/profiler.hpp"
 
@@ -30,7 +29,11 @@ const char* reason_name(Reason r) {
 }
 
 void LinearContext::apply_pc(const Vector& r, Vector& z) {
-  z.copy_from(r);
+  if (const pc::Pc* pc = preconditioner()) {
+    pc->apply(r, z);
+  } else {
+    z.copy_from(r);
+  }
 }
 
 Scalar LinearContext::dot(const Vector& a, const Vector& b) {
@@ -185,22 +188,6 @@ Scalar estimate_max_eigenvalue(LinearContext& ctx, int iterations,
     v.copy_from(z);
   }
   return std::abs(lambda);
-}
-
-void SeqContext::apply_pc(const Vector& r, Vector& z) {
-  if (pc_ == nullptr) {
-    z.copy_from(r);
-    return;
-  }
-  pc_->apply(r, z);
-}
-
-void ParContext::apply_pc(const Vector& r, Vector& z) {
-  if (pc_ == nullptr) {
-    z.copy_from(r);
-    return;
-  }
-  pc_->apply(r, z);
 }
 
 }  // namespace kestrel::ksp

@@ -80,11 +80,17 @@ class LinearContext {
   virtual std::int64_t operator_nnz() const { return 0; }
   /// y = A * x.
   virtual void apply_operator(const Vector& x, Vector& y) = 0;
-  /// z = M^{-1} r; identity by default.
-  virtual void apply_pc(const Vector& r, Vector& z);
+  /// The preconditioner M, acting on local blocks; nullptr (the default)
+  /// means M = I. Solvers may exploit M = I (CG then tests ‖r‖ on its rᵀz
+  /// and skips one reduction per iteration), so a context that
+  /// preconditions must say so here.
+  virtual const pc::Pc* preconditioner() const { return nullptr; }
   /// Globally reduced inner product.
   virtual Scalar dot(const Vector& a, const Vector& b);
 
+  /// z = M^{-1} r: applies preconditioner(), or copies r when there is
+  /// none.
+  void apply_pc(const Vector& r, Vector& z);
   Scalar norm2(const Vector& a);
 };
 

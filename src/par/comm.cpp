@@ -16,11 +16,11 @@
 namespace kestrel::par {
 
 namespace {
-// Internal tags for collectives; user tags must be non-negative. Collective
-// calls from the same source reuse these tags, and per-(source, tag) FIFO
-// ordering keeps successive collectives correctly matched.
-constexpr int kTagReduceUp = -1;
-constexpr int kTagReduceDown = -2;
+// Internal tags; user tags must be non-negative. allgatherv calls from the
+// same source reuse the gather tags, and per-(source, tag) FIFO ordering
+// keeps successive gathers correctly matched. kTagSlot names the collective
+// slot's messages to the fault plan only; nothing is queued under it.
+constexpr int kTagSlot = -1;
 constexpr int kTagGatherUp = -3;
 constexpr int kTagGatherDown = -4;
 
@@ -37,34 +37,26 @@ Scalar reduce2(Scalar a, Scalar b, Comm::ReduceOp op) {
 }
 
 /// Describes a blocked matching-receive for hang reports, translating the
-/// internal collective tags back into user-facing operation names. Always
+/// internal gather tags back into the user-facing operation name. Always
 /// names the offending channel's (src, dst, tag) so a fault-injection test
 /// (or a user) can see exactly which link stalled.
 std::string take_context(int self, int source, int tag) {
   std::ostringstream os;
-  switch (tag) {
-    case kTagReduceUp:
-    case kTagReduceDown:
-      os << "allreduce/barrier";
-      break;
-    case kTagGatherUp:
-    case kTagGatherDown:
-      os << "allgatherv";
-      break;
-    default:
-      os << "recv";
-      break;
-  }
+  os << (tag == kTagGatherUp || tag == kTagGatherDown ? "allgatherv"
+                                                      : "recv");
   os << " (src=" << source << ", dst=" << self << ", tag=" << tag << ")";
   return os.str();
 }
 
-/// Bounded cooperative spin before parking on a persistent channel. The
-/// fabric is oversubscribed by design (ranks are threads, usually more of
-/// them than cores), so sched_yield hands the core straight to a runnable
-/// peer — which typically arms or delivers within a few yields — whereas
-/// parking costs two futex syscalls here plus a third in the peer's notify.
-/// Bounded so a genuinely slow peer still puts this rank properly to sleep.
+/// Bounded cooperative spin before parking on a persistent channel or in a
+/// collective. The fabric is oversubscribed by design (ranks are threads,
+/// usually more of them than cores), so sched_yield hands the core straight
+/// to a runnable peer — which typically arms, delivers or arrives within a
+/// few yields — whereas parking costs two futex syscalls here plus a third
+/// in the peer's notify. A pause-instruction spin would be faster when each
+/// rank has its own core and far slower when two share one (the waiter
+/// burns the slice its peer needs). Bounded so a genuinely slow peer still
+/// puts this rank properly to sleep.
 template <class Pred>
 bool spin_before_park(const Pred& ready) {
   constexpr int kSpinYields = 32;
@@ -74,6 +66,32 @@ bool spin_before_park(const Pred& ready) {
   }
   return ready();
 }
+
+/// cv.wait(lock, pred), bounded by `timeout_s` when it is positive. Returns
+/// false when the bound expired with pred() still false.
+template <class Pred>
+bool wait_bounded(std::condition_variable& cv,
+                  std::unique_lock<std::mutex>& lock, double timeout_s,
+                  const Pred& pred) {
+  if (timeout_s <= 0) {
+    cv.wait(lock, pred);
+    return true;
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(timeout_s));
+  return cv.wait_until(lock, deadline, pred);
+}
+
+/// What a rank throws when it unwinds because of another rank: the fabric
+/// aborted, or a receiver closed its persistent channel mid-round. It names
+/// that other rank, so Fabric::run lets it claim the root cause only for
+/// the rank it names, never for the thrower.
+class FabricAborted final : public RankFailure {
+ public:
+  using RankFailure::RankFailure;
+};
 
 bool env_flag(const char* name, bool fallback) {
   const char* v = std::getenv(name);
@@ -222,18 +240,38 @@ Scalar Comm::allreduce(Scalar value, ReduceOp op) {
 
 Scalar Comm::allreduce_impl(Scalar value, ReduceOp op) {
   if (size_ == 1) return value;
-  if (rank_ == 0) {
-    Scalar acc = value;
-    for (int r = 1; r < size_; ++r) {
-      acc = reduce2(acc, fabric_->take(0, r, kTagReduceUp)[0], op);
-    }
-    for (int r = 1; r < size_; ++r) {
-      fabric_->deliver(r, 0, kTagReduceDown, std::vector<Scalar>{acc});
-    }
-    return acc;
+  Fabric& f = *fabric_;
+  // A rank that unwound from an aborted collective must not write its line
+  // again: rank 0 may still be reading the old value.
+  if (f.aborted_.load(std::memory_order_relaxed)) f.abort_failure();
+  Fabric::SlotLine& mine = f.arrivals_[static_cast<std::size_t>(rank_)];
+  const std::uint64_t round = mine.round.load(std::memory_order_relaxed) + 1;
+  // Every rank's contribution counts as one message to rank 0.
+  f.maybe_kill(rank_, "collective");
+  f.inject_slot_fault(rank_, 0, kTagSlot, round, "collective slot");
+  mine.value = value;
+  mine.round.store(round, std::memory_order_seq_cst);
+  if (rank_ != 0) {
+    f.ring(0);
+    f.await_collective(rank_, round, [&] {
+      return f.result_.round.load(std::memory_order_seq_cst) >= round;
+    });
+    return f.result_.value;
   }
-  fabric_->deliver(0, rank_, kTagReduceUp, std::vector<Scalar>{value});
-  return fabric_->take(rank_, 0, kTagReduceDown)[0];
+  // Rank 0 folds in rank order, so a sum's bits do not depend on the order
+  // in which the ranks arrive.
+  Scalar acc = value;
+  for (int r = 1; r < size_; ++r) {
+    const Fabric::SlotLine& line = f.arrivals_[static_cast<std::size_t>(r)];
+    f.await_collective(0, round, [&] {
+      return line.round.load(std::memory_order_seq_cst) >= round;
+    });
+    acc = reduce2(acc, line.value, op);
+  }
+  f.result_.value = acc;
+  f.result_.round.store(round, std::memory_order_seq_cst);
+  for (int r = 1; r < size_; ++r) f.ring(r);
+  return acc;
 }
 
 std::int64_t Comm::allreduce(std::int64_t value, ReduceOp op) {
@@ -324,6 +362,7 @@ void Comm::publish_stats_metrics() {
       {"fabric/send_parks", st.send_parks},
       {"fabric/wait_any_calls", st.wait_any_calls},
       {"fabric/wait_any_wakeups", st.wait_any_wakeups},
+      {"fabric/collective_parks", st.collective_parks},
   };
   for (const auto& c : counters) {
     // Collective: every rank contributes and every rank learns the total,
@@ -429,49 +468,9 @@ void PersistentExchange::send(int send_idx, const Scalar* packed,
   FabricStats& st = *fabric_->stats_[static_cast<std::size_t>(rank_)];
   GhostChannel& ch = *s.ch;
   const std::uint64_t k = ++s.seq;
-  const aegis::FaultPlan* plan = fabric_->opts_.faults.get();
-  if (plan != nullptr) {
-    fabric_->maybe_kill(rank_, "persistent channel send");
-    if (plan->corrupts_messages()) {
-      // A persistent channel is a single-slot rendezvous: the armed/
-      // delivered round counters already deduplicate and order rounds, so
-      // dup/reorder verdicts degenerate to a recoverable retransmission,
-      // exactly like drop and bit-flip (whose corrupted attempts the
-      // receiver NACKs via the end-to-end checksum below). Delay is a
-      // plain in-flight stall.
-      const aegis::FaultVerdict verdict =
-          plan->message_fault(rank_, s.peer, /*tag=*/send_idx, k);
-      aegis::AegisStats& ast = aegis::stats();
-      if (verdict.kind == aegis::FaultKind::kDelay) {
-        ast.faults_injected++;
-        ast.delays++;
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(plan->delay_ms()));
-      } else if (verdict.kind != aegis::FaultKind::kNone &&
-                 verdict.kind != aegis::FaultKind::kKillRank) {
-        ast.faults_injected++;
-        for (int attempt = 0; attempt < verdict.repeat; ++attempt) {
-          if (attempt >= plan->max_retries()) {
-            throw RankFailure(
-                rank_,
-                std::string("unrecoverable ") +
-                    aegis::fault_kind_name(verdict.kind) +
-                    " fault: persistent channel (src=" +
-                    std::to_string(rank_) + ", dst=" +
-                    std::to_string(s.peer) + ", round " + std::to_string(k) +
-                    ") still faulty after " +
-                    std::to_string(plan->max_retries()) + " retries",
-                __FILE__, __LINE__);
-          }
-          if (verdict.kind == aegis::FaultKind::kBitFlip) {
-            ast.checksum_failures++;
-          }
-          ast.retries++;
-          aegis::backoff_sleep(attempt);
-        }
-      }
-    }
-  }
+  fabric_->maybe_kill(rank_, "persistent channel send");
+  fabric_->inject_slot_fault(rank_, s.peer, /*tag=*/send_idx, k,
+                             "persistent channel");
   if (ch.armed.load(std::memory_order_seq_cst) < k &&
       !spin_before_park([&] {
         return ch.armed.load(std::memory_order_seq_cst) >= k ||
@@ -487,22 +486,13 @@ void PersistentExchange::send(int send_idx, const Scalar* packed,
         return fabric_->aborted_.load(std::memory_order_relaxed) ||
                ch.armed.load(std::memory_order_seq_cst) >= k;
       };
-      if (fabric_->checker_ != nullptr && fabric_->opts_.hang_timeout_s > 0) {
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(fabric_->opts_.hang_timeout_s));
-        if (!ch.cv.wait_until(lock, deadline, ready)) {
-          ch.sender_parked.fetch_sub(1, std::memory_order_seq_cst);
-          lock.unlock();
-          std::ostringstream os;
-          os << "persistent channel send (src=" << rank_ << ", dst="
-             << s.peer << ", tag=" << send_idx
-             << "): peer never re-armed the channel";
-          fabric_->hang_failure(rank_, os.str());
-        }
-      } else {
-        ch.cv.wait(lock, ready);
+      if (!wait_bounded(ch.cv, lock, fabric_->hang_timeout(), ready)) {
+        ch.sender_parked.fetch_sub(1, std::memory_order_seq_cst);
+        lock.unlock();
+        std::ostringstream os;
+        os << "persistent channel send (src=" << rank_ << ", dst=" << s.peer
+           << ", tag=" << send_idx << "): peer never re-armed the channel";
+        fabric_->hang_failure(rank_, os.str());
       }
     }
     ch.sender_parked.fetch_sub(1, std::memory_order_seq_cst);
@@ -521,10 +511,11 @@ void PersistentExchange::send(int send_idx, const Scalar* packed,
   ch.writers.fetch_add(1, std::memory_order_seq_cst);
   if (ch.closed.load(std::memory_order_seq_cst)) {
     ch.writers.fetch_sub(1, std::memory_order_seq_cst);
-    fabric_->abort_failure();
+    fabric_->abort_failure(ch.dst);
   }
   std::memcpy(ch.dest, packed, static_cast<std::size_t>(count) *
                                    sizeof(Scalar));
+  const aegis::FaultPlan* plan = fabric_->opts_.faults.get();
   if (plan != nullptr && plan->corrupts_messages()) {
     // End-to-end integrity: published before (and by) the delivered bump;
     // the receiver re-checksums the in-place slice in wait_any.
@@ -541,12 +532,7 @@ void PersistentExchange::send(int send_idx, const Scalar* packed,
         1, static_cast<std::size_t>(count) * sizeof(Scalar));
   }
   ch.delivered.store(k, std::memory_order_seq_cst);
-  Fabric::Doorbell& bell =
-      *fabric_->doorbells_[static_cast<std::size_t>(ch.dst)];
-  if (bell.parked.load(std::memory_order_seq_cst) > 0) {
-    { std::lock_guard<std::mutex> lock(bell.mu); }
-    bell.cv.notify_all();
-  }
+  fabric_->ring(ch.dst);
 }
 
 int PersistentExchange::wait_any() {
@@ -577,28 +563,17 @@ int PersistentExchange::wait_any() {
     fabric_->abort_failure();
   }
   if (idx < 0) {
-    // Park on this rank's doorbell. The parked counter is the Dekker flag
-    // senders check after bumping delivered; the re-scan inside the wait
-    // predicate (under the doorbell mutex) closes the remaining window.
+    // Park on this rank's doorbell; senders ring it after bumping
+    // delivered, and the re-scan inside the predicate closes the window.
     st.wait_any_wakeups++;
-    Fabric::Doorbell& bell =
-        *fabric_->doorbells_[static_cast<std::size_t>(rank_)];
-    bell.parked.fetch_add(1, std::memory_order_seq_cst);
-    {
-      std::unique_lock<std::mutex> lock(bell.mu);
-      const auto ready = [&] {
-        if (fabric_->aborted_.load(std::memory_order_relaxed)) return true;
-        idx = scan();
-        return idx >= 0;
-      };
-      if (fabric_->checker_ != nullptr && fabric_->opts_.hang_timeout_s > 0) {
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(fabric_->opts_.hang_timeout_s));
-        if (!bell.cv.wait_until(lock, deadline, ready)) {
-          bell.parked.fetch_sub(1, std::memory_order_seq_cst);
-          lock.unlock();
+    fabric_->park(
+        rank_,
+        [&] {
+          if (fabric_->aborted_.load(std::memory_order_relaxed)) return true;
+          idx = scan();
+          return idx >= 0;
+        },
+        [&] {
           // Name every channel still pending this round, so the report
           // points at the exact (src, dst, tag) links that stalled.
           std::ostringstream os;
@@ -610,16 +585,9 @@ int PersistentExchange::wait_any() {
                  << ", tag=" << i << ")";
             }
           }
-          fabric_->hang_failure(rank_, os.str());
-        }
-      } else {
-        bell.cv.wait(lock, ready);
-      }
-    }
-    bell.parked.fetch_sub(1, std::memory_order_seq_cst);
-    if (idx < 0) {
-      fabric_->abort_failure();
-    }
+          return os.str();
+        });
+    if (idx < 0) fabric_->abort_failure();
   }
   RecvSlot& r = recvs_[static_cast<std::size_t>(idx)];
   const aegis::FaultPlan* plan = fabric_->opts_.faults.get();
@@ -655,7 +623,9 @@ void PersistentExchange::wait_all() {
 // ---- Fabric ----------------------------------------------------------
 
 Fabric::Fabric(int nranks, const FabricOptions& opts)
-    : nranks_(nranks), opts_(opts) {
+    : nranks_(nranks),
+      opts_(opts),
+      arrivals_(static_cast<std::size_t>(nranks)) {
   if (opts_.check) checker_ = std::make_unique<FabricChecker>(nranks);
   mailboxes_.reserve(static_cast<std::size_t>(nranks));
   doorbells_.reserve(static_cast<std::size_t>(nranks));
@@ -826,20 +796,12 @@ std::vector<T> Fabric::take_from(
       auto it = (box.*q).find(key);
       return it != (box.*q).end() && !it->second.empty();
     };
-    if (checker_ != nullptr && opts_.hang_timeout_s > 0) {
-      // Bounded wait: a lost wakeup or a deadlocked peer would otherwise
-      // hang this rank forever. On timeout, abort the fabric (so peers
-      // unblock) and report who was stuck on what.
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(opts_.hang_timeout_s));
-      if (!box.cv.wait_until(lock, deadline, ready)) {
-        lock.unlock();
-        hang_failure(self, take_context(self, source, tag));
-      }
-    } else {
-      box.cv.wait(lock, ready);
+    // Bounded while checking: a lost wakeup or a deadlocked peer would
+    // otherwise hang this rank forever. On timeout, abort the fabric (so
+    // peers unblock) and report who was stuck on what.
+    if (!wait_bounded(box.cv, lock, hang_timeout(), ready)) {
+      lock.unlock();
+      hang_failure(self, take_context(self, source, tag));
     }
     auto it = (box.*q).find(key);
     if (it == (box.*q).end() || it->second.empty()) {
@@ -889,6 +851,112 @@ std::vector<Index> Fabric::take_indices(int self, int source, int tag) {
   return take_from(&Mailbox::iqueue, &Mailbox::iseq_seen, self, source, tag);
 }
 
+void Fabric::ring(int rank) {
+  Doorbell& bell = *doorbells_[static_cast<std::size_t>(rank)];
+  if (bell.parked.load(std::memory_order_seq_cst) > 0) {
+    // Empty critical section: the parked rank is either fully asleep
+    // (notify wakes it) or has not yet evaluated its predicate under the
+    // lock (it will see what the caller just published).
+    { std::lock_guard<std::mutex> lock(bell.mu); }
+    bell.cv.notify_all();
+  }
+}
+
+template <class Ready>
+void Fabric::await_collective(int rank, std::uint64_t round,
+                              const Ready& ready) {
+  if (ready()) return;
+  const auto done = [&] {
+    return ready() || aborted_.load(std::memory_order_relaxed);
+  };
+  if (!spin_before_park(done)) {
+    stats_[static_cast<std::size_t>(rank)]->collective_parks++;
+    park(rank, done, [&] { return collective_context(round); });
+  }
+  if (!ready()) abort_failure();
+}
+
+template <class Done, class Report>
+void Fabric::park(int rank, const Done& done, const Report& report) {
+  // The parked counter is the Dekker flag a publisher checks after its
+  // seq_cst store (see ring); done() re-checks under the doorbell mutex.
+  Doorbell& bell = *doorbells_[static_cast<std::size_t>(rank)];
+  bell.parked.fetch_add(1, std::memory_order_seq_cst);
+  {
+    std::unique_lock<std::mutex> lock(bell.mu);
+    if (!wait_bounded(bell.cv, lock, hang_timeout(), done)) {
+      bell.parked.fetch_sub(1, std::memory_order_seq_cst);
+      lock.unlock();
+      hang_failure(rank, report());
+    }
+  }
+  bell.parked.fetch_sub(1, std::memory_order_seq_cst);
+}
+
+std::string Fabric::collective_context(std::uint64_t round) const {
+  std::ostringstream os;
+  os << "allreduce/barrier round " << round << " (not arrived:";
+  bool any = false;
+  for (int r = 0; r < nranks_; ++r) {
+    if (arrivals_[static_cast<std::size_t>(r)].round.load(
+            std::memory_order_seq_cst) < round) {
+      os << " " << r;
+      any = true;
+    }
+  }
+  if (!any) os << " none; rank 0 has not published the result";
+  os << ")";
+  return os.str();
+}
+
+void Fabric::inject_slot_fault(int src, int dst, int tag, std::uint64_t round,
+                               const char* link) const {
+  const aegis::FaultPlan* plan = opts_.faults.get();
+  if (plan == nullptr || !plan->corrupts_messages()) return;
+  // A slot holds one round at a time and its round counters already order
+  // and deduplicate rounds, so dup and reorder verdicts degenerate to a
+  // recoverable retransmission, exactly like drop and bit-flip (a bit-flip
+  // is the attempt the receiver's checksum would reject). Delay is a plain
+  // in-flight stall.
+  const aegis::FaultVerdict verdict =
+      plan->message_fault(src, dst, tag, round);
+  aegis::AegisStats& ast = aegis::stats();
+  if (verdict.kind == aegis::FaultKind::kDelay) {
+    ast.faults_injected++;
+    ast.delays++;
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(plan->delay_ms()));
+    return;
+  }
+  if (verdict.kind == aegis::FaultKind::kNone ||
+      verdict.kind == aegis::FaultKind::kKillRank) {
+    return;
+  }
+  ast.faults_injected++;
+  for (int attempt = 0; attempt < verdict.repeat; ++attempt) {
+    if (attempt >= plan->max_retries()) {
+      throw RankFailure(
+          src,
+          std::string("unrecoverable ") +
+              aegis::fault_kind_name(verdict.kind) + " fault: " + link +
+              " (src=" + std::to_string(src) + ", dst=" +
+              std::to_string(dst) + ", round " + std::to_string(round) +
+              ") still faulty after " + std::to_string(plan->max_retries()) +
+              " retries",
+          __FILE__, __LINE__);
+    }
+    if (verdict.kind == aegis::FaultKind::kBitFlip) {
+      ast.checksum_failures++;
+    }
+    ast.retries++;
+    aegis::backoff_sleep(attempt);
+  }
+}
+
+double Fabric::hang_timeout() const {
+  return checker_ != nullptr ? opts_.hang_timeout_s : 0.0;
+}
+
 void Fabric::maybe_kill(int rank, const char* where) const {
   const aegis::FaultPlan* plan = opts_.faults.get();
   if (plan == nullptr || !plan->check_kill(rank)) return;
@@ -899,18 +967,20 @@ void Fabric::maybe_kill(int rank, const char* where) const {
                     __FILE__, __LINE__);
 }
 
-void Fabric::abort_failure() const {
+void Fabric::abort_failure(int peer) const {
   // Every unwinding rank reports the same root cause, so a test (or an
   // operator) can assert the structured failure on all ranks, not just the
   // one that died.
-  const int first = first_failed_rank_.load(std::memory_order_seq_cst);
-  if (first >= 0) {
-    throw RankFailure(first,
-                      "fabric aborted: unwinding pending operations after "
-                      "the failure of rank " + std::to_string(first),
-                      __FILE__, __LINE__);
+  int failed = first_failed_rank_.load(std::memory_order_seq_cst);
+  if (failed < 0) failed = peer;
+  if (failed < 0) {
+    throw FabricAborted(failed, "fabric aborted: a peer rank failed",
+                        __FILE__, __LINE__);
   }
-  KESTREL_FAIL("fabric aborted: a peer rank threw an exception");
+  throw FabricAborted(failed,
+                      "fabric aborted: unwinding pending operations after "
+                      "the failure of rank " + std::to_string(failed),
+                      __FILE__, __LINE__);
 }
 
 GhostChannel* Fabric::open_channel_endpoint(int src, int dst,
@@ -929,6 +999,11 @@ GhostChannel* Fabric::open_channel_endpoint(int src, int dst,
 }
 
 void Fabric::hang_failure(int rank, const std::string& what) {
+  // Claim the root cause before waking the peers: a peer parked in the
+  // same collective would otherwise unwind first and Fabric::run would
+  // rethrow its secondary abort instead of this report.
+  int expected = -1;
+  first_failed_rank_.compare_exchange_strong(expected, rank);
   abort_all();
   std::ostringstream os;
   os << "fabric checker: possible lost wakeup or deadlock: rank " << rank
@@ -992,11 +1067,22 @@ void Fabric::run(int nranks, const FabricOptions& opts,
         prof::AttachGuard guard(&rank_prof);
         Comm comm(&fabric, r, nranks);
         fn(comm);
-        // Only on a normal return: after an abort, dangling requests on
-        // surviving ranks are expected, not a bug.
-        if (fabric.checker_ && !fabric.aborted_.load()) {
+        // Only on a normal return, and only while no other rank has failed:
+        // after a failure, dangling requests on surviving ranks are
+        // expected, not a bug. A rank that a peer names as failed (it left
+        // an exchange mid-round) is checked, so its report is not lost.
+        const int failed = fabric.first_failed_rank_.load();
+        if (fabric.checker_ && (failed < 0 || failed == r)) {
           fabric.checker_->on_rank_exit(r);
         }
+      } catch (const FabricAborted& e) {
+        // A consequence: it may claim the root cause for the rank it names,
+        // whose own error (if it has one) is then the one rethrown.
+        errors[static_cast<std::size_t>(r)] = std::current_exception();
+        int expected = -1;
+        fabric.first_failed_rank_.compare_exchange_strong(expected,
+                                                          e.failed_rank());
+        fabric.abort_all();
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
         int expected = -1;
@@ -1007,9 +1093,15 @@ void Fabric::run(int nranks, const FabricOptions& opts,
   }
   for (auto& t : threads) t.join();
   // Rethrow the root-cause exception (the first rank that failed), not a
-  // secondary "fabric aborted" error from a rank that was merely unblocked.
+  // secondary "fabric aborted" error from a rank that was merely unblocked;
+  // a secondary error only when the named rank itself returned normally.
   const int first = fabric.first_failed_rank_.load();
-  if (first >= 0) std::rethrow_exception(errors[static_cast<std::size_t>(first)]);
+  if (first >= 0 && errors[static_cast<std::size_t>(first)]) {
+    std::rethrow_exception(errors[static_cast<std::size_t>(first)]);
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 }  // namespace kestrel::par

@@ -1,13 +1,21 @@
 #pragma once
 // In-process message-passing fabric.
 //
-// The paper's parallel SpMV runs on MPI; this machine has a single core and
-// no MPI, so Kestrel provides an MPI-shaped substrate whose ranks are
-// std::threads and whose messages travel through in-memory mailboxes. The
-// subset implemented (nonblocking send/recv + wait, allreduce, barrier,
-// gather) is exactly what the overlapped SpMV of paper section 2.2 and the
-// Krylov solvers need. Semantics follow MPI: sends are eager and
-// nonblocking, receives match on (source, tag) in posting order.
+// The paper's parallel SpMV runs on MPI; Kestrel runs in one process
+// without MPI, so it provides an MPI-shaped substrate whose ranks are
+// std::threads and whose point-to-point messages travel through in-memory
+// mailboxes. The subset implemented (nonblocking send/recv + wait,
+// allreduce, barrier, gather) is exactly what the overlapped SpMV of paper
+// section 2.2 and the Krylov solvers need. Semantics follow MPI: sends are
+// eager and nonblocking, receives match on (source, tag) in posting order.
+//
+// allreduce and barrier do not use the mailboxes. They run on a combining
+// slot the Fabric owns: one cache line per rank holds its latest arrival,
+// one more holds rank 0's result, and rank 0 folds the arrivals in rank
+// order, so a sum has the same bits whatever order the ranks arrive in. A
+// collective allocates nothing and, when nobody has to park, costs each
+// rank a few atomic loads and stores. allgatherv stays on the mailboxes:
+// only set-up and result gathering use it.
 //
 // Kestrel Slipstream adds a persistent-communication fast path modeled on
 // MPI_Send_init/MPI_Recv_init + MPI_Start/MPI_Waitany: both endpoints of a
@@ -33,6 +41,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -73,6 +82,7 @@ struct FabricStats {
   std::uint64_t send_parks = 0;       ///< sender blocked awaiting a re-arm
   std::uint64_t wait_any_calls = 0;   ///< PersistentExchange::wait_any calls
   std::uint64_t wait_any_wakeups = 0; ///< doorbell parks/wakeups in wait_any
+  std::uint64_t collective_parks = 0; ///< parks in allreduce/barrier
 };
 
 /// One sender-side persistent channel: `count` scalars per round to `peer`.
@@ -222,7 +232,9 @@ class Comm {
       : fabric_(fabric), rank_(rank), size_(size) {}
   /// Collective bodies without checker events; the public entry points
   /// record exactly one event each so the checker sees the user's program
-  /// order, not the implementation's message pattern.
+  /// order, not the implementation's message pattern. allreduce_impl is
+  /// the combining slot (see Fabric::SlotLine); barrier is an allreduce
+  /// whose result nobody reads.
   Scalar allreduce_impl(Scalar value, ReduceOp op);
   std::vector<Scalar> allgatherv_impl(const std::vector<Scalar>& local);
   std::vector<Index> allgatherv_impl(const std::vector<Index>& local);
@@ -292,13 +304,26 @@ class Fabric {
     std::map<std::pair<int, int>, std::uint64_t> iseq_seen;
   };
 
-  /// Per-rank doorbell for PersistentExchange::wait_any: senders ring it
-  /// after bumping a channel's delivered counter, but only when the
-  /// receiver advertised it is parked (lock-light fast path).
+  /// Per-rank doorbell. A rank parks on its own doorbell when it waits in
+  /// PersistentExchange::wait_any or in a collective; whoever publishes
+  /// what it waits for (a channel delivery, an arrival, a result) rings it,
+  /// but only when the rank advertised it is parked (lock-light fast path).
   struct Doorbell {
     std::mutex mu;
     std::condition_variable cv;
     std::atomic<int> parked{0};
+  };
+
+  /// One cache line of the collective slot: a round number and the value
+  /// published with it. Rank r's arrival line holds the number of
+  /// collectives r has entered and its latest contribution; the result
+  /// line holds the number of collectives rank 0 has combined and the
+  /// latest result. One line per rank suffices: a rank cannot arrive at
+  /// round g+1 before it has read round g's result, and rank 0 cannot
+  /// publish g+1 before every rank has arrived at g+1.
+  struct alignas(64) SlotLine {
+    std::atomic<std::uint64_t> round{0};
+    Scalar value = 0.0;
   };
 
   /// Persistent channels between one ordered (src, dst) pair, in the order
@@ -328,14 +353,39 @@ class Fabric {
   /// Claims the next channel slot for (src -> dst) on the given side,
   /// creating the channel if this endpoint registers first.
   GhostChannel* open_channel_endpoint(int src, int dst, bool sender_side);
+  /// Wakes `rank` if it is parked on its doorbell.
+  void ring(int rank);
+  /// Parks `rank` on its doorbell until done(). With the checker on, a wait
+  /// longer than the hang timeout fails through hang_failure, with
+  /// report() saying what the rank was waiting for.
+  template <class Done, class Report>
+  void park(int rank, const Done& done, const Report& report);
+  /// Blocks `rank` in collective `round` until ready(): spins, then parks
+  /// on the rank's doorbell (counted in collective_parks). Unwinds through
+  /// abort_failure when the fabric aborts first, and through hang_failure
+  /// when the checker's hang timeout expires.
+  template <class Ready>
+  void await_collective(int rank, std::uint64_t round, const Ready& ready);
+  /// Hang-report text for a collective: the round and the ranks that have
+  /// not arrived at it.
+  std::string collective_context(std::uint64_t round) const;
+  /// Kestrel Aegis on the single-slot transports (persistent channels and
+  /// the collective slot): applies the fault plan's verdict for one
+  /// (src, dst, tag, round) message. Throws RankFailure once a fault
+  /// outlasts max_retries.
+  void inject_slot_fault(int src, int dst, int tag, std::uint64_t round,
+                         const char* link) const;
+  /// The hang timeout in force: opts_.hang_timeout_s while the checker is
+  /// attached, 0 (wait forever) otherwise.
+  double hang_timeout() const;
   /// Wakes every blocked rank after a rank failed, so one rank's exception
   /// cannot deadlock the rest of the fabric.
   void abort_all();
   [[noreturn]] void hang_failure(int rank, const std::string& what);
-  /// Unwind path for a rank woken by abort_all: throws the structured
-  /// RankFailure naming the root-cause rank when it is known, the generic
-  /// fabric-aborted error otherwise.
-  [[noreturn]] void abort_failure() const;
+  /// Unwind path for a rank woken by abort_all, or for a sender whose
+  /// receiver `peer` closed the channel: throws the structured RankFailure
+  /// naming the root-cause rank, or `peer` while no root cause is claimed.
+  [[noreturn]] void abort_failure(int peer = -1) const;
   /// Throws RankFailure if the fault plan kills `rank` at this consultation.
   void maybe_kill(int rank, const char* where) const;
 
@@ -345,6 +395,9 @@ class Fabric {
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::unique_ptr<Doorbell>> doorbells_;
   std::vector<std::unique_ptr<FabricStats>> stats_;
+  /// The collective slot: one arrival line per rank, then the result line.
+  std::vector<SlotLine> arrivals_;
+  SlotLine result_;
   /// Per-rank sender sequence counters, keyed (dest, tag, index-stream).
   /// Single-writer: only the owning rank's thread sends from it.
   std::vector<std::unique_ptr<

@@ -334,8 +334,8 @@ ParMatrix::ParMatrix(const mat::Csr& local_rows, LayoutPtr layout,
   }
 }
 
-void ParMatrix::ensure_exchange(Comm& comm) const {
-  if (exchange_ != nullptr && exchange_ghost_base_ == ghost_.data()) return;
+PersistentExchange& ParMatrix::ensure_exchange(Comm& comm) const {
+  if (exchange_.ptr != nullptr) return *exchange_.ptr;
   std::vector<GhostSendSpec> send_specs;
   send_specs.reserve(sends_.size());
   for (const SendPlan& plan : sends_) {
@@ -348,8 +348,8 @@ void ParMatrix::ensure_exchange(Comm& comm) const {
     recv_specs.push_back(
         {plan.peer, ghost_.data() + plan.ghost_offset, plan.count});
   }
-  exchange_ = comm.open_exchange(send_specs, recv_specs);
-  exchange_ghost_base_ = ghost_.data();
+  exchange_.ptr = comm.open_exchange(send_specs, recv_specs);
+  return *exchange_.ptr;
 }
 
 ParMatrix ParMatrix::from_global(const mat::Csr& global, LayoutPtr layout,
@@ -396,13 +396,13 @@ void ParMatrix::spmv_local(const Scalar* x_local, Vector& y_local,
       diag_->spmv_traffic_bytes() + offdiag_traffic);
 
   const bool exchanging = !sends_.empty() || !recvs_.empty();
-  const bool persistent = persistent_ghosts_ && exchanging;
-  if (persistent) {
+  PersistentExchange* exchange =
+      persistent_ghosts_ && exchanging ? &ensure_exchange(comm) : nullptr;
+  if (exchange != nullptr) {
     // (0) re-arm the persistent receive channels before anything else:
     // arming first (and only then sending) is what makes the rendezvous
     // deadlock-free — a peer parked in send() is waiting on this line.
-    ensure_exchange(comm);
-    exchange_->arm();
+    exchange->arm();
   }
 
   // (1) send the locally owned entries that other ranks need (eager sends
@@ -418,8 +418,8 @@ void ParMatrix::spmv_local(const Scalar* x_local, Vector& y_local,
                          count, packed);
     }
     prof::ScopedEvent send(ev_send);
-    if (persistent) {
-      exchange_->send(static_cast<int>(si), packed, count);
+    if (exchange != nullptr) {
+      exchange->send(static_cast<int>(si), packed, count);
     } else {
       comm.isend(plan.peer, kTagGhost, packed,
                  static_cast<std::size_t>(count));
@@ -479,9 +479,9 @@ void ParMatrix::spmv_local(const Scalar* x_local, Vector& y_local,
   // fabric's payload_copies metric reflects the full end-to-end cost).
   {
     prof::ScopedEvent wait(ev_wait);
-    if (persistent) {
-      for (int c = 0; c < exchange_->nrecv(); ++c) {
-        (void)exchange_->wait_any();
+    if (exchange != nullptr) {
+      for (int c = 0; c < exchange->nrecv(); ++c) {
+        (void)exchange->wait_any();
       }
     } else {
       for (const RecvPlan& plan : recvs_) {

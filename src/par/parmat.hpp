@@ -147,14 +147,26 @@ class ParMatrix {
   mutable std::vector<Scalar> packbuf_;
   std::vector<std::size_t> send_offsets_;
 
-  /// Persistent channel set, opened lazily at the first spmv (collective
-  /// because spmv is collective). The recorded ghost_ base pointer detects
-  /// a copied ParMatrix — whose ghost_ lives elsewhere — and re-opens
-  /// fresh channels for it instead of writing into the original's buffer.
-  mutable std::shared_ptr<PersistentExchange> exchange_;
-  mutable const Scalar* exchange_ghost_base_ = nullptr;
+  /// The persistent channel set: its receive slices point into ghost_, so
+  /// it moves with ghost_ but is never copied. A copy starts without one
+  /// and opens its own at its first spmv, so each matrix's channels close
+  /// and drain when that matrix dies, before its ghost_ is freed.
+  struct OwnedExchange {
+    std::shared_ptr<PersistentExchange> ptr;
+    OwnedExchange() = default;
+    OwnedExchange(OwnedExchange&&) = default;
+    OwnedExchange& operator=(OwnedExchange&&) = default;
+    OwnedExchange(const OwnedExchange& /*other*/) {}
+    OwnedExchange& operator=(const OwnedExchange& /*other*/) {
+      ptr.reset();
+      return *this;
+    }
+  };
+  /// Opened lazily at the first spmv (collective because spmv is
+  /// collective).
+  mutable OwnedExchange exchange_;
 
-  void ensure_exchange(Comm& comm) const;
+  PersistentExchange& ensure_exchange(Comm& comm) const;
 };
 
 }  // namespace kestrel::par

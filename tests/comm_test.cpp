@@ -3,9 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <cstring>
+#include <thread>
+#include <vector>
 
+#include "aegis/fault.hpp"
 #include "base/error.hpp"
+#include "base/rng.hpp"
 #include "par/comm.hpp"
 
 namespace kestrel::par {
@@ -347,6 +355,189 @@ TEST(Fabric, InvalidArgumentsRejected) {
       (void)comm.recv(0, 0);
     }
   });
+}
+
+// --------------------------------------------------------------------------
+// The collective slot behind allreduce and barrier.
+// --------------------------------------------------------------------------
+
+TEST(CollectiveSlot, AllocatesNothing) {
+  Fabric::run(4, [](Comm& comm) {
+    const FabricStats before = comm.stats();
+    for (int round = 0; round < 1000; ++round) {
+      if (round % 2 == 0) {
+        EXPECT_DOUBLE_EQ(comm.allreduce(1.0), 4.0);
+      } else {
+        comm.barrier();
+      }
+    }
+    const FabricStats& after = comm.stats();
+    EXPECT_EQ(after.mailbox_allocs, before.mailbox_allocs);
+    EXPECT_EQ(after.mailbox_msgs, before.mailbox_msgs);
+    EXPECT_EQ(after.payload_copies, before.payload_copies);
+  });
+}
+
+bool same_bits(Scalar a, Scalar b) {
+  return std::memcmp(&a, &b, sizeof(Scalar)) == 0;
+}
+
+TEST(CollectiveSlot, SumsFoldInRankOrderBitForBit) {
+  // 8 ranks on an oversubscribed fabric arrive in a different order every
+  // round. Every rank knows every rank's value, so it can fold them in
+  // rank order itself; magnitudes from 1e16 down to 1 make most other
+  // orders round differently.
+  constexpr int kRanks = 8;
+  constexpr int kRounds = 400;
+  std::atomic<int> order_sensitive{0};
+  Fabric::run(kRanks, [&](Comm& comm) {
+    Rng work(static_cast<std::uint64_t>(101 + comm.rank()));
+    for (int round = 0; round < kRounds; ++round) {
+      Rng shared(static_cast<std::uint64_t>(7919 * round + 1));
+      constexpr Scalar kMagnitudes[] = {1e16, 1.0, 3.0, 0.5, 1e8, 7e15};
+      std::array<Scalar, kRanks> v{};
+      for (Scalar& x : v) {
+        x = kMagnitudes[shared.next_index(6)] *
+            (shared.next_index(2) == 0 ? 1.0 : -1.0);
+      }
+      const Scalar mine = v[static_cast<std::size_t>(comm.rank())];
+      switch (round % 5) {
+        case 0:
+        case 1: {
+          Scalar want = v[0];
+          for (int r = 1; r < kRanks; ++r) want += v[r];
+          const Scalar got = comm.allreduce(mine, Comm::ReduceOp::kSum);
+          EXPECT_TRUE(same_bits(got, want))
+              << "round " << round << ": " << got << " vs " << want;
+          Scalar reversed = v[kRanks - 1];
+          for (int r = kRanks - 2; r >= 0; --r) reversed += v[r];
+          if (comm.rank() == 0 && !same_bits(reversed, want)) {
+            order_sensitive.fetch_add(1);
+          }
+          break;
+        }
+        case 2:
+          EXPECT_DOUBLE_EQ(comm.allreduce(mine, Comm::ReduceOp::kMax),
+                           *std::max_element(v.begin(), v.end()));
+          break;
+        case 3:
+          EXPECT_DOUBLE_EQ(comm.allreduce(mine, Comm::ReduceOp::kMin),
+                           *std::min_element(v.begin(), v.end()));
+          break;
+        default:
+          comm.barrier();
+          break;
+      }
+      // Random local work, sometimes a yield, so arrival order shuffles.
+      volatile Scalar sink = 0;
+      const Index spin = work.next_index(2000);
+      for (Index i = 0; i < spin; ++i) sink = sink + 1.0;
+      if (work.next_index(4) == 0) std::this_thread::yield();
+    }
+  });
+  // The values have teeth: folding them backwards changes the bits often.
+  EXPECT_GT(order_sensitive.load(), kRounds / 10);
+}
+
+TEST(CollectiveSlot, ThrowWhileParkedUnwindsPeersWithRootCause) {
+  constexpr int kRanks = 4;
+  constexpr int kVictim = 2;
+  std::vector<std::atomic<int>> observed(kRanks);
+  std::vector<std::atomic<std::uint64_t>> parks(kRanks);
+  for (auto& o : observed) o.store(-1);
+  try {
+    Fabric::run(kRanks, [&](Comm& comm) {
+      const auto me = static_cast<std::size_t>(comm.rank());
+      if (comm.rank() == kVictim) {
+        // Long enough for every peer to spin out and park.
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        KESTREL_FAIL("rank 2 exploded");
+      }
+      try {
+        (void)comm.allreduce(1.0);
+      } catch (const RankFailure& e) {
+        observed[me].store(e.failed_rank());
+        parks[me].store(comm.stats().collective_parks);
+        throw;
+      }
+    });
+    FAIL() << "expected the victim's failure to propagate";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 2 exploded"),
+              std::string::npos)
+        << e.what();
+  }
+  for (int r = 0; r < kRanks; ++r) {
+    if (r == kVictim) continue;
+    EXPECT_EQ(observed[static_cast<std::size_t>(r)].load(), kVictim)
+        << "rank " << r;
+    EXPECT_GE(parks[static_cast<std::size_t>(r)].load(), 1u) << "rank " << r;
+  }
+}
+
+TEST(CollectiveSlot, KillInsideAllreduceSurfacesOnEveryRank) {
+  // Rank 2 consults the plan once per collective, so its 5th consultation
+  // is the entry of its 5th allreduce.
+  constexpr int kRanks = 4;
+  FabricOptions opts;
+  opts.faults = aegis::FaultPlan::parse("kill=2@5");
+  aegis::stats().reset();
+  std::vector<std::atomic<int>> observed(kRanks);
+  std::vector<std::atomic<int>> completed(kRanks);
+  for (auto& o : observed) o.store(-1);
+  EXPECT_THROW(Fabric::run(kRanks, opts,
+                           [&](Comm& comm) {
+                             const auto me =
+                                 static_cast<std::size_t>(comm.rank());
+                             try {
+                               for (int k = 0; k < 10; ++k) {
+                                 (void)comm.allreduce(Scalar(k));
+                                 completed[me].fetch_add(1);
+                               }
+                             } catch (const RankFailure& e) {
+                               observed[me].store(e.failed_rank());
+                               throw;
+                             }
+                           }),
+               RankFailure);
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(observed[static_cast<std::size_t>(r)].load(), 2)
+        << "rank " << r;
+    EXPECT_EQ(completed[static_cast<std::size_t>(r)].load(), 4)
+        << "rank " << r;
+  }
+  EXPECT_EQ(aegis::stats().rank_kills.load(), 1u);
+}
+
+TEST(CollectiveSlot, MessageFaultsAreRetransmittedAndCounted) {
+  constexpr int kRanks = 4;
+  FabricOptions opts;
+  opts.faults = aegis::FaultPlan::parse(
+      "seed=5,drop=0.15,delay=0.1,dup=0.1,reorder=0.1,bitflip=0.1");
+  aegis::stats().reset();
+  Fabric::run(kRanks, opts, [](Comm& comm) {
+    for (int k = 0; k < 60; ++k) {
+      const Scalar got = comm.allreduce(Scalar(k + comm.rank()));
+      EXPECT_DOUBLE_EQ(got, 4.0 * k + 6.0);
+    }
+    comm.barrier();
+  });
+  const aegis::AegisStats& st = aegis::stats();
+  EXPECT_GT(st.faults_injected.load(), 0u);
+  EXPECT_GT(st.retries.load(), 0u);
+  EXPECT_GT(st.delays.load(), 0u);
+  EXPECT_GT(st.checksum_failures.load(), 0u);
+
+  // A fault that outlasts the retry budget kills the link: every rank
+  // unwinds with a structured RankFailure.
+  opts.faults = aegis::FaultPlan::parse("seed=5,drop=0.5,repeat=9");
+  EXPECT_THROW(Fabric::run(kRanks, opts,
+                           [](Comm& comm) {
+                             for (int k = 0; k < 60; ++k) {
+                               (void)comm.allreduce(1.0);
+                             }
+                           }),
+               RankFailure);
 }
 
 }  // namespace

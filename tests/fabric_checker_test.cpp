@@ -153,6 +153,24 @@ TEST(FabricChecker, HangReportedAsLostWakeup) {
       << what;
 }
 
+TEST(FabricChecker, CollectiveHangNamesRoundAndMissingRank) {
+  // Rank 1 leaves after the first allreduce. Rank 0 parks waiting for its
+  // arrival and rank 2 waiting for the result; both reports must name the
+  // round and the rank that never arrived.
+  const std::string what = run_and_capture_error(
+      3,
+      [](Comm& comm) {
+        (void)comm.allreduce(1.0);
+        if (comm.rank() == 1) return;
+        (void)comm.allreduce(2.0);
+      },
+      /*hang_timeout_s=*/0.2);
+  EXPECT_NE(what.find("lost wakeup or deadlock"), std::string::npos) << what;
+  EXPECT_NE(what.find("allreduce/barrier round 2 (not arrived: 1)"),
+            std::string::npos)
+      << what;
+}
+
 TEST(FabricChecker, ReportsIncludeEventTrace) {
   const std::string what = run_and_capture_error(2, [](Comm& comm) {
     if (comm.rank() == 0) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "app/laplacian.hpp"
+#include "base/rng.hpp"
 #include "ksp/context.hpp"
 #include "mat/spgemm.hpp"
 #include "ksp/ksp.hpp"
@@ -287,6 +290,204 @@ TEST(ParallelKsp, GmresWithSellDiagAndJacobi) {
       EXPECT_NEAR(x_local[i], x_true[b0 + i], 1e-6);
     }
   });
+}
+
+// --------------------------------------------------------------------------
+// CG's reduction count. Without a preconditioner CG tests √(rᵀz) instead of
+// a separate ‖r‖, which must change nothing but the number of reductions.
+// --------------------------------------------------------------------------
+
+/// CG with three reductions per iteration: it always applies the
+/// preconditioner (a copy of r when there is none) and tests norm2(r). The
+/// bitwise reference for ksp::Cg.
+class ThreeReductionCg final : public Solver {
+ public:
+  using Solver::Solver;
+  std::string name() const override { return "cg"; }
+  SolveResult solve_once(LinearContext& ctx, const Vector& b,
+                         Vector& x) const override {
+    const Index n = ctx.local_size();
+    SolveResult result;
+    Vector r(n), z(n), p(n), ap(n);
+    ctx.apply_operator(x, r);
+    r.aypx(-1.0, b);
+    ctx.apply_pc(r, z);
+    p.copy_from(z);
+    Scalar rz = ctx.dot(r, z);
+    const Scalar rnorm0 = ctx.norm2(r);
+    if (check(rnorm0, rnorm0, 0, &result)) return result;
+    for (int it = 1;; ++it) {
+      ctx.apply_operator(p, ap);
+      const Scalar pap = ctx.dot(p, ap);
+      if (!(pap > 0.0)) {
+        result.converged = false;
+        result.reason = Reason::kDivergedBreakdown;
+        result.iterations = it;
+        return result;
+      }
+      const Scalar alpha = rz / pap;
+      x.axpy(alpha, p);
+      r.axpy(-alpha, ap);
+      const Scalar rnorm = ctx.norm2(r);
+      if (check(rnorm, rnorm0, it, &result)) return result;
+      ctx.apply_pc(r, z);
+      const Scalar rz_next = ctx.dot(r, z);
+      const Scalar beta = rz_next / rz;
+      rz = rz_next;
+      p.aypx(beta, z);
+    }
+  }
+};
+
+/// Forwards to another context and counts its dot() calls, i.e. the
+/// reductions of a distributed solve.
+class CountingContext final : public LinearContext {
+ public:
+  explicit CountingContext(LinearContext& inner) : inner_(inner) {}
+  Index local_size() const override { return inner_.local_size(); }
+  void apply_operator(const Vector& x, Vector& y) override {
+    inner_.apply_operator(x, y);
+  }
+  const pc::Pc* preconditioner() const override {
+    return inner_.preconditioner();
+  }
+  Scalar dot(const Vector& a, const Vector& b) override {
+    ++dots;
+    return inner_.dot(a, b);
+  }
+  int dots = 0;
+
+ private:
+  LinearContext& inner_;
+};
+
+bool same_bits(Scalar a, Scalar b) {
+  return std::memcmp(&a, &b, sizeof(Scalar)) == 0;
+}
+
+/// One solve's observable output: the solution, the result and the monitor
+/// history.
+struct CgTrace {
+  Vector x;
+  SolveResult res;
+  std::vector<Scalar> history;
+};
+
+template <class Method>
+CgTrace traced_solve(LinearContext& ctx, const Vector& b) {
+  CgTrace t;
+  Settings settings;
+  settings.rtol = 1e-10;
+  settings.monitor = [&t](int it, Scalar rnorm) {
+    EXPECT_EQ(it, static_cast<int>(t.history.size()));
+    t.history.push_back(rnorm);
+  };
+  t.x = Vector(ctx.local_size());
+  t.res = Method(settings).solve(ctx, b, t.x);
+  return t;
+}
+
+void expect_bitwise_equal(const CgTrace& got, const CgTrace& want,
+                          const std::string& what) {
+  EXPECT_TRUE(got.res.converged) << what;
+  EXPECT_EQ(got.res.iterations, want.res.iterations) << what;
+  EXPECT_EQ(got.res.reason, want.res.reason) << what;
+  EXPECT_TRUE(same_bits(got.res.residual_norm, want.res.residual_norm))
+      << what;
+  ASSERT_EQ(got.history.size(), want.history.size()) << what;
+  for (std::size_t k = 0; k < want.history.size(); ++k) {
+    EXPECT_TRUE(same_bits(got.history[k], want.history[k]))
+        << what << " history " << k;
+  }
+  ASSERT_EQ(got.x.size(), want.x.size()) << what;
+  for (Index i = 0; i < want.x.size(); ++i) {
+    EXPECT_TRUE(same_bits(got.x[i], want.x[i])) << what << " x[" << i << "]";
+  }
+}
+
+/// D A D for the 2-D Dirichlet Laplacian A and a diagonal D spread over
+/// an order of magnitude: SPD, and its diagonal varies, so Jacobi changes
+/// the iterates.
+mat::Csr scaled_laplacian(Index nx) {
+  const mat::Csr a = app::laplacian_dirichlet(nx, nx);
+  std::vector<Scalar> d(static_cast<std::size_t>(a.rows()));
+  Rng rng(29);
+  for (Scalar& v : d) v = std::pow(10.0, rng.uniform(0.0, 1.0));
+  mat::Coo coo(a.rows(), a.cols());
+  for (Index i = 0; i < a.rows(); ++i) {
+    for (Index k = a.rowptr()[i]; k < a.rowptr()[i + 1]; ++k) {
+      const Index j = a.colidx()[k];
+      coo.add(i, j,
+              d[static_cast<std::size_t>(i)] * a.val()[k] *
+                  d[static_cast<std::size_t>(j)]);
+    }
+  }
+  return coo.to_csr();
+}
+
+TEST(CgReductions, SeqMatchesThreeReductionCgBitForBit) {
+  const mat::Csr a = scaled_laplacian(14);
+  const Vector b = make_rhs(a, sinusoid(a.rows()));
+  const pc::Jacobi jacobi(a);
+  for (const pc::Pc* pc : {static_cast<const pc::Pc*>(nullptr),
+                           static_cast<const pc::Pc*>(&jacobi)}) {
+    SeqContext ctx(a, pc);
+    const CgTrace want = traced_solve<ThreeReductionCg>(ctx, b);
+    const CgTrace got = traced_solve<Cg>(ctx, b);
+    ASSERT_TRUE(want.res.converged);
+    expect_bitwise_equal(got, want, pc ? "seq jacobi" : "seq");
+  }
+}
+
+TEST(CgReductions, ParMatchesThreeReductionCgBitForBit) {
+  const mat::Csr a = scaled_laplacian(14);
+  const Vector b = make_rhs(a, sinusoid(a.rows()));
+  for (int nranks : {1, 2, 4}) {
+    auto layout =
+        std::make_shared<par::Layout>(par::Layout::even(a.rows(), nranks));
+    par::Fabric::run(nranks, [&](par::Comm& comm) {
+      const par::ParMatrix pa =
+          par::ParMatrix::from_global(a, layout, comm, {});
+      par::ParVector pb(layout, comm.rank());
+      pb.set_from_global(b);
+      const pc::Jacobi jacobi(pa.diag_block());
+      for (const pc::Pc* pc : {static_cast<const pc::Pc*>(nullptr),
+                               static_cast<const pc::Pc*>(&jacobi)}) {
+        ParContext ctx(pa, comm, pc);
+        const CgTrace want = traced_solve<ThreeReductionCg>(ctx, pb.local());
+        const CgTrace got = traced_solve<Cg>(ctx, pb.local());
+        ASSERT_TRUE(want.res.converged);
+        expect_bitwise_equal(got, want,
+                             std::to_string(nranks) + " ranks, rank " +
+                                 std::to_string(comm.rank()) +
+                                 (pc ? ", jacobi" : ""));
+      }
+    });
+  }
+}
+
+TEST(CgReductions, TwoReductionsPerIterationWithoutPreconditioner) {
+  const mat::Csr a = scaled_laplacian(10);
+  const Vector b = make_rhs(a, sinusoid(a.rows()));
+  const pc::Jacobi jacobi(a);
+
+  SeqContext plain(a);
+  CountingContext count_plain(plain);
+  const CgTrace p = traced_solve<Cg>(count_plain, b);
+  ASSERT_TRUE(p.res.converged);
+  EXPECT_EQ(count_plain.dots, 2 * p.res.iterations + 1);
+
+  SeqContext pre(a, &jacobi);
+  CountingContext count_pre(pre);
+  const CgTrace q = traced_solve<Cg>(count_pre, b);
+  ASSERT_TRUE(q.res.converged);
+  EXPECT_EQ(count_pre.dots, 3 * q.res.iterations + 1);
+
+  // The reference pays three per iteration either way.
+  CountingContext count_ref(plain);
+  const CgTrace r = traced_solve<ThreeReductionCg>(count_ref, b);
+  EXPECT_EQ(count_ref.dots, 3 * r.res.iterations + 1);
+  EXPECT_EQ(r.res.iterations, p.res.iterations);
 }
 
 }  // namespace

@@ -131,6 +131,19 @@ TEST(ParMatrixPersistent, CopiedMatrixReopensItsOwnChannels) {
     for (Index i = 0; i < direct.size(); ++i) {
       EXPECT_DOUBLE_EQ(copied[i], direct[i]) << "row " << i;
     }
+
+    // The original dies before the copy's first spmv. The copy holds none
+    // of the original's channels, so they close and drain with the
+    // original, before its ghost buffer is freed.
+    auto original = std::make_unique<ParMatrix>(a);
+    original->spmv(x, y, comm);
+    const ParMatrix orphan = *original;
+    original.reset();
+    orphan.spmv(x, y, comm);
+    const Vector orphaned = y.gather_all(comm);
+    for (Index i = 0; i < direct.size(); ++i) {
+      EXPECT_DOUBLE_EQ(orphaned[i], direct[i]) << "row " << i;
+    }
   });
 }
 
