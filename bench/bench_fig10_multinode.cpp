@@ -93,9 +93,9 @@ int main(int argc, char** argv) {
 
   bench::header(
       "Figure 10 (modeled): Gray-Scott 16384^2 on Theta, walltime [s]");
-  // Halo-exchange constants come from this host's fabric (the bench_comm
-  // Phase A calibration) instead of the built-in defaults, so the model's
-  // comm term tracks the transport actually underneath Kestrel.
+  // Halo-exchange constants come from this host's fabric (the postal-model
+  // calibration in EXPERIMENTS.md) instead of the built-in defaults, so the
+  // model's comm term tracks the transport actually underneath Kestrel.
   const CommModel cm =
       CommModel::measure_fabric(bench::scaled_reps(50, 6));
   std::printf("halo model: alpha = %.3f us, beta = %.4f ns/byte "

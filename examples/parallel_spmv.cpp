@@ -11,7 +11,6 @@
 //
 //   ./parallel_spmv [-ranks 4] [-n 64] [-mat_type sell|csr]
 //                   [-threads N]
-//                   [-ghost_exchange persistent|mailbox]
 //                   [-aegis_faults "seed=42,drop=0.05"] [-aegis_abft]
 //                   [-aegis_abft_tol 1e-8] [-ksp_breakdown_recovery]
 //                   [-ksp_max_restarts 1]
@@ -49,8 +48,6 @@ int main(int argc, char** argv) {
   const Index n = Options::global().get_index("n", 64);
   const std::string mat_type =
       Options::global().get_string("mat_type", "sell");
-  const std::string ghost_exchange =
-      Options::global().get_string("ghost_exchange", "persistent");
   const std::string fault_spec =
       Options::global().get_string("aegis_faults", "");
   const bool abft = Options::global().get_bool("aegis_abft", false);
@@ -74,7 +71,6 @@ int main(int argc, char** argv) {
   par::Fabric::run(nranks, fabric, [&](par::Comm& comm) {
     par::ParMatrixOptions opts;
     opts.diag_format = par::parse_diag_format(mat_type);
-    opts.persistent_ghosts = ghost_exchange != "mailbox";
     opts.abft = abft;
     opts.abft_tol = Options::global().get_scalar("aegis_abft_tol", 1e-8);
     const par::ParMatrix a =

@@ -64,10 +64,6 @@ ctest --test-dir build -L hwc --output-on-failure
 ./build/bench/bench_hwc --smoke --json build/BENCH_hwc.json
 python3 tools/bench_gates.py hwc build/BENCH_hwc.json
 
-banner "fabric exchange bench + BENCH_comm.json (speedup gate)"
-./build/bench/bench_comm --smoke --json build/BENCH_comm.json
-python3 tools/bench_gates.py comm build/BENCH_comm.json
-
 banner "flock thread-scaling bench + BENCH_threads.json (speedup gate)"
 ./build/bench/bench_threads --smoke --json build/BENCH_threads.json
 python3 tools/bench_gates.py threads build/BENCH_threads.json
@@ -84,13 +80,11 @@ python3 tools/bench_gates.py serve build/BENCH_serve.json
 
 banner "aegis fault-tolerance suite (ctest -L aegis) + fault-injected solve"
 ctest --test-dir build -L aegis --output-on-failure
-# Deterministic end-to-end fault sweep on both ghost transports; the spec is
-# printed by the example, so any failure replays with the same -aegis_faults.
-for transport in mailbox persistent; do
-  ./build/examples/parallel_spmv -ranks 8 -n 32 \
-    -aegis_faults "seed=7,drop=0.1,delay=0.1,dup=0.1,reorder=0.1,bitflip=0.05" \
-    -aegis_abft -ksp_breakdown_recovery -ghost_exchange "$transport"
-done
+# Deterministic end-to-end fault sweep; the spec is printed by the example,
+# so any failure replays with the same -aegis_faults.
+./build/examples/parallel_spmv -ranks 8 -n 32 \
+  -aegis_faults "seed=7,drop=0.1,delay=0.1,dup=0.1,reorder=0.1,bitflip=0.05" \
+  -aegis_abft -ksp_breakdown_recovery
 
 sanitizer_suite() {
   local name="$1" label="$2"

@@ -217,6 +217,7 @@ void Comm::wait(Request& req) {
 
 std::vector<Scalar> Comm::recv(int source, int tag) {
   KESTREL_CHECK(source >= 0 && source < size_, "recv: bad source rank");
+  KESTREL_CHECK(tag >= 0, "recv: user tags must be non-negative");
   if (FabricChecker* chk = checker()) chk->on_recv(rank_, source, tag);
   return fabric_->take(rank_, source, tag);
 }
@@ -224,6 +225,7 @@ std::vector<Scalar> Comm::recv(int source, int tag) {
 std::vector<Index> Comm::recv_indices(int source, int tag) {
   KESTREL_CHECK(source >= 0 && source < size_,
                 "recv_indices: bad source rank");
+  KESTREL_CHECK(tag >= 0, "recv_indices: user tags must be non-negative");
   if (FabricChecker* chk = checker()) chk->on_recv(rank_, source, tag);
   return fabric_->take_indices(rank_, source, tag);
 }
@@ -343,10 +345,6 @@ void Comm::barrier() {
 
 const FabricStats& Comm::stats() const {
   return *fabric_->stats_[static_cast<std::size_t>(rank_)];
-}
-
-void Comm::add_payload_copy(std::uint64_t n) {
-  fabric_->stats_[static_cast<std::size_t>(rank_)]->payload_copies += n;
 }
 
 void Comm::publish_stats_metrics() {

@@ -8,6 +8,9 @@
 // allreduce, barrier, gather) is exactly what the overlapped SpMV of paper
 // section 2.2 and the Krylov solvers need. Semantics follow MPI: sends are
 // eager and nonblocking, receives match on (source, tag) in posting order.
+// Inside the library the mailboxes carry only ParMatrix's set-up plan
+// messages and allgatherv; every SpMV ghost exchange runs on the
+// persistent channels described below.
 //
 // allreduce and barrier do not use the mailboxes. They run on a combining
 // slot the Fabric owns: one cache line per rank holds its latest arrival,
@@ -17,7 +20,7 @@
 // rank a few atomic loads and stores. allgatherv stays on the mailboxes:
 // only set-up and result gathering use it.
 //
-// Kestrel Slipstream adds a persistent-communication fast path modeled on
+// Kestrel Slipstream's persistent channels are modeled on
 // MPI_Send_init/MPI_Recv_init + MPI_Start/MPI_Waitany: both endpoints of a
 // fixed ghost-exchange pattern register once (Comm::open_exchange), the
 // receiver pins an in-place destination slice per peer, and steady-state
@@ -216,10 +219,6 @@ class Comm {
 
   /// This rank's fabric counters (single-writer: this rank's thread).
   const FabricStats& stats() const;
-  /// Caller-side payload copies that belong to the fabric story (e.g. the
-  /// mailbox ghost unpack in ParMatrix) so `payload_copies` counts every
-  /// copy a message payload experiences end to end.
-  void add_payload_copy(std::uint64_t n = 1);
   /// Collective: sums every counter across ranks and records the totals as
   /// `fabric/...` metrics on the current profiler, so -log_json dumps carry
   /// the fabric's allocation/copy/wakeup behavior.

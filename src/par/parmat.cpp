@@ -13,8 +13,7 @@
 namespace kestrel::par {
 
 namespace {
-constexpr int kTagGhost = 1;  ///< x-entry exchange during SpMV (mailbox path)
-constexpr int kTagPlan = 2;   ///< setup-time plan exchange (typed indices)
+constexpr int kTagPlan = 2;  ///< setup-time plan exchange (typed indices)
 
 // Kestrel Flock: elementwise pool splitting for the gather-pack and ABFT
 // reduction passes. Chunks are a fixed multiple of kZmmDoubles derived only
@@ -129,6 +128,9 @@ ParMatrix::ParMatrix(const mat::Csr& local_rows, LayoutPtr layout,
     : layout_(std::move(layout)), rank_(comm.rank()) {
   KESTREL_CHECK(layout_->nranks() == comm.size(),
                 "layout rank count != communicator size");
+  KESTREL_CHECK(opts.persistent_ghosts,
+                "ParMatrixOptions::persistent_ghosts must be true: the "
+                "mailbox ghost transport is gone");
   const Index b = layout_->begin(rank_);
   const Index e = layout_->end(rank_);
   const Index m = e - b;
@@ -302,12 +304,11 @@ ParMatrix::ParMatrix(const mat::Csr& local_rows, LayoutPtr layout,
     sends_.push_back(std::move(plan));
   }
 
-  // ---- Ghost exchange fast-path setup ---------------------------------
-  persistent_ghosts_ = opts.persistent_ghosts;
+  // ---- Ghost exchange setup -------------------------------------------
   gather_fn_ =
       simd::lookup_as<simd::GatherPackFn>(simd::Op::kGatherPack, opts.tier);
   // One contiguous pack buffer, sized once: plan i owns the slice at
-  // send_offsets_[i], so neither transport reallocates mid-iteration.
+  // send_offsets_[i], so nothing reallocates mid-iteration.
   send_offsets_.clear();
   std::size_t pack_total = 0;
   for (const SendPlan& plan : sends_) {
@@ -397,7 +398,7 @@ void ParMatrix::spmv_local(const Scalar* x_local, Vector& y_local,
 
   const bool exchanging = !sends_.empty() || !recvs_.empty();
   PersistentExchange* exchange =
-      persistent_ghosts_ && exchanging ? &ensure_exchange(comm) : nullptr;
+      exchanging ? &ensure_exchange(comm) : nullptr;
   if (exchange != nullptr) {
     // (0) re-arm the persistent receive channels before anything else:
     // arming first (and only then sending) is what makes the rendezvous
@@ -405,9 +406,8 @@ void ParMatrix::spmv_local(const Scalar* x_local, Vector& y_local,
     exchange->arm();
   }
 
-  // (1) send the locally owned entries that other ranks need (eager sends
-  // double as the posted receives on the peer side). Packing runs the
-  // kGatherPack kernel into this plan's pre-sized slice of packbuf_.
+  // (1) send the locally owned entries that other ranks need. Packing runs
+  // the kGatherPack kernel into this plan's pre-sized slice of packbuf_.
   for (std::size_t si = 0; si < sends_.size(); ++si) {
     const SendPlan& plan = sends_[si];
     const Index count = static_cast<Index>(plan.local_indices.size());
@@ -418,12 +418,7 @@ void ParMatrix::spmv_local(const Scalar* x_local, Vector& y_local,
                          count, packed);
     }
     prof::ScopedEvent send(ev_send);
-    if (exchange != nullptr) {
-      exchange->send(static_cast<int>(si), packed, count);
-    } else {
-      comm.isend(plan.peer, kTagGhost, packed,
-                 static_cast<std::size_t>(count));
-    }
+    exchange->send(static_cast<int>(si), packed, count);
   }
 
   // Local compute, factored so the ABFT path can recompute it (steps 2+4)
@@ -472,27 +467,13 @@ void ParMatrix::spmv_local(const Scalar* x_local, Vector& y_local,
     diag_multiply();
   }
 
-  // (3) wait for ghost values. Persistent path: complete in arrival order
+  // (3) wait for ghost values, completing receives in arrival order
   // (wait_any); each completion means the peer's values are already in
-  // place in ghost_ — nothing to unpack. Mailbox path: blocking receives
-  // in plan order plus one copy into ghost_ per message (counted so the
-  // fabric's payload_copies metric reflects the full end-to-end cost).
+  // place in ghost_ — nothing to unpack.
   {
     prof::ScopedEvent wait(ev_wait);
-    if (exchange != nullptr) {
-      for (int c = 0; c < exchange->nrecv(); ++c) {
-        (void)exchange->wait_any();
-      }
-    } else {
-      for (const RecvPlan& plan : recvs_) {
-        const std::vector<Scalar> data = comm.recv(plan.peer, kTagGhost);
-        KESTREL_CHECK(static_cast<Index>(data.size()) == plan.count,
-                      "ghost message size mismatch");
-        std::copy(data.begin(), data.end(),
-                  ghost_.data() + plan.ghost_offset);
-        comm.add_payload_copy();
-      }
-    }
+    const int nrecv = exchange != nullptr ? exchange->nrecv() : 0;
+    for (int c = 0; c < nrecv; ++c) (void)exchange->wait_any();
   }
 
   // (4) off-diagonal block accumulates into y.

@@ -12,15 +12,13 @@
 //   3. wait for ghost values to arrive;
 //   4. multiply the compressed off-diagonal block and accumulate.
 //
-// Kestrel Slipstream: by default the ghost exchange runs on persistent
-// fabric channels (Comm::open_exchange) opened lazily at the first spmv —
-// sends gather-pack into a pre-sized buffer with the simd::Op::kGatherPack
+// Kestrel Slipstream: the ghost exchange runs on persistent fabric
+// channels (Comm::open_exchange) opened lazily at the first spmv — sends
+// gather-pack into a pre-sized buffer with the simd::Op::kGatherPack
 // kernel and deliver with a single copy straight into this rank's ghost_
 // slice, and step 3 completes receives in arrival order (wait_any) instead
 // of plan order. Steady-state spmv performs zero heap allocations in the
-// fabric path. Set ParMatrixOptions::persistent_ghosts = false to use the
-// seed mailbox transport (one allocation + extra copy per message), kept
-// for differential tests and as the bench_comm baseline.
+// fabric path. The mailbox carries only the set-up plan messages.
 
 #include <map>
 #include <memory>
@@ -56,8 +54,9 @@ struct ParMatrixOptions {
   mat::TalonOptions talon;  ///< used when diag_format == kTalon
   Index block_size = 2;     ///< used when diag_format == kBcsr
   simd::IsaTier tier = simd::default_tier();
-  /// Ghost exchange transport: persistent zero-copy channels (default) or
-  /// the seed mailbox path (see the header comment).
+  /// Must be true: the persistent channels are the only ghost transport,
+  /// and the constructor rejects false. Kept only while
+  /// perfbench/src/wl_dist_cg.cpp assigns it.
   bool persistent_ghosts = true;
   /// Kestrel Flock: in-rank thread count for the diag/offdiag partitions.
   /// 0 (default) keeps the partitions planned at construction from
@@ -131,7 +130,6 @@ class ParMatrix {
   std::vector<SendPlan> sends_;
   std::vector<RecvPlan> recvs_;
 
-  bool persistent_ghosts_ = true;
   simd::GatherPackFn gather_fn_ = nullptr;  ///< resolved pack kernel
 
   // Kestrel Aegis ABFT state (empty unless ParMatrixOptions::abft).

@@ -8,8 +8,8 @@
 // 250 us-per-level halo term the multinode model (perf/spmv_model.cpp)
 // previously hardcoded (4 neighbor messages x 62.5 us); calibrated
 // constants come from measure_fabric() — a persistent-channel ping-pong
-// over a ladder of message sizes, least-squares fitted — which is exactly
-// what bench_comm runs and records in EXPERIMENTS.md.
+// over a ladder of message sizes, least-squares fitted — which
+// bench_fig10_multinode runs and EXPERIMENTS.md records.
 
 #include <vector>
 

@@ -221,7 +221,7 @@ MultinodeEstimate modeled_multinode(const MachineProfile& machine,
   // per-rank subdomain edge (2 dof x 8 B per boundary point), halving with
   // each coarser level; the alpha term is what stops strong scaling at
   // high node counts. Default constants reproduce the fixed 250 us/level
-  // this model carried before bench_comm calibration existed.
+  // this model carried before fabric calibration existed.
   const CommModel cm = comm != nullptr ? *comm : CommModel{};
   const double ranks = static_cast<double>(nodes) * machine.cores;
   const double edge_points =

@@ -100,8 +100,8 @@ struct MultinodeEstimate {
 /// multigrid level, message size tracking the per-rank subdomain edge and
 /// halving per level. The CommModel defaults reproduce the fixed
 /// 250 us-per-level latency term this model used before calibration
-/// existed; pass CommModel::measure_fabric() (what bench_comm records) or
-/// interconnect constants to re-anchor the curve.
+/// existed; pass CommModel::measure_fabric() (what bench_fig10_multinode
+/// does) or interconnect constants to re-anchor the curve.
 /// `flock` (optional) applies the intra-rank threading term to the MatMult
 /// share only — the non-SpMV work does not run on the pool.
 MultinodeEstimate modeled_multinode(const MachineProfile& machine,

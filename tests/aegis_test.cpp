@@ -1,7 +1,7 @@
 // Kestrel Aegis fault-tolerance suite: deterministic fault plans, the
-// transport's heal-or-fail guarantees under an 8-rank fault sweep (both
-// mailbox and persistent ghost paths), ABFT-checksummed SpMV detection and
-// recovery across formats, and the solver breakdown/rollback ladder
+// transport's heal-or-fail guarantees under an 8-rank fault sweep,
+// ABFT-checksummed SpMV detection and recovery across formats, and the
+// solver breakdown/rollback ladder
 // (KSP restart, SNES fresh-Jacobian retry, TS checkpoint rewind).
 
 #include <gtest/gtest.h>
@@ -319,13 +319,13 @@ TEST(Abft, VerifyEverySamplesAlternateMultiplies) {
 }
 
 // --------------------------------------------------------------------------
-// 8-rank fault sweep: every recoverable fault kind, both ghost transports,
-// must yield the bitwise-identical CG solve; kill must surface a structured
-// RankFailure on every rank.
+// 8-rank fault sweep: every recoverable fault kind must yield the
+// bitwise-identical CG solve; kill must surface a structured RankFailure on
+// every rank.
 // --------------------------------------------------------------------------
 
 std::vector<std::vector<Scalar>> fault_swept_cg(
-    const mat::Csr& a, const Vector& b, int nranks, bool persistent,
+    const mat::Csr& a, const Vector& b, int nranks,
     std::shared_ptr<const aegis::FaultPlan> plan) {
   auto layout =
       std::make_shared<par::Layout>(par::Layout::even(a.rows(), nranks));
@@ -335,7 +335,6 @@ std::vector<std::vector<Scalar>> fault_swept_cg(
       static_cast<std::size_t>(nranks));
   par::Fabric::run(nranks, fopts, [&](par::Comm& comm) {
     par::ParMatrixOptions popts;
-    popts.persistent_ghosts = persistent;
     popts.abft = true;  // exercise the distributed verify under faults too
     const par::ParMatrix pa =
         par::ParMatrix::from_global(a, layout, comm, popts);
@@ -355,17 +354,14 @@ std::vector<std::vector<Scalar>> fault_swept_cg(
   return solution;
 }
 
-class FaultSweep : public ::testing::TestWithParam<bool> {};
-
-TEST_P(FaultSweep, RecoverableFaultsYieldBitwiseIdenticalSolve) {
-  const bool persistent = GetParam();
+TEST(FaultSweep, RecoverableFaultsYieldBitwiseIdenticalSolve) {
   const int nranks = 8;
   // SPD operator (CG requires symmetry): 12x8 Dirichlet Laplacian, 96 rows.
   const mat::Csr a = app::laplacian_dirichlet(12, 8);
   Vector b(96);
   for (Index i = 0; i < 96; ++i) b[i] = std::sin(0.3 * (i + 1));
 
-  const auto baseline = fault_swept_cg(a, b, nranks, persistent, nullptr);
+  const auto baseline = fault_swept_cg(a, b, nranks, nullptr);
   const char* specs[] = {
       "seed=11,drop=0.3",   "seed=11,delay=0.3,delay_ms=1",
       "seed=11,dup=0.3",    "seed=11,reorder=0.3",
@@ -374,8 +370,8 @@ TEST_P(FaultSweep, RecoverableFaultsYieldBitwiseIdenticalSolve) {
   };
   for (const char* spec : specs) {
     aegis::stats().reset();
-    const auto faulted = fault_swept_cg(a, b, nranks, persistent,
-                                        aegis::FaultPlan::parse(spec));
+    const auto faulted =
+        fault_swept_cg(a, b, nranks, aegis::FaultPlan::parse(spec));
     EXPECT_GT(aegis::stats().faults_injected.load(), 0u) << spec;
     for (int r = 0; r < nranks; ++r) {
       const auto& want = baseline[static_cast<std::size_t>(r)];
@@ -389,8 +385,7 @@ TEST_P(FaultSweep, RecoverableFaultsYieldBitwiseIdenticalSolve) {
   }
 }
 
-TEST_P(FaultSweep, KillSurfacesRankFailureOnEveryRank) {
-  const bool persistent = GetParam();
+TEST(FaultSweep, KillSurfacesRankFailureOnEveryRank) {
   const int nranks = 8;
   const int victim = 2;
   const mat::Csr a = testing::banded(96, {-8, -1, 1, 8});
@@ -409,10 +404,8 @@ TEST_P(FaultSweep, KillSurfacesRankFailureOnEveryRank) {
       par::Fabric::run(nranks, fopts,
                        [&](par::Comm& comm) {
                          try {
-                           par::ParMatrixOptions popts;
-                           popts.persistent_ghosts = persistent;
-                           const par::ParMatrix pa = par::ParMatrix::from_global(
-                               a, layout, comm, popts);
+                           const par::ParMatrix pa =
+                               par::ParMatrix::from_global(a, layout, comm);
                            par::ParVector pb(layout, comm.rank());
                            pb.set_from_global(b);
                            Vector x(pa.local_rows());
@@ -435,12 +428,6 @@ TEST_P(FaultSweep, KillSurfacesRankFailureOnEveryRank) {
   }
   EXPECT_EQ(aegis::stats().rank_kills.load(), 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(MailboxAndPersistent, FaultSweep,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& mode) {
-                           return mode.param ? "persistent" : "mailbox";
-                         });
 
 // --------------------------------------------------------------------------
 // KSP breakdown zoo + recovery driver

@@ -350,11 +350,72 @@ TEST(Fabric, InvalidArgumentsRejected) {
       EXPECT_THROW(comm.isend(1, -3, {1.0}), Error);
       std::vector<Scalar> sink;
       EXPECT_THROW(comm.irecv(-1, 0, &sink), Error);
+      // Negative tags name the fabric's internal streams: a user receive on
+      // one would wait forever or steal a collective's message.
+      EXPECT_THROW(comm.recv(1, -1), Error);
+      EXPECT_THROW(comm.recv_indices(1, -4), Error);
       comm.isend(1, 0, {0.0});  // unblock peer
     } else {
       (void)comm.recv(0, 0);
     }
   });
+}
+
+TEST(Fabric, FaultedBurstOnOneStreamArrivesIntactAndInOrder) {
+  // Every message of a Scalar burst and an index burst on one (source, tag)
+  // stream is queued before the receiver takes any, so duplicate, reordered
+  // and corrupted envelopes of different sequence numbers wait side by side
+  // and the receiver must consume them in sequence order.
+  constexpr int kBurst = 16;
+  constexpr int kTag = 7;
+  const auto scalars = [](int k) {
+    return std::vector<Scalar>{Scalar(k), 0.5 + k, -1.0 * k, 1e3 + k};
+  };
+  const auto indices = [](int k) {
+    return std::vector<Index>{k, 2 * k + 1, 100 + k};
+  };
+  const struct {
+    const char* spec;
+    std::atomic<std::uint64_t> aegis::AegisStats::*counter;
+  } cases[] = {
+      {"seed=21,dup=0.3", &aegis::AegisStats::duplicates_dropped},
+      {"seed=21,reorder=0.3", &aegis::AegisStats::reorders_healed},
+      {"seed=21,drop=0.3", &aegis::AegisStats::retries},
+      {"seed=21,bitflip=0.3", &aegis::AegisStats::checksum_failures},
+      {"seed=21,delay=0.3,delay_ms=1", &aegis::AegisStats::delays},
+  };
+  for (const auto& c : cases) {
+    FabricOptions opts;
+    opts.faults = aegis::FaultPlan::parse(c.spec);
+    // A receiver that wrongly discards a message waits for it forever; the
+    // checker's hang bound turns that into a failure in every build.
+    opts.check = true;
+    opts.hang_timeout_s = 10.0;
+    aegis::stats().reset();
+    // Set outside the fabric, so no collective adds faults of its own.
+    std::atomic<bool> sent{false};
+    Fabric::run(2, opts, [&](Comm& comm) {
+      if (comm.rank() == 0) {
+        for (int k = 0; k < kBurst; ++k) comm.isend(1, kTag, scalars(k));
+        for (int k = 0; k < kBurst; ++k) {
+          comm.isend_indices(1, kTag, indices(k));
+        }
+        sent.store(true);
+        return;
+      }
+      while (!sent.load()) std::this_thread::yield();
+      for (int k = 0; k < kBurst; ++k) {
+        EXPECT_EQ(comm.recv(0, kTag), scalars(k)) << c.spec << " #" << k;
+      }
+      for (int k = 0; k < kBurst; ++k) {
+        EXPECT_EQ(comm.recv_indices(0, kTag), indices(k))
+            << c.spec << " #" << k;
+      }
+    });
+    EXPECT_GT(aegis::stats().faults_injected.load(), 0u) << c.spec;
+    EXPECT_GT((aegis::stats().*c.counter).load(), 0u) << c.spec;
+  }
+  aegis::stats().reset();
 }
 
 // --------------------------------------------------------------------------

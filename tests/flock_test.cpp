@@ -511,19 +511,18 @@ TEST(FlockDifferential, AbftMatrixOverThreadedFormatRecoversBitwise) {
 // 4. Distributed stress: ranks x threads (the TSan target) + fault sweep
 // --------------------------------------------------------------------------
 
-/// parmat_persistent_test's power-method history with a thread count knob:
-/// the gathered iterates compound any divergence, even one ulp.
+/// parmat_persistent_test's power-method history, ABFT-verified, with a
+/// thread count knob: the gathered iterates compound any divergence, even
+/// one ulp.
 std::vector<Vector> run_history_threaded(const mat::Csr& global, int nranks,
-                                         int iters, int threads,
-                                         bool persistent, bool abft) {
+                                         int iters, int threads) {
   std::vector<Vector> history(static_cast<std::size_t>(iters));
   auto layout =
       std::make_shared<par::Layout>(par::Layout::even(global.rows(), nranks));
   ThreadsGuard g(threads);
   par::Fabric::run(nranks, [&](par::Comm& comm) {
     par::ParMatrixOptions opts;
-    opts.persistent_ghosts = persistent;
-    opts.abft = abft;
+    opts.abft = true;
     opts.threads = threads;
     const par::ParMatrix a =
         par::ParMatrix::from_global(global, layout, comm, opts);
@@ -569,26 +568,17 @@ TEST(FlockStress, EightRanksFourThreadsHundredIterationsBitwise) {
   const mat::Csr global = testing::banded(96, {-12, -3, -1, 1, 3, 12});
   const int nranks = 8;
   const int iters = 100;
-  const auto serial =
-      run_history_threaded(global, nranks, iters, 1, true, true);
-  const auto threaded =
-      run_history_threaded(global, nranks, iters, 4, true, true);
+  const auto serial = run_history_threaded(global, nranks, iters, 1);
+  const auto threaded = run_history_threaded(global, nranks, iters, 4);
   expect_histories_bitwise_equal(serial, threaded, "persistent+abft");
-}
-
-TEST(FlockStress, MailboxTransportAlsoThreadInvariant) {
-  const mat::Csr global = testing::banded(96, {-12, -3, -1, 1, 3, 12});
-  const auto serial = run_history_threaded(global, 8, 25, 1, false, false);
-  const auto threaded = run_history_threaded(global, 8, 25, 3, false, false);
-  expect_histories_bitwise_equal(serial, threaded, "mailbox");
 }
 
 TEST(FlockStress, RanksTimesThreadsExceedingCoresStillBitwise) {
   // Deliberate oversubscription (8 ranks x 8 threads = 64 runnable
   // threads): scheduling jitter must not be observable in the results.
   const mat::Csr global = testing::banded(96, {-12, -3, -1, 1, 3, 12});
-  const auto serial = run_history_threaded(global, 8, 10, 1, true, true);
-  const auto threaded = run_history_threaded(global, 8, 10, 8, true, true);
+  const auto serial = run_history_threaded(global, 8, 10, 1);
+  const auto threaded = run_history_threaded(global, 8, 10, 8);
   expect_histories_bitwise_equal(serial, threaded, "oversubscribed");
 }
 
@@ -604,7 +594,6 @@ std::vector<std::vector<Scalar>> flock_cg(
   ThreadsGuard g(threads);
   par::Fabric::run(nranks, fopts, [&](par::Comm& comm) {
     par::ParMatrixOptions popts;
-    popts.persistent_ghosts = true;
     popts.abft = true;
     popts.threads = threads;
     const par::ParMatrix pa =

@@ -1,15 +1,17 @@
 // Kestrel Slipstream acceptance tests: the persistent-channel ghost
-// exchange must be bitwise indistinguishable from the seed mailbox
-// transport over a long evolving run, and its steady state must touch the
-// fabric without a single heap allocation.
+// exchange must match a serial oracle bit for bit over a long evolving run,
+// and its steady state must touch the fabric without a single heap
+// allocation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
 #include <vector>
 
+#include "base/error.hpp"
 #include "par/parmat.hpp"
 #include "test_matrices.hpp"
 
@@ -22,32 +24,43 @@ mat::Csr stress_matrix() {
   return testing::banded(96, {-12, -3, -1, 1, 3, 12});
 }
 
-/// Runs `iters` power-method-style iterations (y = A x; x = y / max|y|) on
-/// `nranks` ranks and returns every iteration's gathered y. The evolution
-/// is computed from the gathered vector, so any cross-transport divergence
-/// — even one ulp in one iteration — compounds and is caught.
-std::vector<Vector> run_history(const mat::Csr& global, int nranks,
-                                int iters, bool persistent) {
-  std::vector<Vector> history(static_cast<std::size_t>(iters));
-  auto layout =
-      std::make_shared<Layout>(Layout::even(global.rows(), nranks));
-  Fabric::run(nranks, [&](Comm& comm) {
+/// One power-method step as rank 0 saw it: the gathered x that went into
+/// the multiply and the gathered y that came out.
+struct Step {
+  Vector x;
+  Vector y;
+};
+
+/// Runs `iters` power-method-style iterations (y = A x; x = y / max|y|) at
+/// the scalar ISA tier over `layout` and returns every iteration's gathered
+/// x and y. The evolution is computed from the gathered vector, so a wrong
+/// ghost value in one iteration also changes every later one.
+std::vector<Step> run_history(const mat::Csr& global, LayoutPtr layout,
+                              int iters) {
+  std::vector<Step> history(static_cast<std::size_t>(iters));
+  const auto x0 = [](Index g) { return 1.0 + 1e-3 * static_cast<Scalar>(g); };
+  Fabric::run(layout->nranks(), [&](Comm& comm) {
     ParMatrixOptions opts;
-    opts.persistent_ghosts = persistent;
+    opts.tier = simd::IsaTier::kScalar;
     const ParMatrix a = ParMatrix::from_global(global, layout, comm, opts);
     ParVector x(layout, comm.rank()), y(layout, comm.rank());
     for (Index i = 0; i < x.local_size(); ++i) {
-      x.local()[i] = 1.0 + 1e-3 * static_cast<Scalar>(x.own_begin() + i);
+      x.local()[i] = x0(x.own_begin() + i);
     }
+    Vector x_full(global.rows());  // rank 0's copy of the whole x
+    for (Index g = 0; g < x_full.size(); ++g) x_full[g] = x0(g);
     for (int it = 0; it < iters; ++it) {
       a.spmv(x, y, comm);
       const Vector full = y.gather_all(comm);
-      if (comm.rank() == 0) {
-        history[static_cast<std::size_t>(it)] = full;
-      }
       Scalar norm = 0.0;  // same on every rank: computed from `full`
       for (Index i = 0; i < full.size(); ++i) {
         norm = std::max(norm, std::abs(full[i]));
+      }
+      if (comm.rank() == 0) {
+        Step& step = history[static_cast<std::size_t>(it)];
+        step.x = x_full;
+        step.y = full;
+        for (Index g = 0; g < full.size(); ++g) x_full[g] = full[g] / norm;
       }
       for (Index i = 0; i < x.local_size(); ++i) {
         x.local()[i] = full[x.own_begin() + i] / norm;
@@ -57,24 +70,58 @@ std::vector<Vector> run_history(const mat::Csr& global, int nranks,
   return history;
 }
 
-TEST(ParMatrixPersistent, BitwiseIdenticalToMailboxOver100Iterations) {
+/// The serial oracle, computed on one thread: each row sums its owned
+/// columns in column order, then its ghost columns in column order, and
+/// adds the ghost sum when the row has ghost columns. That is what the
+/// scalar CSR kernel (diagonal block) and kCsrSpmvAddRows (compressed
+/// off-diagonal block) compute on the owning rank.
+Vector serial_oracle(const mat::Csr& a, const Layout& layout,
+                     const Vector& x) {
+  Vector y(a.rows());
+  for (int r = 0; r < layout.nranks(); ++r) {
+    for (Index i = layout.begin(r); i < layout.end(r); ++i) {
+      const auto cols = a.row_cols(i);
+      const auto vals = a.row_vals(i);
+      Scalar owned = 0.0, ghost = 0.0;
+      bool has_ghost = false;
+      for (std::size_t k = 0; k < cols.size(); ++k) {
+        const Scalar term = vals[k] * x[cols[k]];
+        if (cols[k] >= layout.begin(r) && cols[k] < layout.end(r)) {
+          owned += term;
+        } else {
+          ghost += term;
+          has_ghost = true;
+        }
+      }
+      y[i] = has_ghost ? owned + ghost : owned;
+    }
+  }
+  return y;
+}
+
+TEST(ParMatrixPersistent, BitwiseIdenticalToSerialOracleOver100Iterations) {
   const mat::Csr global = stress_matrix();
-  const int nranks = 8;
   const int iters = 100;
-  const auto persistent = run_history(global, nranks, iters, true);
-  const auto mailbox = run_history(global, nranks, iters, false);
-  ASSERT_EQ(persistent.size(), mailbox.size());
-  for (std::size_t it = 0; it < persistent.size(); ++it) {
-    const Vector& p = persistent[it];
-    const Vector& m = mailbox[it];
-    ASSERT_EQ(p.size(), m.size()) << "iteration " << it;
-    // bitwise, not EXPECT_DOUBLE_EQ: the transports move identical packed
-    // bytes, so even the representation must match exactly
-    EXPECT_EQ(std::memcmp(p.data(), m.data(),
-                          static_cast<std::size_t>(p.size()) *
-                              sizeof(Scalar)),
-              0)
-        << "transports diverged at iteration " << it;
+  // 8 even blocks of 12 rows, and 3 uneven blocks of 40, 25 and 31 rows,
+  // where rank 0's first 28 rows have no ghost columns.
+  const LayoutPtr layouts[] = {
+      std::make_shared<Layout>(Layout::even(global.rows(), 8)),
+      std::make_shared<Layout>(Layout::from_sizes({40, 25, 31}))};
+  for (const auto& layout : layouts) {
+    const std::vector<Step> history = run_history(global, layout, iters);
+    for (std::size_t it = 0; it < history.size(); ++it) {
+      const Vector& got = history[it].y;
+      const Vector want = serial_oracle(global, *layout, history[it].x);
+      ASSERT_EQ(got.size(), want.size()) << "iteration " << it;
+      // bitwise, not EXPECT_DOUBLE_EQ: the oracle adds the same products
+      // in the same order, so even the representation must match
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            static_cast<std::size_t>(got.size()) *
+                                sizeof(Scalar)),
+                0)
+          << layout->nranks() << " ranks: diverged from the serial oracle "
+          << "at iteration " << it;
+    }
   }
 }
 
@@ -147,21 +194,19 @@ TEST(ParMatrixPersistent, CopiedMatrixReopensItsOwnChannels) {
   });
 }
 
-TEST(ParMatrixPersistent, MailboxOptOutStillWorks) {
+TEST(ParMatrixPersistent, PersistentGhostsFalseIsRejected) {
+  // The persistent channels are the only ghost transport; asking for the
+  // deleted mailbox transport fails at construction on every rank.
   const mat::Csr global = stress_matrix();
   auto layout = std::make_shared<Layout>(Layout::even(global.rows(), 3));
-  Fabric::run(3, [&](Comm& comm) {
-    ParMatrixOptions opts;
-    opts.persistent_ghosts = false;
-    const ParMatrix a = ParMatrix::from_global(global, layout, comm, opts);
-    ParVector x(layout, comm.rank()), y(layout, comm.rank());
-    for (Index i = 0; i < x.local_size(); ++i) x.local()[i] = 1.0;
-    a.spmv(x, y, comm);
-    const FabricStats& st = comm.stats();
-    // the seed transport really was used: mailbox messages, no channels
-    EXPECT_GT(st.mailbox_msgs, 0u);
-    EXPECT_EQ(st.channel_sends, 0u);
-  });
+  ParMatrixOptions opts;
+  opts.persistent_ghosts = false;
+  EXPECT_THROW(Fabric::run(3,
+                           [&](Comm& comm) {
+                             (void)ParMatrix::from_global(global, layout,
+                                                          comm, opts);
+                           }),
+               Error);
 }
 
 }  // namespace

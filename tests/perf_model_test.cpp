@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "base/error.hpp"
 #include "perf/bwmodel.hpp"
+#include "perf/commmodel.hpp"
 #include "perf/machine.hpp"
 #include "perf/roofline.hpp"
 #include "perf/spmv_model.hpp"
@@ -208,6 +212,39 @@ TEST(Multinode, StrongScalingWithNodes) {
                                       IsaTier::kScalar);
   EXPECT_LT(n512.total_seconds, n64.total_seconds);
   EXPECT_GT(n512.total_seconds, n64.total_seconds / 16.0);  // not perfect
+}
+
+TEST(CommModelFit, RecoversSyntheticAlphaBetaExactly) {
+  // Powers of two keep every sum, mean and product of the fit exact, so
+  // the recovered constants must equal the generating ones bit for bit.
+  const double alpha = 0x1p-20;  // ~0.95 us
+  const double beta = 0x1p-30;   // ~0.93 ns per byte
+  std::vector<CommSample> samples;
+  for (double bytes : {512.0, 1024.0, 1536.0, 2048.0, 2560.0}) {
+    samples.push_back({bytes, alpha + beta * bytes});
+  }
+  const CommModel m = CommModel::fit(samples);
+  EXPECT_EQ(m.alpha_s, alpha);
+  EXPECT_EQ(m.beta_s_per_byte, beta);
+}
+
+TEST(CommModelFit, NegativeInterceptClampsAlphaToZero) {
+  // The line through these points crosses zero time at 512 bytes.
+  const CommModel m = CommModel::fit({{1024.0, 1e-6}, {2048.0, 3e-6}});
+  EXPECT_EQ(m.alpha_s, 0.0);
+  EXPECT_DOUBLE_EQ(m.beta_s_per_byte, 2e-6 / 1024.0);
+}
+
+TEST(CommModelFit, NegativeSlopeClampsBetaAndUsesTheMean) {
+  const CommModel m =
+      CommModel::fit({{1024.0, 3e-6}, {2048.0, 2e-6}, {4096.0, 1e-6}});
+  EXPECT_EQ(m.beta_s_per_byte, 0.0);
+  EXPECT_DOUBLE_EQ(m.alpha_s, 2e-6);
+}
+
+TEST(CommModelFit, FewerThanTwoSamplesThrows) {
+  EXPECT_THROW(CommModel::fit({}), Error);
+  EXPECT_THROW(CommModel::fit({{1024.0, 1e-6}}), Error);
 }
 
 TEST(Roofline, CeilingsMatchFigure9) {

@@ -7,7 +7,6 @@ one module, by gate name:
     python3 tools/bench_gates.py trace  kestrel_trace.json kestrel_metrics.json
     python3 tools/bench_gates.py spmv    BENCH_spmv.json
     python3 tools/bench_gates.py hwc     BENCH_hwc.json
-    python3 tools/bench_gates.py comm    BENCH_comm.json
     python3 tools/bench_gates.py threads BENCH_threads.json
     python3 tools/bench_gates.py slim    BENCH_slim.json
     python3 tools/bench_gates.py serve   BENCH_serve.json
@@ -70,20 +69,6 @@ def gate_hwc(path: str) -> str:
     if hwc["available"]:
         return f"hwc ok: counters measured, source {hwc['source']}"
     return f"hwc skipped: no PMU access ({hwc['detail']}) — modeled bytes only"
-
-
-def gate_comm(path: str) -> str:
-    """bench_comm: persistent ghost exchange >= 1.3x the mailbox path with
-    zero steady-state allocations."""
-    m = load_metrics_doc(path)["metrics"]
-    check(m["comm_alpha_s"] > 0.0, "postal-model alpha not calibrated")
-    check(m["fabric/persistent_allocs_per_exchange"] == 0.0,
-          "persistent path allocated in steady state")
-    check(m["exchange_speedup"] >= 1.3,
-          f"persistent ghost exchange only {m['exchange_speedup']:.2f}x "
-          f"vs mailbox (gate: >= 1.3x)")
-    return (f"comm bench ok: {m['exchange_speedup']:.2f}x speedup, "
-            f"alpha={m['comm_alpha_s'] * 1e6:.2f}us, 0 steady-state allocs")
 
 
 def gate_threads(path: str) -> str:
@@ -150,7 +135,6 @@ GATES = {
     "trace": gate_trace,
     "spmv": gate_spmv,
     "hwc": gate_hwc,
-    "comm": gate_comm,
     "threads": gate_threads,
     "slim": gate_slim,
     "serve": gate_serve,
