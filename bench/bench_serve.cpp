@@ -1,13 +1,15 @@
 // Kestrel Bastion bench: open-loop load generation against the solve
-// service. Calibrates the service's capacity (workers / mean solve time),
+// service. Calibrates the service's capacity (workers / median solve time),
 // then offers 0.5x, 1x and 2x that rate with open-loop arrivals — requests
 // are submitted on schedule whether or not earlier ones finished, which is
 // what makes overload visible (a closed loop self-throttles and hides it).
 //
 // Reported per load point: offered and achieved requests/sec, accepted and
-// shed counts, shed rate, and the p50/p99 in-service latency (queue wait +
-// solve) of ACCEPTED requests. The --json export feeds scripts/check.sh,
-// which asserts the robustness invariants rather than raw speed:
+// shed counts, shed rate, the p50/p99 in-service latency (queue wait +
+// solve) of ACCEPTED requests, and their median solve time, which shows
+// whether the calibration matched the service under load. The --json
+// export feeds scripts/check.sh, which asserts the robustness invariants
+// rather than raw speed:
 //   * every over-capacity submission was shed with a structured
 //     RejectedError (serve/unstructured_errors == 0),
 //   * shed rate is monotonically non-decreasing in offered load,
@@ -58,6 +60,7 @@ struct LoadResult {
   double p50_s = 0.0;
   double p99_s = 0.0;
   double mean_wait_s = 0.0;
+  double solve_p50_s = 0.0;  ///< solve alone, beside the calibrated time
 };
 
 svc::SolveRequest make_request(const mat::Csr& csr) {
@@ -76,12 +79,15 @@ double percentile(std::vector<double> sorted_ascending, double p) {
   return sorted_ascending[idx];
 }
 
-/// Mean in-service seconds per request with the service idle (solo
-/// requests, no queueing): the capacity basis.
+/// Median in-service seconds per request with the service idle (solo
+/// requests, no queueing): the capacity basis. A warm-up solve is
+/// discarded, and the median of `reps` more keeps one slow solve from
+/// moving the capacity: a capacity set too low puts the 1x step under
+/// real capacity, where its shed rate can fall below the 0.5x step's.
 double calibrate_solve_s(svc::SolveService& service, const mat::Csr& csr,
                          int reps) {
-  double total = 0.0;
-  for (int i = 0; i < reps; ++i) {
+  std::vector<double> solve_s;
+  for (int i = 0; i <= reps; ++i) {
     const svc::SolveResponse resp =
         service.submit(make_request(csr)).wait();
     if (resp.status != svc::Status::kOk) {
@@ -89,9 +95,9 @@ double calibrate_solve_s(svc::SolveService& service, const mat::Csr& csr,
                    svc::status_name(resp.status), resp.error.c_str());
       std::exit(1);
     }
-    total += resp.solve_s;
+    if (i > 0) solve_s.push_back(resp.solve_s);
   }
-  return total / reps;
+  return percentile(std::move(solve_s), 0.50);
 }
 
 LoadResult run_load(svc::MatrixRegistry& registry, const mat::Csr& csr,
@@ -133,11 +139,14 @@ LoadResult run_load(svc::MatrixRegistry& registry, const mat::Csr& csr,
   }
 
   std::vector<double> latencies;
+  std::vector<double> solves;
   latencies.reserve(tickets.size());
+  solves.reserve(tickets.size());
   for (svc::SolveService::Ticket& t : tickets) {
     const svc::SolveResponse resp = t.wait();
     if (resp.status == svc::Status::kDeadlineExceeded) ++r.deadline_exceeded;
     latencies.push_back(resp.queue_wait_s + resp.solve_s);
+    solves.push_back(resp.solve_s);
     r.mean_wait_s += resp.queue_wait_s;
   }
   const double elapsed = std::chrono::duration<double>(
@@ -147,6 +156,7 @@ LoadResult run_load(svc::MatrixRegistry& registry, const mat::Csr& csr,
   r.achieved_rps = elapsed > 0.0 ? r.accepted / elapsed : 0.0;
   r.p50_s = percentile(latencies, 0.50);
   r.p99_s = percentile(latencies, 0.99);
+  r.solve_p50_s = percentile(std::move(solves), 0.50);
   if (!latencies.empty()) {
     r.mean_wait_s /= static_cast<double>(latencies.size());
   }
@@ -186,8 +196,7 @@ int main(int argc, char** argv) {
   // Capacity: the rate at which `workers` busy workers retire requests.
   const double solve_s = [&] {
     svc::SolveService calibration(registry, opts);
-    return calibrate_solve_s(calibration, csr,
-                             bench::scaled_reps(10, 3));
+    return calibrate_solve_s(calibration, csr, 21);
   }();
   const double capacity_rps = opts.workers / solve_s;
   std::printf("matrix: %d x %d, %lld nnz\n", csr.rows(), csr.cols(),
@@ -208,9 +217,9 @@ int main(int argc, char** argv) {
   log.set_metric("serve/queue_depth", opts.queue_depth);
   log.set_metric("serve/calibrated_solve_s", solve_s);
 
-  std::printf("%-6s %10s %10s %9s %6s %9s %9s %9s\n", "load",
+  std::printf("%-6s %10s %10s %9s %6s %9s %9s %9s %9s\n", "load",
               "offered/s", "achieved/s", "accepted", "shed", "shed-rate",
-              "p50[ms]", "p99[ms]");
+              "p50[ms]", "p99[ms]", "solve[ms]");
   double half_p99 = 0.0, two_p99 = 0.0;
   double prev_shed_rate = -1.0;
   bool monotonic = true;
@@ -225,9 +234,10 @@ int main(int argc, char** argv) {
                  duration_s, point_seed);
     const double shed_rate =
         r.submitted > 0 ? static_cast<double>(r.shed) / r.submitted : 0.0;
-    std::printf("%-6s %10.1f %10.1f %9d %6d %8.1f%% %9.2f %9.2f\n",
+    std::printf("%-6s %10.1f %10.1f %9d %6d %8.1f%% %9.2f %9.2f %9.2f\n",
                 pt.label, r.offered_rps, r.achieved_rps, r.accepted, r.shed,
-                shed_rate * 100.0, r.p50_s * 1e3, r.p99_s * 1e3);
+                shed_rate * 100.0, r.p50_s * 1e3, r.p99_s * 1e3,
+                r.solve_p50_s * 1e3);
     const std::string key = std::string("serve/") + pt.label + "/";
     log.set_metric(key + "offered_rps", r.offered_rps);
     log.set_metric(key + "achieved_rps", r.achieved_rps);
@@ -238,6 +248,7 @@ int main(int argc, char** argv) {
     log.set_metric(key + "p50_s", r.p50_s);
     log.set_metric(key + "p99_s", r.p99_s);
     log.set_metric(key + "mean_queue_wait_s", r.mean_wait_s);
+    log.set_metric(key + "solve_p50_s", r.solve_p50_s);
     log.set_metric(key + "deadline_exceeded", r.deadline_exceeded);
     unstructured += r.unstructured;
     if (shed_rate < prev_shed_rate) monotonic = false;

@@ -643,20 +643,21 @@ Fabric::~Fabric() = default;
 
 void Fabric::deliver(int dest, int source, int tag,
                      std::vector<Scalar> payload) {
-  deliver_impl(&Mailbox::queue, dest, source, tag, std::move(payload),
-               /*is_index=*/false);
+  deliver_impl(&Mailbox::queue, &Mailbox::seq_seen, dest, source, tag,
+               std::move(payload), /*is_index=*/false);
 }
 
 void Fabric::deliver(int dest, int source, int tag,
                      std::vector<Index> payload) {
-  deliver_impl(&Mailbox::iqueue, dest, source, tag, std::move(payload),
-               /*is_index=*/true);
+  deliver_impl(&Mailbox::iqueue, &Mailbox::iseq_seen, dest, source, tag,
+               std::move(payload), /*is_index=*/true);
 }
 
 template <class T>
 void Fabric::deliver_impl(
     std::map<std::pair<int, int>, std::deque<FabricEnvelope<T>>> Mailbox::*q,
-    int dest, int source, int tag, std::vector<T> payload, bool is_index) {
+    std::map<std::pair<int, int>, std::uint64_t> Mailbox::*seen, int dest,
+    int source, int tag, std::vector<T> payload, bool is_index) {
   // The payload vector was allocated (and filled by copy) by the sending
   // rank just before this call; count it against that rank.
   FabricStats& st = *stats_[static_cast<std::size_t>(source)];
@@ -668,10 +669,19 @@ void Fabric::deliver_impl(
   if (plan != nullptr) maybe_kill(source, "mailbox send");
   // Enqueues one envelope; a reordered envelope jumps the (source, tag)
   // queue (push_front), which the receiver heals by consuming in sequence
-  // order rather than arrival order.
+  // order rather than arrival order. A copy of a message the receiver has
+  // already accepted is dropped here: no later receive need come to
+  // discard it.
   const auto enqueue = [&](FabricEnvelope<T> env, bool front) {
     {
       std::lock_guard<std::mutex> lock(box.mu);
+      if (env.checked) {
+        const auto it = (box.*seen).find({source, tag});
+        if (it != (box.*seen).end() && env.seq <= it->second) {
+          aegis::stats().duplicates_dropped++;
+          return;
+        }
+      }
       auto& dq = (box.*q)[{source, tag}];
       if (front) {
         dq.push_front(std::move(env));
@@ -837,6 +847,10 @@ std::vector<T> Fabric::take_from(
     seen_seq = best->seq;
     std::vector<T> payload = std::move(best->payload);
     dq.erase(best);
+    // Copies of the accepted message still queued are duplicates too; a
+    // stream's last message may see no later receive to discard them.
+    ast.duplicates_dropped += std::erase_if(
+        dq, [&](const FabricEnvelope<T>& e) { return e.seq <= seen_seq; });
     return payload;
   }
 }

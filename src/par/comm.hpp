@@ -340,7 +340,8 @@ class Fabric {
   void deliver_impl(
       std::map<std::pair<int, int>, std::deque<FabricEnvelope<T>>>
           Mailbox::*q,
-      int dest, int source, int tag, std::vector<T> payload, bool is_index);
+      std::map<std::pair<int, int>, std::uint64_t> Mailbox::*seen, int dest,
+      int source, int tag, std::vector<T> payload, bool is_index);
   std::vector<Scalar> take(int self, int source, int tag);
   std::vector<Index> take_indices(int self, int source, int tag);
   template <class T>

@@ -5,6 +5,11 @@
 #include "base/error.hpp"
 
 namespace kestrel {
+namespace {
+
+constexpr int kDotLanes = 16;
+
+}  // namespace
 
 Vector::Vector(std::initializer_list<Scalar> init)
     : data_(init.size()) {
@@ -81,8 +86,21 @@ Scalar Vector::dot(const Vector& other) const {
   KESTREL_CHECK(other.size() == size(), "dot size mismatch");
   const Scalar* a = data();
   const Scalar* b = other.data();
-  Scalar sum = 0.0;
-  for (Index i = 0; i < size(); ++i) sum += a[i] * b[i];
+  const Index n = size();
+  const Index blocked = n - n % kDotLanes;
+  // The order documented in vector.hpp. Each lane is its own accumulator,
+  // so the compiler vectorizes the block loop without reassociating a sum.
+  // With no full block the lanes fold to +0.0 and the tail loop is the
+  // plain serial sum.
+  Scalar lane[kDotLanes] = {};
+  for (Index i = 0; i < blocked; i += kDotLanes) {
+    for (int j = 0; j < kDotLanes; ++j) lane[j] += a[i + j] * b[i + j];
+  }
+  for (int half = kDotLanes / 2; half > 0; half /= 2) {
+    for (int j = 0; j < half; ++j) lane[j] += lane[j + half];
+  }
+  Scalar sum = lane[0];
+  for (Index i = blocked; i < n; ++i) sum += a[i] * b[i];
   return sum;
 }
 
@@ -92,12 +110,6 @@ Scalar Vector::norm_inf() const {
   Scalar m = 0.0;
   for (Scalar v : *this) m = std::max(m, std::abs(v));
   return m;
-}
-
-Scalar Vector::sum() const {
-  Scalar s = 0.0;
-  for (Scalar v : *this) s += v;
-  return s;
 }
 
 }  // namespace kestrel

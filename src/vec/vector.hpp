@@ -1,8 +1,10 @@
 #pragma once
 // Dense vector with cache-line-aligned storage and the BLAS-1 operations
-// the Krylov solvers need. Loops are written as simple range code so the
-// compiler autovectorizes them (the paper's optimization effort is aimed at
-// SpMV; vector ops were already bandwidth-limited and trivially vectorized).
+// the Krylov solvers need. The elementwise loops are simple range code that
+// the compiler autovectorizes. A reduction does not autovectorize: that
+// would reassociate the sum, which the compiler does only under
+// -ffast-math. So dot() spells out one fixed summation order with
+// independent lanes the compiler can vectorize (see dot()).
 
 #include <cstddef>
 #include <initializer_list>
@@ -55,10 +57,20 @@ class Vector {
   /// this[i] *= x[i]
   void pointwise_mult(const Vector& x);
 
+  /// Sums the products a[i]*b[i] in one fixed order. Over the floor(n/16)
+  /// full blocks of 16, lane j (0-15) sums the products with i = j mod 16
+  /// in index order. A pairwise tree folds the lanes: lane j += lane j+8,
+  /// then j+4, j+2, j+1. The n mod 16 tail products are then added to lane
+  /// 0 in index order, so a vector shorter than 16 is summed serially. The
+  /// bits depend only on the two vectors, never on the -spmv_isa tier.
+  /// Every product passes through at most k roundings,
+  /// k = floor(n/16) + 4 + n mod 16 (k = n for n < 16), so
+  /// |dot - exact| <= gamma_k * sum|a[i]*b[i]|, gamma_k = k*u / (1 - k*u)
+  /// with u = 2^-53.
   Scalar dot(const Vector& other) const;
+  /// sqrt(dot(*this)), bit for bit.
   Scalar norm2() const;
   Scalar norm_inf() const;
-  Scalar sum() const;
 
   /// Convenience conversion for tests.
   std::vector<Scalar> to_std() const {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -414,6 +415,51 @@ TEST(Fabric, FaultedBurstOnOneStreamArrivesIntactAndInOrder) {
     });
     EXPECT_GT(aegis::stats().faults_injected.load(), 0u) << c.spec;
     EXPECT_GT((aegis::stats().*c.counter).load(), 0u) << c.spec;
+  }
+  aegis::stats().reset();
+}
+
+TEST(Fabric, EveryDuplicatedEnvelopeIsDroppedAndCounted) {
+  // Under dup=1.0 every mailbox message arrives twice with one sequence
+  // number. The copy of a stream's last message must be dropped and counted
+  // like the others, although no later receive on that stream comes to
+  // discard it. With the receiver waiting for the whole burst both copies
+  // are queued when it takes the first; without waiting, the second copy
+  // may arrive after the first was taken.
+  constexpr int kTag = 7;
+  for (const int per_stream : {1, 16}) {
+    for (const bool wait_for_burst : {true, false}) {
+      FabricOptions opts;
+      opts.faults = aegis::FaultPlan::parse("seed=1,dup=1.0");
+      opts.check = true;
+      opts.hang_timeout_s = 10.0;
+      aegis::stats().reset();
+      std::atomic<bool> sent{false};
+      Fabric::run(2, opts, [&](Comm& comm) {
+        if (comm.rank() == 0) {
+          for (int k = 0; k < per_stream; ++k) {
+            comm.isend(1, kTag, std::vector<Scalar>{Scalar(k)});
+            comm.isend_indices(1, kTag, std::vector<Index>{k});
+          }
+          sent.store(true);
+          return;
+        }
+        while (wait_for_burst && !sent.load()) std::this_thread::yield();
+        for (int k = 0; k < per_stream; ++k) {
+          EXPECT_EQ(comm.recv(0, kTag), std::vector<Scalar>{Scalar(k)});
+          EXPECT_EQ(comm.recv_indices(0, kTag), std::vector<Index>{k});
+        }
+      });
+      const std::string what = std::to_string(per_stream) +
+                               " per stream, wait_for_burst=" +
+                               std::to_string(wait_for_burst);
+      EXPECT_EQ(aegis::stats().faults_injected.load(),
+                static_cast<std::uint64_t>(2 * per_stream))
+          << what;
+      EXPECT_EQ(aegis::stats().duplicates_dropped.load(),
+                aegis::stats().faults_injected.load())
+          << what;
+    }
   }
   aegis::stats().reset();
 }
