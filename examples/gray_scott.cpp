@@ -29,9 +29,6 @@ using namespace kestrel;
 int main(int argc, char** argv) {
   Options& opts = Options::global();
   opts.parse(argc, argv);
-  for (const std::string& w : opts.unknown_option_warnings()) {
-    std::fprintf(stderr, "%s\n", w.c_str());
-  }
   const prof::LogConfig logcfg = prof::configure(opts);
   const Index n = opts.get_index("n", 128);
   const int steps = opts.get_index("steps", 5);
@@ -135,6 +132,11 @@ int main(int argc, char** argv) {
                        static_cast<double>(p.calls(ev)));
     }
     prof::export_all(logcfg, p);
+  }
+  // Every component has read its options by now: report the ones nobody
+  // read.
+  for (const std::string& w : opts.unknown_option_warnings()) {
+    std::fprintf(stderr, "%s\n", w.c_str());
   }
   return res.completed ? 0 : 1;
 }

@@ -36,9 +36,6 @@ using namespace kestrel;
 
 int main(int argc, char** argv) {
   Options::global().parse(argc, argv);
-  for (const std::string& w : Options::global().unknown_option_warnings()) {
-    std::fprintf(stderr, "%s\n", w.c_str());
-  }
   const prof::LogConfig logcfg = prof::configure(Options::global());
   if (logcfg.hwc) {
     std::printf("hwc: measured counters on (source %s)\n",
@@ -135,5 +132,10 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(st.recoveries.load()));
     }
   });
+  // Every component has read its options by now: report the ones nobody
+  // read.
+  for (const std::string& w : Options::global().unknown_option_warnings()) {
+    std::fprintf(stderr, "%s\n", w.c_str());
+  }
   return 0;
 }

@@ -196,8 +196,6 @@ void AegisStats::reset() {
   faults_injected.store(0);
   retries.store(0);
   checksum_failures.store(0);
-  duplicates_dropped.store(0);
-  reorders_healed.store(0);
   delays.store(0);
   rank_kills.store(0);
   abft_verifications.store(0);
@@ -222,8 +220,6 @@ void publish_metrics(prof::Profiler& prof) {
       {"aegis/faults_injected", st.faults_injected.load()},
       {"aegis/retries", st.retries.load()},
       {"aegis/checksum_failures", st.checksum_failures.load()},
-      {"aegis/duplicates_dropped", st.duplicates_dropped.load()},
-      {"aegis/reorders_healed", st.reorders_healed.load()},
       {"aegis/delays", st.delays.load()},
       {"aegis/rank_kills", st.rank_kills.load()},
       {"aegis/abft_verifications", st.abft_verifications.load()},

@@ -3,20 +3,22 @@
 //
 // A FaultPlan is a seed-driven, purely functional description of which
 // transport-level faults to inject where. The fabric consults it on every
-// mailbox delivery, persistent-channel send and collective entry; the
-// verdict for a given (src, dst, tag, seq) tuple depends only on the plan's
-// seed, so a failing run replays bit-for-bit from its logged spec string.
+// persistent-channel send and collective entry; the verdict for a given
+// (src, dst, tag, seq) tuple depends only on the plan's seed, so a failing
+// run replays bit-for-bit from its logged spec string. Both transports hold
+// one round per slot and their round counters already order and
+// deduplicate rounds, so drop, dup, reorder and bitflip all end in a
+// retransmission with backoff.
 //
 // Spec grammar (comma-separated clauses, e.g. "seed=42,drop=0.05,kill=3@20"):
 //   seed=N        hash seed (default 1)
 //   drop=P        drop a message with probability P (sender retries with
 //                 exponential backoff; recoverable)
 //   delay=P       delay a message with probability P (delay_ms each)
-//   dup=P         duplicate a message (receiver discards the stale copy)
-//   reorder=P     enqueue out of order (receiver re-sequences by seq number)
-//   bitflip=P     corrupt the payload in flight (receiver detects the
-//                 checksum mismatch, discards, and accepts the clean
-//                 retransmission)
+//   dup=P         duplicate a message (the stale copy is discarded)
+//   reorder=P     deliver a message out of order (re-sequenced)
+//   bitflip=P     corrupt the payload in flight (the checksum mismatch is
+//                 detected and the clean retransmission accepted)
 //   kill=R@M      rank R throws RankFailure at its M-th plan consultation
 //                 (models a rank dying mid-collective)
 //   delay_ms=X    delay duration in milliseconds (default 1)
@@ -69,8 +71,8 @@ class FaultPlan {
   /// Plan from $KESTREL_AEGIS, or nullptr when unset/empty.
   static std::shared_ptr<const FaultPlan> from_env();
 
-  /// Deterministic verdict for one message (mailbox or channel): depends
-  /// only on (seed, src, dst, tag, seq).
+  /// Deterministic verdict for one message (channel round or collective
+  /// arrival): depends only on (seed, src, dst, tag, seq).
   FaultVerdict message_fault(int src, int dst, int tag,
                              std::uint64_t seq) const;
 
@@ -116,8 +118,6 @@ struct AegisStats {
   std::atomic<std::uint64_t> faults_injected{0};
   std::atomic<std::uint64_t> retries{0};
   std::atomic<std::uint64_t> checksum_failures{0};
-  std::atomic<std::uint64_t> duplicates_dropped{0};
-  std::atomic<std::uint64_t> reorders_healed{0};
   std::atomic<std::uint64_t> delays{0};
   std::atomic<std::uint64_t> rank_kills{0};
   std::atomic<std::uint64_t> abft_verifications{0};

@@ -1,6 +1,5 @@
 #include "base/options.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 
@@ -41,17 +40,21 @@ void Options::parse(int argc, const char* const* argv) {
 
 void Options::set(const std::string& key, const std::string& value) {
   KESTREL_CHECK(!key.empty(), "empty option key");
-  kv_[key] = value;
+  kv_[key].value = value;
 }
 
 bool Options::has(const std::string& key) const {
-  return kv_.find(key) != kv_.end();
+  return raw(key).has_value();
 }
 
 std::optional<std::string> Options::raw(const std::string& key) const {
   auto it = kv_.find(key);
   if (it == kv_.end()) return std::nullopt;
-  return it->second;
+  // Load first: once set, the flag's cache line stays shared, not written.
+  if (!it->second.used.load(std::memory_order_relaxed)) {
+    it->second.used.store(true, std::memory_order_relaxed);
+  }
+  return it->second.value;
 }
 
 std::string Options::get_string(const std::string& key,
@@ -90,41 +93,13 @@ bool Options::get_bool(const std::string& key, bool fallback) const {
   throw OptionsError(key, *v, "a boolean", __FILE__, __LINE__);
 }
 
-std::vector<std::string> Options::unknown_keys(
-    const std::string& prefix, const std::vector<std::string>& known) const {
-  std::vector<std::string> out;
-  for (const auto& [k, _] : kv_) {
-    if (k.compare(0, prefix.size(), prefix) != 0) continue;
-    if (std::find(known.begin(), known.end(), k) == known.end()) {
-      out.push_back(k);
-    }
-  }
-  return out;
-}
-
 std::vector<std::string> Options::unknown_option_warnings() const {
-  // The prefixes components own, with every spelling they read. A typo like
-  // -ksp_rtoll silently falls back to the default; surfacing it as a warning
-  // is the difference between a misconfigured run and a debugging session.
-  static const struct {
-    const char* prefix;
-    std::vector<std::string> known;
-  } families[] = {
-      {"aegis_",
-       {"aegis_faults", "aegis_abft", "aegis_abft_tol",
-        "aegis_checkpoint_every", "aegis_max_rollbacks"}},
-      {"ksp_",
-       {"ksp_type", "ksp_rtol", "ksp_atol", "ksp_max_it",
-        "ksp_gmres_restart", "ksp_monitor", "ksp_breakdown_recovery",
-        "ksp_max_restarts"}},
-      {"mat_", {"mat_type", "mat_scalar"}},
-  };
   std::vector<std::string> out;
-  for (const auto& fam : families) {
-    for (const std::string& k : unknown_keys(fam.prefix, fam.known)) {
-      out.push_back("WARNING: unknown option -" + k +
-                    " (unrecognized " + fam.prefix + "* option; a typo?)");
-    }
+  for (const auto& [k, e] : kv_) {
+    if (e.used.load(std::memory_order_relaxed)) continue;
+    out.push_back("WARNING: option -" + k +
+                  " was set but never read (a typo, or an option this "
+                  "program does not use)");
   }
   return out;
 }

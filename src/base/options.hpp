@@ -5,6 +5,7 @@
 // the paper lists (e.g. -pc_type mg -pc_mg_levels 3 -mg_levels_pc_type
 // jacobi -mat_type sell -spmv_isa avx512).
 
+#include <atomic>
 #include <map>
 #include <optional>
 #include <string>
@@ -27,6 +28,7 @@ class Options {
   void set(const std::string& key, const std::string& value);
   void set_flag(const std::string& key) { set(key, ""); }
 
+  /// has() and the getters below mark the key they look up as used.
   bool has(const std::string& key) const;
 
   std::string get_string(const std::string& key,
@@ -38,12 +40,10 @@ class Options {
   Scalar get_scalar(const std::string& key, Scalar fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 
-  /// Keys starting with `prefix` that are not in `known` (typo detection).
-  std::vector<std::string> unknown_keys(
-      const std::string& prefix,
-      const std::vector<std::string>& known) const;
-  /// Warning lines for unknown -aegis_* / -ksp_* option names; empty when
-  /// every such option is recognized. Examples print these at startup.
+  /// PETSc's -options_left rule: one warning line per key that was set
+  /// but never looked up — a typo, or an option nothing reads any more.
+  /// Examples print these at exit, once every component has read its
+  /// options.
   std::vector<std::string> unknown_option_warnings() const;
 
   /// All keys in insertion-independent (sorted) order; for -help output.
@@ -53,8 +53,27 @@ class Options {
   static Options& global();
 
  private:
+  /// A value and whether a lookup has read it. The flag is a relaxed
+  /// atomic set at most once, so lookups stay lock-free when rank and pool
+  /// threads read the global database concurrently (`-threads` is read on
+  /// every ghost pack). Copying an Options copies the flags.
+  struct Entry {
+    std::string value;
+    mutable std::atomic<bool> used{false};
+    Entry() = default;
+    Entry(const Entry& other)
+        : value(other.value),
+          used(other.used.load(std::memory_order_relaxed)) {}
+    Entry& operator=(const Entry& other) {
+      value = other.value;
+      used.store(other.used.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+      return *this;
+    }
+  };
+
   std::optional<std::string> raw(const std::string& key) const;
-  std::map<std::string, std::string> kv_;
+  std::map<std::string, Entry> kv_;
 };
 
 }  // namespace kestrel

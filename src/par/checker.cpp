@@ -12,14 +12,6 @@ constexpr std::size_t kMaxTraceEvents = 512;
 
 const char* fabric_event_name(FabricEventKind kind) {
   switch (kind) {
-    case FabricEventKind::kIsend:
-      return "isend";
-    case FabricEventKind::kIrecvPost:
-      return "irecv";
-    case FabricEventKind::kWait:
-      return "wait";
-    case FabricEventKind::kRecv:
-      return "recv";
     case FabricEventKind::kBarrier:
       return "barrier";
     case FabricEventKind::kAllreduce:
@@ -70,10 +62,7 @@ std::string FabricChecker::trace_locked(std::size_t max_events) const {
       continue;
     }
     if (e.peer >= 0) {
-      os << ((e.kind == FabricEventKind::kIsend ||
-              e.kind == FabricEventKind::kChannelSend)
-                 ? " dest="
-                 : " source=")
+      os << (e.kind == FabricEventKind::kChannelSend ? " dest=" : " source=")
          << e.peer;
     }
     if (e.tag >= 0) os << " tag=" << e.tag;
@@ -89,46 +78,6 @@ std::string FabricChecker::trace(std::size_t max_events) const {
 void FabricChecker::fail(const std::string& msg) const {
   // mu_ is held by the caller; the throw unwinds through the lock_guard.
   KESTREL_FAIL("fabric checker: " + msg + "\n" + trace_locked(16));
-}
-
-void FabricChecker::on_isend(int rank, int dest, int tag) {
-  std::lock_guard<std::mutex> lock(mu_);
-  record(FabricEventKind::kIsend, rank, dest, tag);
-}
-
-std::uint64_t FabricChecker::on_irecv_post(int rank, int source, int tag) {
-  std::lock_guard<std::mutex> lock(mu_);
-  record(FabricEventKind::kIrecvPost, rank, source, tag);
-  const std::uint64_t id = next_request_id_++;
-  ranks_[static_cast<std::size_t>(rank)].pending.push_back(
-      PendingRecv{id, source, tag});
-  return id;
-}
-
-void FabricChecker::on_wait(int rank, std::uint64_t request_id, int source,
-                            int tag, bool request_done) {
-  std::lock_guard<std::mutex> lock(mu_);
-  record(FabricEventKind::kWait, rank, source, tag);
-  std::ostringstream ctx;
-  ctx << "(rank " << rank << ", source=" << source << ", tag=" << tag << ")";
-  if (request_done) {
-    fail("double wait on request " + ctx.str());
-  }
-  auto& pending = ranks_[static_cast<std::size_t>(rank)].pending;
-  for (auto it = pending.begin(); it != pending.end(); ++it) {
-    if (it->id == request_id) {
-      pending.erase(it);
-      return;
-    }
-  }
-  fail("wait on a request that was never posted by this rank, already "
-       "waited on, or waited on via a copy " +
-       ctx.str());
-}
-
-void FabricChecker::on_recv(int rank, int source, int tag) {
-  std::lock_guard<std::mutex> lock(mu_);
-  record(FabricEventKind::kRecv, rank, source, tag);
 }
 
 void FabricChecker::on_channel_open(int rank, int nsend, int nrecv) {
@@ -204,15 +153,6 @@ void FabricChecker::on_rank_exit(int rank) {
        << " armed persistent receive(s) never completed";
     fail(os.str());
   }
-  const auto& pending = rs.pending;
-  if (pending.empty()) return;
-  std::ostringstream os;
-  os << "rank " << rank << " exited Fabric::run with " << pending.size()
-     << " un-waited request(s):";
-  for (const PendingRecv& p : pending) {
-    os << " (source=" << p.source << ", tag=" << p.tag << ")";
-  }
-  fail(os.str());
 }
 
 }  // namespace kestrel::par

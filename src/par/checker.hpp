@@ -2,27 +2,26 @@
 // Fabric checker: a happens-before event recorder for the threads-as-ranks
 // fabric (Kestrel Sentry, part 2).
 //
-// Every public Comm operation (isend / irecv / wait / recv / barrier /
-// allreduce / allgatherv) reports an event here when checking is enabled
-// (debug builds, sanitizer presets, or KESTREL_FABRIC_CHECK=1). The checker
-// maintains per-rank program-order state and a bounded global event trace,
-// and fails loudly — with rank / op / source / tag context plus the recent
-// trace — on the contract violations that the mutex/condvar choreography in
-// comm.cpp cannot detect on its own:
+// Every collective (barrier / allreduce / allgatherv) and every
+// persistent-channel operation reports an event here when checking is
+// enabled (debug builds, sanitizer presets, or KESTREL_FABRIC_CHECK=1). The
+// checker maintains per-rank program-order state and a bounded global event
+// trace, and fails loudly — with rank / op / peer context plus the recent
+// trace — on the contract violations that the slot and channel protocols
+// in comm.cpp cannot detect on their own:
 //
 //   * mismatched collectives: rank A enters barrier while rank B enters
-//     allreduce at the same collective round (MPI would deadlock or corrupt;
-//     our tag-multiplexed implementation would silently mis-pair payloads);
-//   * double-wait: the same Request (or a copy of it) waited on twice;
-//   * un-waited requests: a rank returns from Fabric::run with posted
-//     receives it never waited on — a silently dropped message;
+//     allreduce at the same collective round, reported at the second
+//     rank's entry with the trace (the slot's own kind check, always on,
+//     catches it later, at rank 0);
 //   * persistent-channel misuse (Kestrel Slipstream): re-arming an exchange
 //     whose previous round was not fully drained, completing more receives
 //     than were armed, or exiting Fabric::run with an armed round still
 //     undrained — each of which would mean a ghost buffer read or written
 //     at the wrong time;
-//   * lost wakeups / deadlock: a rank blocked in a matching-receive past the
-//     hang timeout (see FabricOptions::hang_timeout_s in comm.hpp).
+//   * lost wakeups / deadlock: a rank blocked in a collective or a channel
+//     wait past the hang timeout (see FabricOptions::hang_timeout_s in
+//     comm.hpp).
 //
 // The checker is deliberately synchronous and mutex-protected: it is a
 // debugging instrument, not a hot path. Release builds without a sanitizer
@@ -37,11 +36,7 @@
 namespace kestrel::par {
 
 enum class FabricEventKind : int {
-  kIsend = 0,
-  kIrecvPost,
-  kWait,
-  kRecv,
-  kBarrier,
+  kBarrier = 0,
   kAllreduce,
   kAllgatherv,
   kChannelOpen,
@@ -53,11 +48,11 @@ enum class FabricEventKind : int {
 
 const char* fabric_event_name(FabricEventKind kind);
 
-/// One recorded fabric event. `peer` is the destination (isend) or source
-/// (irecv/wait/recv); -1 for collectives. `seq` is the per-rank program
-/// order, which is exactly the happens-before order within a rank.
+/// One recorded fabric event. `peer` is the destination (channel-send) or
+/// source (channel-complete); -1 for collectives. `seq` is the per-rank
+/// program order, which is exactly the happens-before order within a rank.
 struct FabricEvent {
-  FabricEventKind kind = FabricEventKind::kIsend;
+  FabricEventKind kind = FabricEventKind::kBarrier;
   int rank = -1;
   int peer = -1;
   int tag = -1;
@@ -70,15 +65,6 @@ class FabricChecker {
 
   FabricChecker(const FabricChecker&) = delete;
   FabricChecker& operator=(const FabricChecker&) = delete;
-
-  // ---- point-to-point --------------------------------------------------
-  void on_isend(int rank, int dest, int tag);
-  /// Returns the id stamped into the Request so wait() can be validated.
-  std::uint64_t on_irecv_post(int rank, int source, int tag);
-  /// `request_done` is the Request::done flag *before* this wait runs.
-  void on_wait(int rank, std::uint64_t request_id, int source, int tag,
-               bool request_done);
-  void on_recv(int rank, int source, int tag);
 
   // ---- persistent channels (Kestrel Slipstream) ------------------------
   /// One endpoint registered `nsend` send and `nrecv` receive channels.
@@ -98,22 +84,16 @@ class FabricChecker {
 
   // ---- lifecycle -------------------------------------------------------
   /// Called when a rank's function returns normally; fails if the rank
-  /// still has posted receives it never waited on.
+  /// still has armed persistent receives it never completed.
   void on_rank_exit(int rank);
 
   /// Human-readable tail of the event trace (most recent last).
   std::string trace(std::size_t max_events = 16) const;
 
  private:
-  struct PendingRecv {
-    std::uint64_t id = 0;
-    int source = -1;
-    int tag = -1;
-  };
   struct RankState {
     std::uint64_t next_seq = 0;
     std::uint64_t collective_round = 0;
-    std::vector<PendingRecv> pending;
     /// Armed persistent receives not yet completed by wait_any this round.
     std::uint64_t pending_completions = 0;
   };
@@ -129,7 +109,6 @@ class FabricChecker {
   std::vector<FabricEventKind> collective_kind_;
   std::vector<int> collective_first_rank_;
   std::deque<FabricEvent> events_;  ///< bounded global trace
-  std::uint64_t next_request_id_ = 1;
 };
 
 }  // namespace kestrel::par

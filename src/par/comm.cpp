@@ -16,13 +16,9 @@
 namespace kestrel::par {
 
 namespace {
-// Internal tags; user tags must be non-negative. allgatherv calls from the
-// same source reuse the gather tags, and per-(source, tag) FIFO ordering
-// keeps successive gathers correctly matched. kTagSlot names the collective
-// slot's messages to the fault plan only; nothing is queued under it.
+// Names the collective slot's messages to the fault plan; persistent
+// channels use their non-negative channel index.
 constexpr int kTagSlot = -1;
-constexpr int kTagGatherUp = -3;
-constexpr int kTagGatherDown = -4;
 
 Scalar reduce2(Scalar a, Scalar b, Comm::ReduceOp op) {
   switch (op) {
@@ -34,18 +30,6 @@ Scalar reduce2(Scalar a, Scalar b, Comm::ReduceOp op) {
       return std::min(a, b);
   }
   return a;
-}
-
-/// Describes a blocked matching-receive for hang reports, translating the
-/// internal gather tags back into the user-facing operation name. Always
-/// names the offending channel's (src, dst, tag) so a fault-injection test
-/// (or a user) can see exactly which link stalled.
-std::string take_context(int self, int source, int tag) {
-  std::ostringstream os;
-  os << (tag == kTagGatherUp || tag == kTagGatherDown ? "allgatherv"
-                                                      : "recv");
-  os << " (src=" << source << ", dst=" << self << ", tag=" << tag << ")";
-  return os.str();
 }
 
 /// Bounded cooperative spin before parking on a persistent channel or in a
@@ -163,116 +147,32 @@ FabricOptions::FabricOptions() {
 
 FabricChecker* Comm::checker() const { return fabric_->checker_.get(); }
 
-void Comm::isend(int dest, int tag, const std::vector<Scalar>& data) {
-  isend(dest, tag, data.data(), data.size());
-}
-
-void Comm::isend(int dest, int tag, const Scalar* data, std::size_t count) {
-  KESTREL_CHECK(dest >= 0 && dest < size_, "isend: bad destination rank");
-  KESTREL_CHECK(tag >= 0, "isend: user tags must be non-negative");
-  if (FabricChecker* chk = checker()) chk->on_isend(rank_, dest, tag);
-  // Send-side accounting only, so a message is never counted twice.
-  if (prof::enabled()) {
-    prof::current().message(1, count * sizeof(Scalar));
-  }
-  fabric_->deliver(dest, rank_, tag,
-                   std::vector<Scalar>(data, data + count));
-}
-
-void Comm::isend_indices(int dest, int tag, const std::vector<Index>& data) {
-  KESTREL_CHECK(dest >= 0 && dest < size_,
-                "isend_indices: bad destination rank");
-  KESTREL_CHECK(tag >= 0, "isend_indices: user tags must be non-negative");
-  if (FabricChecker* chk = checker()) chk->on_isend(rank_, dest, tag);
-  if (prof::enabled()) {
-    prof::current().message(1, data.size() * sizeof(Index));
-  }
-  fabric_->deliver(dest, rank_, tag, data);
-}
-
-Request Comm::irecv(int source, int tag, std::vector<Scalar>* sink) {
-  KESTREL_CHECK(source >= 0 && source < size_, "irecv: bad source rank");
-  KESTREL_CHECK(tag >= 0, "irecv: user tags must be non-negative");
-  KESTREL_CHECK(sink != nullptr, "irecv: null sink");
-  Request req{source, tag, sink, false, 0};
-  if (FabricChecker* chk = checker()) {
-    req.id = chk->on_irecv_post(rank_, source, tag);
-  }
-  return req;
-}
-
-void Comm::wait(Request& req) {
-  // The checker (when attached) reports double-wait and foreign requests
-  // with rank/source/tag context and a trace; the plain check below is the
-  // always-on release-mode backstop.
-  if (FabricChecker* chk = checker()) {
-    chk->on_wait(rank_, req.id, req.source, req.tag, req.done);
-  }
-  KESTREL_CHECK(req.sink != nullptr && !req.done,
-                "wait: invalid request (already waited on, or "
-                "default-constructed)");
-  *req.sink = fabric_->take(rank_, req.source, req.tag);
-  req.done = true;
-}
-
-std::vector<Scalar> Comm::recv(int source, int tag) {
-  KESTREL_CHECK(source >= 0 && source < size_, "recv: bad source rank");
-  KESTREL_CHECK(tag >= 0, "recv: user tags must be non-negative");
-  if (FabricChecker* chk = checker()) chk->on_recv(rank_, source, tag);
-  return fabric_->take(rank_, source, tag);
-}
-
-std::vector<Index> Comm::recv_indices(int source, int tag) {
-  KESTREL_CHECK(source >= 0 && source < size_,
-                "recv_indices: bad source rank");
-  KESTREL_CHECK(tag >= 0, "recv_indices: user tags must be non-negative");
-  if (FabricChecker* chk = checker()) chk->on_recv(rank_, source, tag);
-  return fabric_->take_indices(rank_, source, tag);
+void Comm::enter_collective(FabricEventKind kind) {
+  if (FabricChecker* chk = checker()) chk->on_collective(rank_, kind);
+  if (prof::enabled()) prof::current().reduction();
 }
 
 Scalar Comm::allreduce(Scalar value, ReduceOp op) {
-  if (FabricChecker* chk = checker()) {
-    chk->on_collective(rank_, FabricEventKind::kAllreduce);
-  }
-  // Counted at the public entry points only: the _impl bodies move their
-  // payloads through fabric_->deliver directly, so nothing double-counts.
-  if (prof::enabled()) prof::current().reduction();
-  return allreduce_impl(value, op);
+  enter_collective(FabricEventKind::kAllreduce);
+  return allreduce_impl(value, op, FabricEventKind::kAllreduce);
 }
 
-Scalar Comm::allreduce_impl(Scalar value, ReduceOp op) {
+Scalar Comm::allreduce_impl(Scalar value, ReduceOp op, FabricEventKind kind) {
   if (size_ == 1) return value;
   Fabric& f = *fabric_;
-  // A rank that unwound from an aborted collective must not write its line
-  // again: rank 0 may still be reading the old value.
-  if (f.aborted_.load(std::memory_order_relaxed)) f.abort_failure();
-  Fabric::SlotLine& mine = f.arrivals_[static_cast<std::size_t>(rank_)];
-  const std::uint64_t round = mine.round.load(std::memory_order_relaxed) + 1;
-  // Every rank's contribution counts as one message to rank 0.
-  f.maybe_kill(rank_, "collective");
-  f.inject_slot_fault(rank_, 0, kTagSlot, round, "collective slot");
-  mine.value = value;
-  mine.round.store(round, std::memory_order_seq_cst);
+  const std::uint64_t round = f.slot_arrive(rank_, kind, value, nullptr, 0);
   if (rank_ != 0) {
-    f.ring(0);
-    f.await_collective(rank_, round, [&] {
-      return f.result_.round.load(std::memory_order_seq_cst) >= round;
-    });
+    f.slot_await_result(rank_, round);
     return f.result_.value;
   }
   // Rank 0 folds in rank order, so a sum's bits do not depend on the order
   // in which the ranks arrive.
   Scalar acc = value;
   for (int r = 1; r < size_; ++r) {
-    const Fabric::SlotLine& line = f.arrivals_[static_cast<std::size_t>(r)];
-    f.await_collective(0, round, [&] {
-      return line.round.load(std::memory_order_seq_cst) >= round;
-    });
-    acc = reduce2(acc, line.value, op);
+    acc = reduce2(acc, f.slot_arrival(r, round).value, op);
   }
   f.result_.value = acc;
-  f.result_.round.store(round, std::memory_order_seq_cst);
-  for (int r = 1; r < size_; ++r) f.ring(r);
+  f.slot_publish(round);
   return acc;
 }
 
@@ -284,63 +184,54 @@ std::int64_t Comm::allreduce(std::int64_t value, ReduceOp op) {
 }
 
 std::vector<Scalar> Comm::allgatherv(const std::vector<Scalar>& local) {
-  if (FabricChecker* chk = checker()) {
-    chk->on_collective(rank_, FabricEventKind::kAllgatherv);
-  }
-  if (prof::enabled()) prof::current().reduction();
+  enter_collective(FabricEventKind::kAllgatherv);
   return allgatherv_impl(local);
-}
-
-std::vector<Scalar> Comm::allgatherv_impl(const std::vector<Scalar>& local) {
-  if (size_ == 1) return local;
-  if (rank_ == 0) {
-    std::vector<Scalar> all = local;
-    for (int r = 1; r < size_; ++r) {
-      std::vector<Scalar> part = fabric_->take(0, r, kTagGatherUp);
-      all.insert(all.end(), part.begin(), part.end());
-    }
-    for (int r = 1; r < size_; ++r) {
-      fabric_->deliver(r, 0, kTagGatherDown, all);
-    }
-    return all;
-  }
-  fabric_->deliver(0, rank_, kTagGatherUp, local);
-  return fabric_->take(rank_, 0, kTagGatherDown);
 }
 
 std::vector<Index> Comm::allgatherv(const std::vector<Index>& local) {
-  if (FabricChecker* chk = checker()) {
-    chk->on_collective(rank_, FabricEventKind::kAllgatherv);
-  }
-  if (prof::enabled()) prof::current().reduction();
+  enter_collective(FabricEventKind::kAllgatherv);
   return allgatherv_impl(local);
 }
 
-std::vector<Index> Comm::allgatherv_impl(const std::vector<Index>& local) {
-  // Typed end to end: indices never round-trip through Scalar, so values
-  // above 2^53 survive and the payload is half the bytes.
+template <class T>
+std::vector<T> Comm::allgatherv_impl(const std::vector<T>& local) {
   if (size_ == 1) return local;
+  Fabric& f = *fabric_;
+  FabricStats& st = *f.stats_[static_cast<std::size_t>(rank_)];
+  // The arrival line points at `local`, which stays alive until this rank
+  // has seen the result, so rank 0 copies straight from it.
+  const std::uint64_t round =
+      f.slot_arrive(rank_, FabricEventKind::kAllgatherv, Scalar{0},
+                    local.data(), local.size() * sizeof(T));
   if (rank_ == 0) {
-    std::vector<Index> all = local;
-    for (int r = 1; r < size_; ++r) {
-      std::vector<Index> part = fabric_->take_indices(0, r, kTagGatherUp);
-      all.insert(all.end(), part.begin(), part.end());
+    // Every rank's arrival at this round proves it has copied the previous
+    // result out of gather_, so only now may the buffer change.
+    std::size_t total = 0;
+    for (int r = 0; r < size_; ++r) total += f.slot_arrival(r, round).bytes;
+    f.gather_.resize(total);
+    std::size_t at = 0;
+    for (const Fabric::SlotLine& line : f.arrivals_) {
+      if (line.bytes > 0) {
+        std::memcpy(f.gather_.data() + at, line.data, line.bytes);
+      }
+      at += line.bytes;
     }
-    for (int r = 1; r < size_; ++r) {
-      fabric_->deliver(r, 0, kTagGatherDown, all);
-    }
-    return all;
+    st.payload_copies += static_cast<std::uint64_t>(size_);
+    f.result_.data = f.gather_.data();
+    f.result_.bytes = total;
+    f.slot_publish(round);
+  } else {
+    f.slot_await_result(rank_, round);
   }
-  fabric_->deliver(0, rank_, kTagGatherUp, local);
-  return fabric_->take_indices(rank_, 0, kTagGatherDown);
+  std::vector<T> all(f.result_.bytes / sizeof(T));
+  if (!all.empty()) std::memcpy(all.data(), f.result_.data, f.result_.bytes);
+  st.payload_copies++;
+  return all;
 }
 
 void Comm::barrier() {
-  if (FabricChecker* chk = checker()) {
-    chk->on_collective(rank_, FabricEventKind::kBarrier);
-  }
-  if (prof::enabled()) prof::current().reduction();
-  (void)allreduce_impl(Scalar{0}, ReduceOp::kSum);
+  enter_collective(FabricEventKind::kBarrier);
+  (void)allreduce_impl(Scalar{0}, ReduceOp::kSum, FabricEventKind::kBarrier);
 }
 
 const FabricStats& Comm::stats() const {
@@ -353,8 +244,6 @@ void Comm::publish_stats_metrics() {
     const char* name;
     std::uint64_t value;
   } counters[] = {
-      {"fabric/mailbox_msgs", st.mailbox_msgs},
-      {"fabric/mailbox_allocs", st.mailbox_allocs},
       {"fabric/payload_copies", st.payload_copies},
       {"fabric/channel_sends", st.channel_sends},
       {"fabric/send_parks", st.send_parks},
@@ -625,243 +514,15 @@ Fabric::Fabric(int nranks, const FabricOptions& opts)
       opts_(opts),
       arrivals_(static_cast<std::size_t>(nranks)) {
   if (opts_.check) checker_ = std::make_unique<FabricChecker>(nranks);
-  mailboxes_.reserve(static_cast<std::size_t>(nranks));
   doorbells_.reserve(static_cast<std::size_t>(nranks));
   stats_.reserve(static_cast<std::size_t>(nranks));
-  send_seq_.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
-    mailboxes_.push_back(std::make_unique<Mailbox>());
     doorbells_.push_back(std::make_unique<Doorbell>());
     stats_.push_back(std::make_unique<FabricStats>());
-    send_seq_.push_back(
-        std::make_unique<std::map<std::tuple<int, int, bool>,
-                                  std::uint64_t>>());
   }
 }
 
 Fabric::~Fabric() = default;
-
-void Fabric::deliver(int dest, int source, int tag,
-                     std::vector<Scalar> payload) {
-  deliver_impl(&Mailbox::queue, &Mailbox::seq_seen, dest, source, tag,
-               std::move(payload), /*is_index=*/false);
-}
-
-void Fabric::deliver(int dest, int source, int tag,
-                     std::vector<Index> payload) {
-  deliver_impl(&Mailbox::iqueue, &Mailbox::iseq_seen, dest, source, tag,
-               std::move(payload), /*is_index=*/true);
-}
-
-template <class T>
-void Fabric::deliver_impl(
-    std::map<std::pair<int, int>, std::deque<FabricEnvelope<T>>> Mailbox::*q,
-    std::map<std::pair<int, int>, std::uint64_t> Mailbox::*seen, int dest,
-    int source, int tag, std::vector<T> payload, bool is_index) {
-  // The payload vector was allocated (and filled by copy) by the sending
-  // rank just before this call; count it against that rank.
-  FabricStats& st = *stats_[static_cast<std::size_t>(source)];
-  st.mailbox_msgs++;
-  st.mailbox_allocs++;
-  st.payload_copies++;
-  Mailbox& box = *mailboxes_[static_cast<std::size_t>(dest)];
-  const aegis::FaultPlan* plan = opts_.faults.get();
-  if (plan != nullptr) maybe_kill(source, "mailbox send");
-  // Enqueues one envelope; a reordered envelope jumps the (source, tag)
-  // queue (push_front), which the receiver heals by consuming in sequence
-  // order rather than arrival order. A copy of a message the receiver has
-  // already accepted is dropped here: no later receive need come to
-  // discard it.
-  const auto enqueue = [&](FabricEnvelope<T> env, bool front) {
-    {
-      std::lock_guard<std::mutex> lock(box.mu);
-      if (env.checked) {
-        const auto it = (box.*seen).find({source, tag});
-        if (it != (box.*seen).end() && env.seq <= it->second) {
-          aegis::stats().duplicates_dropped++;
-          return;
-        }
-      }
-      auto& dq = (box.*q)[{source, tag}];
-      if (front) {
-        dq.push_front(std::move(env));
-      } else {
-        dq.push_back(std::move(env));
-      }
-    }
-    box.cv.notify_all();
-  };
-  if (plan == nullptr || !plan->corrupts_messages()) {
-    // Fault-free fast path (also kill-only plans): unchecked envelope, no
-    // sequence-number or checksum work.
-    FabricEnvelope<T> env;
-    env.payload = std::move(payload);
-    enqueue(std::move(env), /*front=*/false);
-    return;
-  }
-  auto& seq_map = *send_seq_[static_cast<std::size_t>(source)];
-  const std::uint64_t seq = ++seq_map[{dest, tag, is_index}];
-  const std::uint64_t sum = aegis::checksum_bytes(
-      payload.data(), payload.size() * sizeof(T));
-  aegis::AegisStats& ast = aegis::stats();
-  const aegis::FaultVerdict verdict =
-      plan->message_fault(source, dest, tag, seq);
-  bool reorder = false;
-  switch (verdict.kind) {
-    case aegis::FaultKind::kNone:
-    case aegis::FaultKind::kKillRank:
-      break;
-    case aegis::FaultKind::kDelay: {
-      ast.faults_injected++;
-      ast.delays++;
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          plan->delay_ms()));
-      break;
-    }
-    case aegis::FaultKind::kDuplicate: {
-      // Stale copy first; it carries the same sequence number, so the
-      // receiver consumes one copy and discards the other as a duplicate.
-      ast.faults_injected++;
-      FabricEnvelope<T> dup;
-      dup.seq = seq;
-      dup.sum = sum;
-      dup.checked = true;
-      dup.payload = payload;
-      enqueue(std::move(dup), /*front=*/false);
-      break;
-    }
-    case aegis::FaultKind::kReorder: {
-      ast.faults_injected++;
-      reorder = true;
-      break;
-    }
-    case aegis::FaultKind::kDrop:
-    case aegis::FaultKind::kBitFlip: {
-      // The link eats (or corrupts) the message for `repeat` consecutive
-      // attempts; the sender retransmits with exponential backoff until its
-      // retry budget runs out, at which point the link is declared dead and
-      // the failure unwinds the whole fabric as a structured error.
-      ast.faults_injected++;
-      for (int attempt = 0; attempt < verdict.repeat; ++attempt) {
-        if (attempt >= plan->max_retries()) {
-          throw RankFailure(
-              source,
-              std::string("unrecoverable ") +
-                  aegis::fault_kind_name(verdict.kind) + " fault: link to "
-                  "rank " + std::to_string(dest) + " (tag " +
-                  std::to_string(tag) + ", seq " + std::to_string(seq) +
-                  ") still faulty after " +
-                  std::to_string(plan->max_retries()) + " retries",
-              __FILE__, __LINE__);
-        }
-        if (verdict.kind == aegis::FaultKind::kBitFlip) {
-          // The corrupted attempt really reaches the receiver: same seq,
-          // checksum of the CLEAN payload, one bit flipped in flight. The
-          // receiver detects the mismatch and discards it.
-          FabricEnvelope<T> bad;
-          bad.seq = seq;
-          bad.sum = sum;
-          bad.checked = true;
-          bad.payload = payload;
-          if (!bad.payload.empty()) {
-            auto* bytes = reinterpret_cast<unsigned char*>(
-                bad.payload.data());
-            bytes[static_cast<std::size_t>(attempt) %
-                  (bad.payload.size() * sizeof(T))] ^= 0x40;
-          }
-          enqueue(std::move(bad), /*front=*/false);
-        }
-        ast.retries++;
-        aegis::backoff_sleep(attempt);
-      }
-      break;
-    }
-  }
-  FabricEnvelope<T> env;
-  env.seq = seq;
-  env.sum = sum;
-  env.checked = true;
-  env.payload = std::move(payload);
-  enqueue(std::move(env), reorder);
-}
-
-template <class T>
-std::vector<T> Fabric::take_from(
-    std::map<std::pair<int, int>, std::deque<FabricEnvelope<T>>> Mailbox::*q,
-    std::map<std::pair<int, int>, std::uint64_t> Mailbox::*seen,
-    int self, int source, int tag) {
-  const aegis::FaultPlan* plan = opts_.faults.get();
-  if (plan != nullptr) maybe_kill(self, "mailbox receive");
-  Mailbox& box = *mailboxes_[static_cast<std::size_t>(self)];
-  std::unique_lock<std::mutex> lock(box.mu);
-  const auto key = std::make_pair(source, tag);
-  // Duplicate and corrupted envelopes are consumed and discarded inside the
-  // loop, which can leave the queue empty again — hence wait-and-rescan
-  // until a genuinely new, intact envelope is accepted.
-  for (;;) {
-    const auto ready = [&] {
-      if (aborted_.load(std::memory_order_relaxed)) return true;
-      auto it = (box.*q).find(key);
-      return it != (box.*q).end() && !it->second.empty();
-    };
-    // Bounded while checking: a lost wakeup or a deadlocked peer would
-    // otherwise hang this rank forever. On timeout, abort the fabric (so
-    // peers unblock) and report who was stuck on what.
-    if (!wait_bounded(box.cv, lock, hang_timeout(), ready)) {
-      lock.unlock();
-      hang_failure(self, take_context(self, source, tag));
-    }
-    auto it = (box.*q).find(key);
-    if (it == (box.*q).end() || it->second.empty()) {
-      abort_failure();
-    }
-    auto& dq = it->second;
-    if (!dq.front().checked) {
-      // Fault-free fast path: strict FIFO, no bookkeeping.
-      std::vector<T> payload = std::move(dq.front().payload);
-      dq.pop_front();
-      return payload;
-    }
-    // Aegis path: consume in sequence order (heals reordering), discard
-    // duplicates (seq already seen) and corrupted payloads (checksum
-    // mismatch; the clean retransmission follows).
-    auto best = dq.begin();
-    for (auto e = std::next(dq.begin()); e != dq.end(); ++e) {
-      if (e->seq < best->seq) best = e;
-    }
-    aegis::AegisStats& ast = aegis::stats();
-    std::uint64_t& seen_seq = (box.*seen)[key];
-    if (best->seq <= seen_seq) {
-      dq.erase(best);
-      ast.duplicates_dropped++;
-      continue;
-    }
-    if (aegis::checksum_bytes(best->payload.data(),
-                              best->payload.size() * sizeof(T)) !=
-        best->sum) {
-      dq.erase(best);
-      ast.checksum_failures++;
-      continue;
-    }
-    if (best != dq.begin()) ast.reorders_healed++;
-    seen_seq = best->seq;
-    std::vector<T> payload = std::move(best->payload);
-    dq.erase(best);
-    // Copies of the accepted message still queued are duplicates too; a
-    // stream's last message may see no later receive to discard them.
-    ast.duplicates_dropped += std::erase_if(
-        dq, [&](const FabricEnvelope<T>& e) { return e.seq <= seen_seq; });
-    return payload;
-  }
-}
-
-std::vector<Scalar> Fabric::take(int self, int source, int tag) {
-  return take_from(&Mailbox::queue, &Mailbox::seq_seen, self, source, tag);
-}
-
-std::vector<Index> Fabric::take_indices(int self, int source, int tag) {
-  return take_from(&Mailbox::iqueue, &Mailbox::iseq_seen, self, source, tag);
-}
 
 void Fabric::ring(int rank) {
   Doorbell& bell = *doorbells_[static_cast<std::size_t>(rank)];
@@ -883,9 +544,56 @@ void Fabric::await_collective(int rank, std::uint64_t round,
   };
   if (!spin_before_park(done)) {
     stats_[static_cast<std::size_t>(rank)]->collective_parks++;
-    park(rank, done, [&] { return collective_context(round); });
+    park(rank, done, [&] { return collective_context(rank, round); });
   }
   if (!ready()) abort_failure();
+}
+
+std::uint64_t Fabric::slot_arrive(int rank, FabricEventKind kind,
+                                  Scalar value, const void* data,
+                                  std::size_t bytes) {
+  // A rank that unwound from an aborted collective must not write its line
+  // again: rank 0 may still be reading the old contribution.
+  if (aborted_.load(std::memory_order_relaxed)) abort_failure();
+  SlotLine& mine = arrivals_[static_cast<std::size_t>(rank)];
+  const std::uint64_t round = mine.round.load(std::memory_order_relaxed) + 1;
+  // Every rank's contribution counts as one message to rank 0.
+  maybe_kill(rank, "collective");
+  inject_slot_fault(rank, 0, kTagSlot, round, "collective slot");
+  mine.kind = kind;
+  mine.value = value;
+  mine.data = data;
+  mine.bytes = bytes;
+  mine.round.store(round, std::memory_order_seq_cst);
+  if (rank != 0) ring(0);
+  return round;
+}
+
+const Fabric::SlotLine& Fabric::slot_arrival(int r, std::uint64_t round) {
+  const SlotLine& line = arrivals_[static_cast<std::size_t>(r)];
+  await_collective(0, round, [&] {
+    return line.round.load(std::memory_order_seq_cst) >= round;
+  });
+  const FabricEventKind mine = arrivals_[0].kind;
+  if (line.kind != mine) {
+    std::ostringstream os;
+    os << "mismatched collectives in slot round " << round << ": rank 0 "
+       << "entered " << fabric_event_name(mine) << " while rank " << r
+       << " entered " << fabric_event_name(line.kind);
+    KESTREL_FAIL(os.str());
+  }
+  return line;
+}
+
+void Fabric::slot_publish(std::uint64_t round) {
+  result_.round.store(round, std::memory_order_seq_cst);
+  for (int r = 1; r < nranks_; ++r) ring(r);
+}
+
+void Fabric::slot_await_result(int rank, std::uint64_t round) {
+  await_collective(rank, round, [&] {
+    return result_.round.load(std::memory_order_seq_cst) >= round;
+  });
 }
 
 template <class Done, class Report>
@@ -905,9 +613,10 @@ void Fabric::park(int rank, const Done& done, const Report& report) {
   bell.parked.fetch_sub(1, std::memory_order_seq_cst);
 }
 
-std::string Fabric::collective_context(std::uint64_t round) const {
+std::string Fabric::collective_context(int rank, std::uint64_t round) const {
   std::ostringstream os;
-  os << "allreduce/barrier round " << round << " (not arrived:";
+  os << fabric_event_name(arrivals_[static_cast<std::size_t>(rank)].kind)
+     << " round " << round << " (not arrived:";
   bool any = false;
   for (int r = 0; r < nranks_; ++r) {
     if (arrivals_[static_cast<std::size_t>(r)].round.load(
@@ -1027,10 +736,6 @@ void Fabric::hang_failure(int rank, const std::string& what) {
 
 void Fabric::abort_all() {
   aborted_.store(true, std::memory_order_relaxed);
-  for (auto& box : mailboxes_) {
-    std::lock_guard<std::mutex> lock(box->mu);
-    box->cv.notify_all();
-  }
   for (auto& bell : doorbells_) {
     { std::lock_guard<std::mutex> lock(bell->mu); }
     bell->cv.notify_all();
@@ -1064,8 +769,6 @@ void Fabric::run(int nranks, const FabricOptions& opts,
     prof::AttachGuard guard(&rank_prof);
     Comm comm(&fabric, 0, 1);
     fn(comm);
-    // Un-waited requests are a bug even on one rank: the message (from a
-    // self-send) would be silently dropped.
     if (fabric.checker_) fabric.checker_->on_rank_exit(0);
     return;
   }
@@ -1080,7 +783,7 @@ void Fabric::run(int nranks, const FabricOptions& opts,
         Comm comm(&fabric, r, nranks);
         fn(comm);
         // Only on a normal return, and only while no other rank has failed:
-        // after a failure, dangling requests on surviving ranks are
+        // after a failure, undrained receives on surviving ranks are
         // expected, not a bug. A rank that a peer names as failed (it left
         // an exchange mid-round) is checked, so its report is not lost.
         const int failed = fabric.first_failed_rank_.load();

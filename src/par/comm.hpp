@@ -3,49 +3,45 @@
 //
 // The paper's parallel SpMV runs on MPI; Kestrel runs in one process
 // without MPI, so it provides an MPI-shaped substrate whose ranks are
-// std::threads and whose point-to-point messages travel through in-memory
-// mailboxes. The subset implemented (nonblocking send/recv + wait,
-// allreduce, barrier, gather) is exactly what the overlapped SpMV of paper
-// section 2.2 and the Krylov solvers need. Semantics follow MPI: sends are
-// eager and nonblocking, receives match on (source, tag) in posting order.
-// Inside the library the mailboxes carry only ParMatrix's set-up plan
-// messages and allgatherv; every SpMV ghost exchange runs on the
-// persistent channels described below.
+// std::threads. It has exactly what the overlapped SpMV of paper section
+// 2.2 and the Krylov solvers need, on one kind of transport: single-slot
+// rounds, where each rank owns the line it writes and a round counter
+// orders and deduplicates what travels through it.
 //
-// allreduce and barrier do not use the mailboxes. They run on a combining
-// slot the Fabric owns: one cache line per rank holds its latest arrival,
-// one more holds rank 0's result, and rank 0 folds the arrivals in rank
-// order, so a sum has the same bits whatever order the ranks arrive in. A
-// collective allocates nothing and, when nobody has to park, costs each
-// rank a few atomic loads and stores. allgatherv stays on the mailboxes:
-// only set-up and result gathering use it.
+// Kestrel Slipstream's persistent channels carry every SpMV ghost
+// exchange. They are modeled on MPI_Send_init/MPI_Recv_init +
+// MPI_Start/MPI_Waitany: both endpoints of a fixed ghost-exchange pattern
+// register once (Comm::open_exchange), the receiver pins an in-place
+// destination slice per peer, and steady-state traffic is one memcpy from
+// the sender's pack buffer straight into that slice — no heap allocation,
+// no intermediate payload vector. Synchronization is lock-light: a seq_cst
+// armed/delivered counter pair per channel carries the fast path; mutexes
+// and condition variables are touched only to park when a rank genuinely
+// has to wait.
 //
-// Kestrel Slipstream's persistent channels are modeled on
-// MPI_Send_init/MPI_Recv_init + MPI_Start/MPI_Waitany: both endpoints of a
-// fixed ghost-exchange pattern register once (Comm::open_exchange), the
-// receiver pins an in-place destination slice per peer, and steady-state
-// traffic is one memcpy from the sender's pack buffer straight into that
-// slice — no heap allocation, no mailbox map, no intermediate payload
-// vector. Synchronization is lock-light: a seq_cst armed/delivered counter
-// pair per channel carries the fast path; mutexes and condition variables
-// are touched only to park when a rank genuinely has to wait.
+// allreduce, barrier and allgatherv run on a combining slot the Fabric
+// owns: one cache line per rank holds its latest arrival (its collective
+// kind and its contribution), one more holds rank 0's result. Rank 0 folds
+// or concatenates the arrivals in rank order, so a sum has the same bits
+// whatever order the ranks arrive in, and it fails the collective when
+// two ranks entered different kinds. An allreduce or barrier allocates
+// nothing. ParMatrix's one-time set-up plan travels through one
+// allgatherv, as PETSc builds its scatter plans with a set-up collective.
 //
 // Correctness instrumentation (Kestrel Sentry): debug builds, sanitizer
 // presets and KESTREL_FABRIC_CHECK=1 attach a FabricChecker (par/checker.hpp)
 // that records a happens-before event trace and fails loudly on mismatched
-// collectives, double-wait, un-waited requests, undrained persistent
-// channels and fabric hangs.
+// collectives, persistent-channel misuse and fabric hangs.
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "base/types.hpp"
@@ -58,34 +54,25 @@ namespace kestrel::par {
 
 class Fabric;
 class FabricChecker;
+enum class FabricEventKind : int;
 struct GhostChannel;
-
-/// Handle for a pending nonblocking receive. Waiting on the same request
-/// twice (directly or via a copy) is a contract violation: it throws
-/// unconditionally, and with the fabric checker enabled it is reported with
-/// rank/source/tag context and the recent event trace.
-struct Request {
-  int source = -1;
-  int tag = -1;
-  std::vector<Scalar>* sink = nullptr;
-  bool done = false;
-  /// Checker-issued id (0 when checking is disabled). Used to detect
-  /// double-wait through copies and requests dropped without a wait.
-  std::uint64_t id = 0;
-};
 
 /// Per-rank fabric counters (Kestrel Slipstream observability). Each rank
 /// thread is the only writer of its own cell, so the fields are plain
 /// integers; read them through Comm::stats() on the owning rank.
 struct FabricStats {
-  std::uint64_t mailbox_msgs = 0;     ///< messages sent through the mailbox
-  std::uint64_t mailbox_allocs = 0;   ///< payload vectors allocated (mailbox)
-  std::uint64_t payload_copies = 0;   ///< payload copies, all paths
+  /// Nothing writes these; kept while perfbench/src/wl_dist_cg.cpp reads
+  /// them.
+  std::uint64_t mailbox_msgs = 0;
+  std::uint64_t mailbox_allocs = 0;
+  /// Payload copies, all paths: one per channel send; per allgatherv, one
+  /// per contribution rank 0 concatenates and one per rank copying out.
+  std::uint64_t payload_copies = 0;
   std::uint64_t channel_sends = 0;    ///< persistent-channel deliveries
   std::uint64_t send_parks = 0;       ///< sender blocked awaiting a re-arm
   std::uint64_t wait_any_calls = 0;   ///< PersistentExchange::wait_any calls
   std::uint64_t wait_any_wakeups = 0; ///< doorbell parks/wakeups in wait_any
-  std::uint64_t collective_parks = 0; ///< parks in allreduce/barrier
+  std::uint64_t collective_parks = 0; ///< parks in slot collectives
 };
 
 /// One sender-side persistent channel: `count` scalars per round to `peer`.
@@ -177,34 +164,13 @@ class Comm {
   int rank() const { return rank_; }
   int size() const { return size_; }
 
-  /// Eager nonblocking send: data is copied into the destination mailbox
-  /// and the call returns immediately.
-  void isend(int dest, int tag, const std::vector<Scalar>& data);
-  void isend(int dest, int tag, const Scalar* data, std::size_t count);
-  /// Typed index message: global indices travel as Index, not round-tripped
-  /// through Scalar (which silently loses precision for indices >= 2^53 and
-  /// doubles the bandwidth). Index and Scalar payloads queue separately, so
-  /// a tag may carry only one payload type at a time. Named (rather than an
-  /// isend overload) so brace-initialized payloads stay unambiguous.
-  void isend_indices(int dest, int tag, const std::vector<Index>& data);
-
-  /// Posts a receive; wait() blocks until a message from (source, tag)
-  /// arrives and fills *sink. Every posted request must be waited on
-  /// exactly once before the rank function returns.
-  Request irecv(int source, int tag, std::vector<Scalar>* sink);
-  void wait(Request& req);
-
-  /// Blocking receive convenience.
-  std::vector<Scalar> recv(int source, int tag);
-  /// Blocking receive of a typed index message (see isend overload above).
-  std::vector<Index> recv_indices(int source, int tag);
-
   enum class ReduceOp { kSum, kMax, kMin };
   Scalar allreduce(Scalar value, ReduceOp op = ReduceOp::kSum);
   std::int64_t allreduce(std::int64_t value, ReduceOp op = ReduceOp::kSum);
 
   /// Every rank contributes a vector; every rank receives the
-  /// rank-concatenated result.
+  /// rank-concatenated result. The Index overload carries indices as
+  /// themselves, never round-tripped through Scalar.
   std::vector<Scalar> allgatherv(const std::vector<Scalar>& local);
   std::vector<Index> allgatherv(const std::vector<Index>& local);
 
@@ -229,14 +195,15 @@ class Comm {
   friend class PersistentExchange;
   Comm(Fabric* fabric, int rank, int size)
       : fabric_(fabric), rank_(rank), size_(size) {}
-  /// Collective bodies without checker events; the public entry points
-  /// record exactly one event each so the checker sees the user's program
-  /// order, not the implementation's message pattern. allreduce_impl is
-  /// the combining slot (see Fabric::SlotLine); barrier is an allreduce
-  /// whose result nobody reads.
-  Scalar allreduce_impl(Scalar value, ReduceOp op);
-  std::vector<Scalar> allgatherv_impl(const std::vector<Scalar>& local);
-  std::vector<Index> allgatherv_impl(const std::vector<Index>& local);
+  /// Slot bodies (see Fabric::SlotLine). barrier is an allreduce of kind
+  /// kBarrier whose result nobody reads; both allgatherv overloads share
+  /// one template body.
+  Scalar allreduce_impl(Scalar value, ReduceOp op, FabricEventKind kind);
+  template <class T>
+  std::vector<T> allgatherv_impl(const std::vector<T>& local);
+  /// Records the checker event and the profiler reduction of one public
+  /// collective entry.
+  void enter_collective(FabricEventKind kind);
   FabricChecker* checker() const;
 
   Fabric* fabric_;
@@ -261,20 +228,8 @@ struct FabricOptions {
   std::shared_ptr<const aegis::FaultPlan> faults;
 };
 
-/// One mailbox message (Kestrel Aegis envelope): the payload plus the
-/// per-(source, tag) sequence number and payload checksum that let the
-/// receiver discard duplicates/corruption and re-sequence reordered
-/// deliveries. seq stays 0 (and checks are skipped) when no fault plan is
-/// attached, so the fault-free fast path pays nothing.
-template <class T>
-struct FabricEnvelope {
-  std::uint64_t seq = 0;
-  std::uint64_t sum = 0;    ///< FNV-1a of payload bytes; valid iff checked
-  bool checked = false;
-  std::vector<T> payload;
-};
-
-/// Owns the mailboxes, persistent channels and threads. Usage:
+/// Owns the persistent channels, the collective slot and the threads.
+/// Usage:
 ///   Fabric::run(4, [](Comm& comm) { ... });
 class Fabric {
  public:
@@ -290,19 +245,6 @@ class Fabric {
   Fabric(int nranks, const FabricOptions& opts);
   ~Fabric();
 
-  struct Mailbox {
-    std::mutex mu;
-    std::condition_variable cv;
-    // (source, tag) -> FIFO of message envelopes, one queue per payload type
-    std::map<std::pair<int, int>, std::deque<FabricEnvelope<Scalar>>> queue;
-    std::map<std::pair<int, int>, std::deque<FabricEnvelope<Index>>> iqueue;
-    // Highest sequence number consumed per (source, tag) stream; entries at
-    // or below it are duplicates. Guarded by mu. Only populated when a
-    // fault plan is active.
-    std::map<std::pair<int, int>, std::uint64_t> seq_seen;
-    std::map<std::pair<int, int>, std::uint64_t> iseq_seen;
-  };
-
   /// Per-rank doorbell. A rank parks on its own doorbell when it waits in
   /// PersistentExchange::wait_any or in a collective; whoever publishes
   /// what it waits for (a channel delivery, an arrival, a result) rings it,
@@ -313,17 +255,23 @@ class Fabric {
     std::atomic<int> parked{0};
   };
 
-  /// One cache line of the collective slot: a round number and the value
+  /// One cache line of the collective slot: a round number and what was
   /// published with it. Rank r's arrival line holds the number of
-  /// collectives r has entered and its latest contribution; the result
-  /// line holds the number of collectives rank 0 has combined and the
-  /// latest result. One line per rank suffices: a rank cannot arrive at
-  /// round g+1 before it has read round g's result, and rank 0 cannot
-  /// publish g+1 before every rank has arrived at g+1.
+  /// collectives r has entered, the kind of the latest and r's
+  /// contribution to it; the result line holds the number of collectives
+  /// rank 0 has combined and the latest result. One line per rank
+  /// suffices: a rank cannot arrive at round g+1 before it has read round
+  /// g's result, and rank 0 cannot publish g+1 before every rank has
+  /// arrived at g+1. The same argument lets rank 0 reuse gather_: every
+  /// rank's arrival at g+1 proves it has copied g's result out.
   struct alignas(64) SlotLine {
     std::atomic<std::uint64_t> round{0};
-    Scalar value = 0.0;
+    Scalar value = 0.0;           ///< allreduce contribution or result
+    const void* data = nullptr;   ///< allgatherv contribution or result
+    std::size_t bytes = 0;        ///< its length in bytes
+    FabricEventKind kind{};       ///< arrival lines: the collective entered
   };
+  static_assert(sizeof(SlotLine) == 64, "one cache line per slot line");
 
   /// Persistent channels between one ordered (src, dst) pair, in the order
   /// they were opened. Each side claims slots independently; the slot is
@@ -334,22 +282,6 @@ class Fabric {
     std::size_t opened_by_receiver = 0;
   };
 
-  void deliver(int dest, int source, int tag, std::vector<Scalar> payload);
-  void deliver(int dest, int source, int tag, std::vector<Index> payload);
-  template <class T>
-  void deliver_impl(
-      std::map<std::pair<int, int>, std::deque<FabricEnvelope<T>>>
-          Mailbox::*q,
-      std::map<std::pair<int, int>, std::uint64_t> Mailbox::*seen, int dest,
-      int source, int tag, std::vector<T> payload, bool is_index);
-  std::vector<Scalar> take(int self, int source, int tag);
-  std::vector<Index> take_indices(int self, int source, int tag);
-  template <class T>
-  std::vector<T> take_from(
-      std::map<std::pair<int, int>, std::deque<FabricEnvelope<T>>>
-          Mailbox::*q,
-      std::map<std::pair<int, int>, std::uint64_t> Mailbox::*seen,
-      int self, int source, int tag);
   /// Claims the next channel slot for (src -> dst) on the given side,
   /// creating the channel if this endpoint registers first.
   GhostChannel* open_channel_endpoint(int src, int dst, bool sender_side);
@@ -366,9 +298,23 @@ class Fabric {
   /// when the checker's hang timeout expires.
   template <class Ready>
   void await_collective(int rank, std::uint64_t round, const Ready& ready);
-  /// Hang-report text for a collective: the round and the ranks that have
-  /// not arrived at it.
-  std::string collective_context(std::uint64_t round) const;
+  /// Enters `rank`'s next slot round as a collective of `kind` with the
+  /// given contribution, and returns the round. Consults the fault plan
+  /// first (maybe_kill, then inject_slot_fault), as one message to rank 0.
+  std::uint64_t slot_arrive(int rank, FabricEventKind kind, Scalar value,
+                            const void* data, std::size_t bytes);
+  /// Rank 0: blocks until rank r has arrived at `round` and returns its
+  /// line. Throws, in every build, when r entered another kind of
+  /// collective than rank 0 did: the slot is shared, so a mismatch would
+  /// otherwise mis-pair contributions in silence.
+  const SlotLine& slot_arrival(int r, std::uint64_t round);
+  /// Rank 0: publishes `round`'s result line and rings every other rank.
+  void slot_publish(std::uint64_t round);
+  /// Non-root ranks: blocks until rank 0 has published `round`.
+  void slot_await_result(int rank, std::uint64_t round);
+  /// Hang-report text for `rank`'s collective: the operation, the round
+  /// and the ranks that have not arrived at it.
+  std::string collective_context(int rank, std::uint64_t round) const;
   /// Kestrel Aegis on the single-slot transports (persistent channels and
   /// the collective slot): applies the fault plan's verdict for one
   /// (src, dst, tag, round) message. Throws RankFailure once a fault
@@ -392,17 +338,13 @@ class Fabric {
   int nranks_;
   FabricOptions opts_;
   std::unique_ptr<FabricChecker> checker_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::unique_ptr<Doorbell>> doorbells_;
   std::vector<std::unique_ptr<FabricStats>> stats_;
-  /// The collective slot: one arrival line per rank, then the result line.
+  /// The collective slot: one arrival line per rank, then the result line,
+  /// and the buffer rank 0 concatenates allgatherv contributions into.
   std::vector<SlotLine> arrivals_;
   SlotLine result_;
-  /// Per-rank sender sequence counters, keyed (dest, tag, index-stream).
-  /// Single-writer: only the owning rank's thread sends from it.
-  std::vector<std::unique_ptr<
-      std::map<std::tuple<int, int, bool>, std::uint64_t>>>
-      send_seq_;
+  std::vector<std::byte> gather_;
   std::mutex channels_mu_;
   std::map<std::pair<int, int>, ChannelSlots> channels_;
   std::atomic<bool> aborted_{false};

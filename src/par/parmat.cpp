@@ -13,8 +13,6 @@
 namespace kestrel::par {
 
 namespace {
-constexpr int kTagPlan = 2;  ///< setup-time plan exchange (typed indices)
-
 // Kestrel Flock: elementwise pool splitting for the gather-pack and ABFT
 // reduction passes. Chunks are a fixed multiple of kZmmDoubles derived only
 // from (n, nthreads), so part boundaries — and therefore each part's
@@ -281,25 +279,35 @@ ParMatrix::ParMatrix(const mat::Csr& local_rows, LayoutPtr layout,
     }
   }
 
-  // Every rank tells every other rank which entries it needs (possibly an
-  // empty list), so receives are fully deterministic. The lists travel on
-  // the typed Index path: global indices never round-trip through Scalar
-  // (which would silently lose precision at 2^53 and double the bytes).
-  for (int r = 0; r < comm.size(); ++r) {
-    if (r == rank_) continue;
-    comm.isend_indices(r, kTagPlan, needed[static_cast<std::size_t>(r)]);
+  // One allgatherv tells every rank which entries each rank needs from it,
+  // as PETSc's set-up collective does. A rank's contribution is a header of
+  // P counts, then its list for each destination in rank order; the lists
+  // travel as Index, never round-tripped through Scalar.
+  const auto nranks = static_cast<std::size_t>(comm.size());
+  std::vector<Index> mine(nranks);
+  for (std::size_t r = 0; r < nranks; ++r) {
+    mine[r] = static_cast<Index>(needed[r].size());
   }
+  for (const auto& list : needed) {
+    mine.insert(mine.end(), list.begin(), list.end());
+  }
+  const std::vector<Index> all = comm.allgatherv(mine);
   sends_.clear();
+  const Index* counts = all.data();  // rank r's header, r = 0, 1, ...
   for (int r = 0; r < comm.size(); ++r) {
-    if (r == rank_) continue;
-    const std::vector<Index> wanted = comm.recv_indices(r, kTagPlan);
-    if (wanted.empty()) continue;
+    const Index* list = counts + nranks;
+    for (int d = 0; d < rank_; ++d) list += counts[d];
+    const Index count = counts[rank_];
+    const Index* next = counts + nranks;
+    for (std::size_t d = 0; d < nranks; ++d) next += counts[d];
+    counts = next;
+    if (r == rank_ || count == 0) continue;
     SendPlan plan;
     plan.peer = r;
-    plan.local_indices.reserve(wanted.size());
-    for (Index g : wanted) {
-      KESTREL_CHECK(g >= b && g < e, "peer requested a non-owned entry");
-      plan.local_indices.push_back(g - b);
+    plan.local_indices.reserve(static_cast<std::size_t>(count));
+    for (const Index* g = list; g != list + count; ++g) {
+      KESTREL_CHECK(*g >= b && *g < e, "peer requested a non-owned entry");
+      plan.local_indices.push_back(*g - b);
     }
     sends_.push_back(std::move(plan));
   }

@@ -18,7 +18,8 @@
 // kernel and deliver with a single copy straight into this rank's ghost_
 // slice, and step 3 completes receives in arrival order (wait_any) instead
 // of plan order. Steady-state spmv performs zero heap allocations in the
-// fabric path. The mailbox carries only the set-up plan messages.
+// fabric path. Set-up exchanges the send plans through one allgatherv on
+// the fabric's collective slot.
 
 #include <map>
 #include <memory>

@@ -6,6 +6,9 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "base/aligned.hpp"
 #include "base/error.hpp"
@@ -169,34 +172,62 @@ TEST(Options, StructuredParseErrorsCarryKeyValueExpected) {
   EXPECT_THROW(opts.get_bool("aegis_abft", false), OptionsError);
 }
 
-TEST(Options, UnknownKeysFiltersByPrefixAndKnownList) {
+TEST(Options, OptionsNobodyReadWarnAndReadOnesDoNot) {
   Options opts;
-  opts.set("aegis_faults", "drop=0.1");
-  opts.set("aegis_fautls", "typo");
-  opts.set("mat_type", "sell");
-  const auto unknown = opts.unknown_keys("aegis_", {"aegis_faults"});
-  ASSERT_EQ(unknown.size(), 1u);
-  EXPECT_EQ(unknown[0], "aegis_fautls");
-}
-
-TEST(Options, UnknownOptionWarningsFlagTyposInAegisAndKspFamilies) {
-  Options opts;
-  opts.set_flag("aegis_abft");
+  opts.set("ghost_exchange", "mailbox");  // an option nothing reads now
+  opts.set("ksp_rtoll", "1e-8");          // a typo
   opts.set("ksp_rtol", "1e-8");
-  EXPECT_TRUE(opts.unknown_option_warnings().empty());
+  opts.set_flag("aegis_abft");
+  opts.set("n", "16");
+  EXPECT_EQ(opts.unknown_option_warnings().size(), 5u);
 
-  opts.set_flag("aegis_abftt");    // typo
-  opts.set("ksp_rtoll", "1e-8");   // typo
-  opts.set("unrelated", "fine");   // outside the warned prefixes
+  EXPECT_DOUBLE_EQ(opts.get_scalar("ksp_rtol", 0.0), 1e-8);
+  EXPECT_TRUE(opts.has("aegis_abft"));  // has() counts as a read
+  EXPECT_EQ(opts.get_index("n", 0), 16);
+  EXPECT_EQ(opts.get_string("absent", "x"), "x");  // adds no key
   const auto warnings = opts.unknown_option_warnings();
   ASSERT_EQ(warnings.size(), 2u);
-  bool saw_aegis = false, saw_ksp = false;
-  for (const auto& w : warnings) {
-    if (w.find("aegis_abftt") != std::string::npos) saw_aegis = true;
-    if (w.find("ksp_rtoll") != std::string::npos) saw_ksp = true;
+  EXPECT_NE(warnings[0].find("-ghost_exchange"), std::string::npos)
+      << warnings[0];
+  EXPECT_NE(warnings[1].find("-ksp_rtoll"), std::string::npos)
+      << warnings[1];
+
+  // A copy carries the read marks; reads of the copy do not mark the
+  // original.
+  const Options copy = opts;
+  EXPECT_EQ(copy.unknown_option_warnings(), warnings);
+  EXPECT_EQ(copy.get_string("ghost_exchange", ""), "mailbox");
+  EXPECT_EQ(copy.unknown_option_warnings().size(), 1u);
+  EXPECT_EQ(opts.unknown_option_warnings().size(), 2u);
+}
+
+TEST(Options, ConcurrentReadsFromEightThreads) {
+  // Rank and pool threads read the global database at once (-threads on
+  // every ghost pack), so marking a key as read must be race-free. Runs
+  // under TSan (ctest -L tsan).
+  Options opts;
+  opts.set("threads", "2");
+  opts.set("mat_type", "sell");
+  opts.set_flag("log_view");
+  opts.set("unread", "1");
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 8; ++t) {
+    readers.emplace_back([&opts, t] {
+      for (int i = 0; i < 2000; ++i) {
+        EXPECT_EQ(opts.get_index("threads", 0), 2);
+        if ((i + t) % 3 == 0) {
+          EXPECT_TRUE(opts.has("log_view"));
+        }
+        if ((i + t) % 5 == 0) {
+          EXPECT_EQ(opts.get_string("mat_type", ""), "sell");
+        }
+      }
+    });
   }
-  EXPECT_TRUE(saw_aegis);
-  EXPECT_TRUE(saw_ksp);
+  for (std::thread& r : readers) r.join();
+  const auto warnings = opts.unknown_option_warnings();
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("-unread"), std::string::npos) << warnings[0];
 }
 
 TEST(Rng, DeterministicForSeed) {

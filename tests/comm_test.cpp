@@ -1,5 +1,5 @@
-// Message-passing fabric tests: point-to-point, collectives, failure
-// propagation.
+// Message-passing fabric tests: persistent channels, the collective slot,
+// failure propagation.
 
 #include <gtest/gtest.h>
 
@@ -28,65 +28,6 @@ TEST(Fabric, SingleRankRunsInline) {
     ++calls;
   });
   EXPECT_EQ(calls, 1);
-}
-
-TEST(Fabric, PointToPointRoundTrip) {
-  Fabric::run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.isend(1, 7, {1.0, 2.0, 3.0});
-      const auto echoed = comm.recv(1, 8);
-      ASSERT_EQ(echoed.size(), 3u);
-      EXPECT_DOUBLE_EQ(echoed[2], 6.0);
-    } else {
-      auto data = comm.recv(0, 7);
-      for (auto& v : data) v *= 2.0;
-      comm.isend(0, 8, data);
-    }
-  });
-}
-
-TEST(Fabric, MessagesMatchOnSourceAndTag) {
-  Fabric::run(3, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      // receive in the opposite order of sending; matching must be by
-      // (source, tag), not arrival order
-      const auto from2 = comm.recv(2, 5);
-      const auto from1 = comm.recv(1, 5);
-      EXPECT_DOUBLE_EQ(from1[0], 1.0);
-      EXPECT_DOUBLE_EQ(from2[0], 2.0);
-    } else {
-      comm.isend(0, 5, {static_cast<Scalar>(comm.rank())});
-    }
-  });
-}
-
-TEST(Fabric, FifoOrderPerSourceTag) {
-  Fabric::run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.isend(1, 3, {10.0});
-      comm.isend(1, 3, {20.0});
-      comm.isend(1, 3, {30.0});
-    } else {
-      EXPECT_DOUBLE_EQ(comm.recv(0, 3)[0], 10.0);
-      EXPECT_DOUBLE_EQ(comm.recv(0, 3)[0], 20.0);
-      EXPECT_DOUBLE_EQ(comm.recv(0, 3)[0], 30.0);
-    }
-  });
-}
-
-TEST(Fabric, IrecvWaitFillsSink) {
-  Fabric::run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      std::vector<Scalar> sink;
-      Request req = comm.irecv(1, 2, &sink);
-      comm.wait(req);
-      EXPECT_TRUE(req.done);
-      ASSERT_EQ(sink.size(), 2u);
-      EXPECT_DOUBLE_EQ(sink[1], -4.0);
-    } else {
-      comm.isend(0, 2, {3.0, -4.0});
-    }
-  });
 }
 
 TEST(Fabric, AllreduceSumMaxMin) {
@@ -148,9 +89,9 @@ TEST(Fabric, RankExceptionPropagatesWithoutDeadlock) {
                              if (comm.rank() == 1) {
                                KESTREL_FAIL("rank 1 exploded");
                              }
-                             // other ranks block on a message that will
-                             // never arrive; abort must wake them
-                             (void)comm.recv((comm.rank() + 1) % 3, 9);
+                             // other ranks block in a collective rank 1
+                             // never enters; abort must wake them
+                             (void)comm.allgatherv(std::vector<Scalar>{1.0});
                            }),
                Error);
 }
@@ -159,29 +100,12 @@ TEST(Fabric, RootCauseExceptionIsRethrown) {
   try {
     Fabric::run(3, [](Comm& comm) {
       if (comm.rank() == 2) KESTREL_FAIL("root cause");
-      (void)comm.recv(2, 1);
+      comm.barrier();
     });
     FAIL() << "expected throw";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("root cause"), std::string::npos);
   }
-}
-
-TEST(Fabric, TypedIndexMessagesRoundTrip) {
-  Fabric::run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      // values beyond 2^53 would be corrupted by a Scalar round-trip; the
-      // typed path must carry them exactly (Index permitting)
-      comm.isend_indices(1, 4, {0, 7, 123456789, 3});
-      const auto echoed = comm.recv_indices(1, 5);
-      ASSERT_EQ(echoed.size(), 4u);
-      EXPECT_EQ(echoed[2], 123456790);
-    } else {
-      auto idx = comm.recv_indices(0, 4);
-      for (auto& v : idx) v += 1;
-      comm.isend_indices(0, 5, idx);
-    }
-  });
 }
 
 TEST(Fabric, IndexAllgathervConcatenatesInRankOrder) {
@@ -215,10 +139,11 @@ TEST(PersistentExchange, RoundTripDeliversInPlace) {
 }
 
 TEST(PersistentExchange, WaitAnyCompletesInArrivalOrder) {
-  // Rank 0 receives from 1 and 2; rank 2's message is held back behind a
-  // mailbox rendezvous, so channel 0 (from rank 1) must complete first
-  // even though both were armed together.
-  Fabric::run(3, [](Comm& comm) {
+  // Rank 0 receives from 1 and 2; rank 2's message is held back until rank
+  // 0 has completed one receive, so channel 0 (from rank 1) must complete
+  // first even though both were armed together.
+  std::atomic<bool> release{false};
+  Fabric::run(3, [&](Comm& comm) {
     if (comm.rank() == 0) {
       std::vector<Scalar> ghost(2, 0.0);
       auto ex = comm.open_exchange(
@@ -226,7 +151,7 @@ TEST(PersistentExchange, WaitAnyCompletesInArrivalOrder) {
       ex->arm();
       const int first = ex->wait_any();
       EXPECT_EQ(first, 0);          // rank 1 sent immediately
-      comm.isend(2, 1, {1.0});      // release rank 2
+      release.store(true);          // release rank 2
       const int second = ex->wait_any();
       EXPECT_EQ(second, 1);
       EXPECT_DOUBLE_EQ(ghost[0], 1.0);
@@ -237,7 +162,8 @@ TEST(PersistentExchange, WaitAnyCompletesInArrivalOrder) {
       ex->send(0, &v, 1);
     } else {
       auto ex = comm.open_exchange({{0, 1}}, {});
-      (void)comm.recv(0, 1);  // wait until rank 0 drained channel 0
+      // wait until rank 0 drained channel 0
+      while (!release.load()) std::this_thread::yield();
       const Scalar v = 2.0;
       ex->send(0, &v, 1);
     }
@@ -345,127 +271,24 @@ TEST(PersistentExchange, AbortWakesParkedSenderAndWaiter) {
 }
 
 TEST(Fabric, InvalidArgumentsRejected) {
+  EXPECT_THROW(Fabric::run(0, [](Comm&) {}), Error);
   Fabric::run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      EXPECT_THROW(comm.isend(5, 0, {1.0}), Error);
-      EXPECT_THROW(comm.isend(1, -3, {1.0}), Error);
-      std::vector<Scalar> sink;
-      EXPECT_THROW(comm.irecv(-1, 0, &sink), Error);
-      // Negative tags name the fabric's internal streams: a user receive on
-      // one would wait forever or steal a collective's message.
-      EXPECT_THROW(comm.recv(1, -1), Error);
-      EXPECT_THROW(comm.recv_indices(1, -4), Error);
-      comm.isend(1, 0, {0.0});  // unblock peer
-    } else {
-      (void)comm.recv(0, 0);
-    }
+    const int peer = 1 - comm.rank();
+    Scalar slot = 0.0;
+    auto ex = comm.open_exchange({{peer, 1}}, {{peer, &slot, 1}});
+    const Scalar v = 1.0;
+    EXPECT_THROW(ex->send(1, &v, 1), Error);   // there is no channel 1
+    EXPECT_THROW(ex->send(-1, &v, 1), Error);
+    EXPECT_THROW((void)ex->wait_any(), Error);  // never armed
+    ex->arm();
+    ex->send(0, &v, 1);
+    EXPECT_EQ(ex->wait_any(), 0);
+    EXPECT_THROW((void)ex->wait_any(), Error);  // the round is drained
   });
 }
 
-TEST(Fabric, FaultedBurstOnOneStreamArrivesIntactAndInOrder) {
-  // Every message of a Scalar burst and an index burst on one (source, tag)
-  // stream is queued before the receiver takes any, so duplicate, reordered
-  // and corrupted envelopes of different sequence numbers wait side by side
-  // and the receiver must consume them in sequence order.
-  constexpr int kBurst = 16;
-  constexpr int kTag = 7;
-  const auto scalars = [](int k) {
-    return std::vector<Scalar>{Scalar(k), 0.5 + k, -1.0 * k, 1e3 + k};
-  };
-  const auto indices = [](int k) {
-    return std::vector<Index>{k, 2 * k + 1, 100 + k};
-  };
-  const struct {
-    const char* spec;
-    std::atomic<std::uint64_t> aegis::AegisStats::*counter;
-  } cases[] = {
-      {"seed=21,dup=0.3", &aegis::AegisStats::duplicates_dropped},
-      {"seed=21,reorder=0.3", &aegis::AegisStats::reorders_healed},
-      {"seed=21,drop=0.3", &aegis::AegisStats::retries},
-      {"seed=21,bitflip=0.3", &aegis::AegisStats::checksum_failures},
-      {"seed=21,delay=0.3,delay_ms=1", &aegis::AegisStats::delays},
-  };
-  for (const auto& c : cases) {
-    FabricOptions opts;
-    opts.faults = aegis::FaultPlan::parse(c.spec);
-    // A receiver that wrongly discards a message waits for it forever; the
-    // checker's hang bound turns that into a failure in every build.
-    opts.check = true;
-    opts.hang_timeout_s = 10.0;
-    aegis::stats().reset();
-    // Set outside the fabric, so no collective adds faults of its own.
-    std::atomic<bool> sent{false};
-    Fabric::run(2, opts, [&](Comm& comm) {
-      if (comm.rank() == 0) {
-        for (int k = 0; k < kBurst; ++k) comm.isend(1, kTag, scalars(k));
-        for (int k = 0; k < kBurst; ++k) {
-          comm.isend_indices(1, kTag, indices(k));
-        }
-        sent.store(true);
-        return;
-      }
-      while (!sent.load()) std::this_thread::yield();
-      for (int k = 0; k < kBurst; ++k) {
-        EXPECT_EQ(comm.recv(0, kTag), scalars(k)) << c.spec << " #" << k;
-      }
-      for (int k = 0; k < kBurst; ++k) {
-        EXPECT_EQ(comm.recv_indices(0, kTag), indices(k))
-            << c.spec << " #" << k;
-      }
-    });
-    EXPECT_GT(aegis::stats().faults_injected.load(), 0u) << c.spec;
-    EXPECT_GT((aegis::stats().*c.counter).load(), 0u) << c.spec;
-  }
-  aegis::stats().reset();
-}
-
-TEST(Fabric, EveryDuplicatedEnvelopeIsDroppedAndCounted) {
-  // Under dup=1.0 every mailbox message arrives twice with one sequence
-  // number. The copy of a stream's last message must be dropped and counted
-  // like the others, although no later receive on that stream comes to
-  // discard it. With the receiver waiting for the whole burst both copies
-  // are queued when it takes the first; without waiting, the second copy
-  // may arrive after the first was taken.
-  constexpr int kTag = 7;
-  for (const int per_stream : {1, 16}) {
-    for (const bool wait_for_burst : {true, false}) {
-      FabricOptions opts;
-      opts.faults = aegis::FaultPlan::parse("seed=1,dup=1.0");
-      opts.check = true;
-      opts.hang_timeout_s = 10.0;
-      aegis::stats().reset();
-      std::atomic<bool> sent{false};
-      Fabric::run(2, opts, [&](Comm& comm) {
-        if (comm.rank() == 0) {
-          for (int k = 0; k < per_stream; ++k) {
-            comm.isend(1, kTag, std::vector<Scalar>{Scalar(k)});
-            comm.isend_indices(1, kTag, std::vector<Index>{k});
-          }
-          sent.store(true);
-          return;
-        }
-        while (wait_for_burst && !sent.load()) std::this_thread::yield();
-        for (int k = 0; k < per_stream; ++k) {
-          EXPECT_EQ(comm.recv(0, kTag), std::vector<Scalar>{Scalar(k)});
-          EXPECT_EQ(comm.recv_indices(0, kTag), std::vector<Index>{k});
-        }
-      });
-      const std::string what = std::to_string(per_stream) +
-                               " per stream, wait_for_burst=" +
-                               std::to_string(wait_for_burst);
-      EXPECT_EQ(aegis::stats().faults_injected.load(),
-                static_cast<std::uint64_t>(2 * per_stream))
-          << what;
-      EXPECT_EQ(aegis::stats().duplicates_dropped.load(),
-                aegis::stats().faults_injected.load())
-          << what;
-    }
-  }
-  aegis::stats().reset();
-}
-
 // --------------------------------------------------------------------------
-// The collective slot behind allreduce and barrier.
+// The collective slot behind allreduce, barrier and allgatherv.
 // --------------------------------------------------------------------------
 
 TEST(CollectiveSlot, AllocatesNothing) {
@@ -645,6 +468,89 @@ TEST(CollectiveSlot, MessageFaultsAreRetransmittedAndCounted) {
                              }
                            }),
                RankFailure);
+}
+
+TEST(CollectiveSlot, KillInsideAllgathervSurfacesOnEveryRank) {
+  // As for allreduce: rank 2's 5th plan consultation is the entry of its
+  // 5th allgatherv, before it has published a contribution.
+  constexpr int kRanks = 4;
+  FabricOptions opts;
+  opts.faults = aegis::FaultPlan::parse("kill=2@5");
+  aegis::stats().reset();
+  std::vector<std::atomic<int>> observed(kRanks);
+  std::vector<std::atomic<int>> completed(kRanks);
+  for (auto& o : observed) o.store(-1);
+  EXPECT_THROW(
+      Fabric::run(kRanks, opts,
+                  [&](Comm& comm) {
+                    const auto me = static_cast<std::size_t>(comm.rank());
+                    try {
+                      for (int k = 0; k < 10; ++k) {
+                        const std::vector<Index> mine(me + 1, Index(k));
+                        EXPECT_EQ(comm.allgatherv(mine).size(), 10u);
+                        completed[me].fetch_add(1);
+                      }
+                    } catch (const RankFailure& e) {
+                      observed[me].store(e.failed_rank());
+                      throw;
+                    }
+                  }),
+      RankFailure);
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(observed[static_cast<std::size_t>(r)].load(), 2)
+        << "rank " << r;
+    EXPECT_EQ(completed[static_cast<std::size_t>(r)].load(), 4)
+        << "rank " << r;
+  }
+  EXPECT_EQ(aegis::stats().rank_kills.load(), 1u);
+}
+
+TEST(CollectiveSlot, MismatchedKindsFailEveryRankWithCheckerOff) {
+  // The ranks share one slot, so a rank that enters allgatherv while the
+  // others enter allreduce or barrier would pair its contribution with
+  // theirs. Rank 0 compares every arrival's kind with its own, in every
+  // build: each rank must fail, none may hang.
+  for (const int nranks : {2, 3}) {
+    for (const int odd : {0, nranks - 1}) {
+      for (const bool against_barrier : {false, true}) {
+        FabricOptions opts;
+        opts.check = false;
+        std::vector<std::atomic<int>> failed(static_cast<std::size_t>(nranks));
+        std::string what;
+        try {
+          Fabric::run(nranks, opts, [&](Comm& comm) {
+            try {
+              if (comm.rank() == odd) {
+                (void)comm.allgatherv(std::vector<Scalar>{1.0, 2.0});
+              } else if (against_barrier) {
+                comm.barrier();
+              } else {
+                (void)comm.allreduce(1.0, Comm::ReduceOp::kMax);
+              }
+            } catch (const Error&) {
+              failed[static_cast<std::size_t>(comm.rank())].store(1);
+              throw;
+            }
+          });
+        } catch (const Error& e) {
+          what = e.what();
+        }
+        const std::string which = std::to_string(nranks) + " ranks, odd " +
+                                  std::to_string(odd) + ", " +
+                                  (against_barrier ? "barrier" : "allreduce");
+        EXPECT_NE(what.find("mismatched collectives"), std::string::npos)
+            << which << ": " << what;
+        EXPECT_NE(what.find("allgatherv"), std::string::npos) << which;
+        EXPECT_NE(what.find(against_barrier ? "barrier" : "allreduce"),
+                  std::string::npos)
+            << which;
+        for (int r = 0; r < nranks; ++r) {
+          EXPECT_EQ(failed[static_cast<std::size_t>(r)].load(), 1)
+              << which << ": rank " << r;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
-// Randomized fabric stress (Kestrel Sentry): 8 ranks hammer the mailbox
-// fabric with shuffled isend/irecv orders, shuffled tag posting, mixed
-// blocking/nonblocking receives and interleaved collectives, with the
-// checker attached. A second battery injects exceptions at varying points
-// to exercise abort_all under load. Runs in the TSan suite (ctest -L tsan).
+// Randomized fabric stress (Kestrel Sentry): 8 ranks run hundreds of slot
+// collectives of random shape and size with random local work between
+// them, and a second battery injects exceptions mid-exchange to exercise
+// abort_all under load. Runs in the TSan suite (ctest -L tsan) and, 50
+// times shuffled, in the sanitizer builds' stress gate.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <thread>
 #include <vector>
 
 #include "base/error.hpp"
@@ -17,20 +19,12 @@ namespace kestrel::par {
 namespace {
 
 constexpr int kRanks = 8;
-constexpr int kTagsPerPeer = 4;
-constexpr int kRounds = 6;
 
 FabricOptions checked() {
   FabricOptions opts;
   opts.check = true;
   opts.hang_timeout_s = 60.0;  // generous: TSan slows the fabric a lot
   return opts;
-}
-
-/// Payload encoding lets the receiver verify exactly which (sender, tag,
-/// round) message matched each receive.
-Scalar encode(int sender, int tag, int round) {
-  return static_cast<Scalar>(sender * 10000 + tag * 100 + round);
 }
 
 template <class T>
@@ -42,107 +36,40 @@ void shuffle(std::vector<T>& v, Rng& rng) {
   }
 }
 
-TEST(FabricStress, ShuffledSendsAndReceivesMatchBySourceAndTag) {
-  Fabric::run(kRanks, checked(), [](Comm& comm) {
-    const int me = comm.rank();
-    Rng rng(static_cast<std::uint64_t>(911 + me));
-    for (int round = 0; round < kRounds; ++round) {
-      // Send one message per (peer, tag) pair, whole batch shuffled.
-      std::vector<std::pair<int, int>> out;
-      for (int p = 0; p < kRanks; ++p) {
-        if (p == me) continue;
-        for (int t = 0; t < kTagsPerPeer; ++t) out.emplace_back(p, t);
-      }
-      shuffle(out, rng);
-      for (const auto& [peer, tag] : out) {
-        comm.isend(peer, tag, {encode(me, tag, round)});
-      }
-
-      // Receive every expected message; posting order shuffled
-      // independently of the send order. Half the pairs go through
-      // irecv+wait (waits themselves shuffled), half through blocking recv.
-      std::vector<std::pair<int, int>> in;
-      for (int p = 0; p < kRanks; ++p) {
-        if (p == me) continue;
-        for (int t = 0; t < kTagsPerPeer; ++t) in.emplace_back(p, t);
-      }
-      shuffle(in, rng);
-      const std::size_t nposted = in.size() / 2;
-      std::vector<std::vector<Scalar>> sinks(nposted);
-      std::vector<Request> reqs;
-      reqs.reserve(nposted);
-      for (std::size_t k = 0; k < nposted; ++k) {
-        reqs.push_back(comm.irecv(in[k].first, in[k].second, &sinks[k]));
-      }
-      std::vector<std::size_t> wait_order(nposted);
-      for (std::size_t k = 0; k < nposted; ++k) wait_order[k] = k;
-      shuffle(wait_order, rng);
-      for (std::size_t k : wait_order) {
-        comm.wait(reqs[k]);
-        ASSERT_EQ(sinks[k].size(), 1u);
-        EXPECT_DOUBLE_EQ(sinks[k][0],
-                         encode(in[k].first, in[k].second, round));
-      }
-      for (std::size_t k = nposted; k < in.size(); ++k) {
-        const auto data = comm.recv(in[k].first, in[k].second);
-        ASSERT_EQ(data.size(), 1u);
-        EXPECT_DOUBLE_EQ(data[0], encode(in[k].first, in[k].second, round));
-      }
-
-      // Interleaved collectives keep the rounds aligned and exercise the
-      // collective-order checker under churn.
-      const Scalar sum = comm.allreduce(static_cast<Scalar>(me));
-      EXPECT_DOUBLE_EQ(sum, kRanks * (kRanks - 1) / 2.0);
-      comm.barrier();
-    }
-  });
-}
-
-TEST(FabricStress, FifoHoldsPerSourceTagUnderBurst) {
-  Fabric::run(kRanks, checked(), [](Comm& comm) {
-    const int me = comm.rank();
-    const int next = (me + 1) % kRanks;
-    const int prev = (me + kRanks - 1) % kRanks;
-    constexpr int kBurst = 32;
-    for (int i = 0; i < kBurst; ++i) {
-      comm.isend(next, 7, {static_cast<Scalar>(i)});
-    }
-    for (int i = 0; i < kBurst; ++i) {
-      const auto data = comm.recv(prev, 7);
-      ASSERT_EQ(data.size(), 1u);
-      EXPECT_DOUBLE_EQ(data[0], static_cast<Scalar>(i));  // posting order
-    }
-  });
-}
-
 TEST(FabricStress, ExceptionInjectionUnblocksEveryRank) {
   // Inject a failure at rank `victim` after a partial exchange; every other
-  // rank is blocked on receives that will never complete and must be woken
-  // by abort_all. The root-cause message must survive the pile-up of
-  // secondary "fabric aborted" errors.
+  // rank is blocked on channel receives that will never complete and must
+  // be woken by abort_all. The root-cause message must survive the pile-up
+  // of secondary "fabric aborted" errors.
   for (int victim : {0, 3, 7}) {
     try {
       Fabric::run(kRanks, checked(), [victim](Comm& comm) {
         const int me = comm.rank();
         Rng rng(static_cast<std::uint64_t>(17 * victim + me));
-        // Everyone sends to a shuffled half of the peers...
-        std::vector<int> peers;
+        std::vector<Scalar> ghost(kRanks, 0.0);
+        std::vector<GhostSendSpec> sends;
+        std::vector<GhostRecvSpec> recvs;
         for (int p = 0; p < kRanks; ++p) {
-          if (p != me) peers.push_back(p);
+          if (p == me) continue;
+          sends.push_back({p, 1});
+          recvs.push_back({p, &ghost[static_cast<std::size_t>(p)], 1});
         }
-        shuffle(peers, rng);
-        for (std::size_t k = 0; k < peers.size() / 2; ++k) {
-          comm.isend(peers[k], 1, {1.0});
+        auto ex = comm.open_exchange(sends, recvs);
+        ex->arm();
+        // Everyone sends to a shuffled half of the peers...
+        std::vector<int> order(sends.size());
+        std::iota(order.begin(), order.end(), 0);
+        shuffle(order, rng);
+        const Scalar one = 1.0;
+        for (std::size_t k = 0; k < order.size() / 2; ++k) {
+          ex->send(order[k], &one, 1);
         }
         if (me == victim) {
           KESTREL_FAIL("injected failure at rank " +
                        std::to_string(victim));
         }
-        // ...then tries to receive from everyone, including messages the
-        // victim will never send.
-        for (int p = 0; p < kRanks; ++p) {
-          if (p != me) (void)comm.recv(p, 1);
-        }
+        // ...then waits on every peer, including messages no one sends.
+        ex->wait_all();
       });
       FAIL() << "expected the injected failure to propagate";
     } catch (const Error& e) {
@@ -181,6 +108,78 @@ TEST(FabricStress, CollectiveBurstStaysOrdered) {
       volatile Scalar sink = 0;
       const Index spin = rng.next_index(512);
       for (Index i = 0; i < spin; ++i) sink = sink + 1.0;
+    }
+  });
+}
+
+/// Rank r's contribution to gather `round`: its length comes from a
+/// generator every rank seeds alike, so each rank knows every length. A
+/// quarter of the contributions are empty and every 25th round is empty on
+/// every rank.
+std::vector<std::size_t> gather_lengths(int round) {
+  Rng shared(static_cast<std::uint64_t>(4099 * round + 3));
+  std::vector<std::size_t> len(kRanks, 0);
+  if (round % 25 == 7) return len;
+  for (std::size_t& n : len) {
+    n = shared.next_index(4) == 0
+            ? 0
+            : static_cast<std::size_t>(shared.next_index(48));
+  }
+  return len;
+}
+
+template <class T>
+T gather_element(int rank, int round, std::size_t k) {
+  return static_cast<T>(rank * 1000000 + round * 1000 + static_cast<int>(k));
+}
+
+template <class T>
+void check_gather(Comm& comm, int round) {
+  const std::vector<std::size_t> len = gather_lengths(round);
+  std::vector<T> mine(len[static_cast<std::size_t>(comm.rank())]);
+  for (std::size_t k = 0; k < mine.size(); ++k) {
+    mine[k] = gather_element<T>(comm.rank(), round, k);
+  }
+  const std::vector<T> all = comm.allgatherv(mine);
+  std::size_t at = 0;
+  for (int r = 0; r < kRanks; ++r) {
+    for (std::size_t k = 0; k < len[static_cast<std::size_t>(r)]; ++k) {
+      ASSERT_LT(at, all.size()) << "round " << round;
+      ASSERT_EQ(all[at], gather_element<T>(r, round, k))
+          << "round " << round << ", rank " << r << ", element " << k;
+      ++at;
+    }
+  }
+  EXPECT_EQ(at, all.size()) << "round " << round;
+}
+
+TEST(FabricStress, AllgathervOfVaryingSizesKeepsEveryElement) {
+  // Rank 0 concatenates into one buffer the Fabric owns and may rewrite it
+  // only once every rank has arrived at the next round; ranks that copy
+  // the result out late, and buffers that grow and shrink, would show a
+  // wrong element. The checker stays off: its lock orders every entry and
+  // would hide an early rewrite from TSan.
+  FabricOptions opts;
+  opts.check = false;
+  Fabric::run(kRanks, opts, [](Comm& comm) {
+    Rng work(static_cast<std::uint64_t>(31 + comm.rank()));
+    for (int round = 0; round < 200; ++round) {
+      if (round % 2 == 0) {
+        check_gather<Scalar>(comm, round);
+      } else {
+        check_gather<Index>(comm, round);
+      }
+      if (round % 3 == 0) {
+        EXPECT_DOUBLE_EQ(comm.allreduce(Scalar(comm.rank() + round)),
+                         kRanks * (kRanks - 1) / 2.0 + kRanks * round);
+      }
+      if (round % 5 == 0) comm.barrier();
+      // Unsynchronized local work, sometimes a yield, so arrival order and
+      // the late copiers change from round to round.
+      volatile Scalar sink = 0;
+      const Index spin = work.next_index(1500);
+      for (Index i = 0; i < spin; ++i) sink = sink + 1.0;
+      if (work.next_index(3) == 0) std::this_thread::yield();
     }
   });
 }

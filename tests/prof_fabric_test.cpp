@@ -76,9 +76,18 @@ TEST(ProfFabric, CollectivesCountAsReductions) {
     prof::Profiler& p = prof::current();
     comm.barrier();
     (void)comm.allreduce(Scalar{1.0});
-    EXPECT_EQ(p.total_reductions(), 2u);
-    comm.isend(comm.rank(), 7, std::vector<Scalar>{1.0, 2.0});
-    (void)comm.recv(comm.rank(), 7);
+    (void)comm.allgatherv(std::vector<Scalar>{1.0});
+    EXPECT_EQ(p.total_reductions(), 3u);
+    EXPECT_EQ(p.total_messages(), 0u);
+    // A channel send is one message carrying its payload bytes.
+    const int next = (comm.rank() + 1) % 4;
+    const int prev = (comm.rank() + 3) % 4;
+    std::vector<Scalar> ghost(2, 0.0);
+    auto ex = comm.open_exchange({{next, 2}}, {{prev, ghost.data(), 2}});
+    ex->arm();
+    const std::vector<Scalar> packed = {1.0, 2.0};
+    ex->send(0, packed.data(), 2);
+    ex->wait_all();
     EXPECT_EQ(p.total_messages(), 1u);
     EXPECT_EQ(p.total_message_bytes(), 2u * sizeof(Scalar));
   });
