@@ -12,29 +12,10 @@
 
 #include <cstdio>
 
-#include "prof/profiler.hpp"
 #include "bench_common.hpp"
 #include "mat/bcsr.hpp"
 #include "mat/csr_perm.hpp"
 #include "mat/sell.hpp"
-
-namespace {
-
-using namespace kestrel;
-
-template <class Fn>
-double time_best(Fn&& fn, int reps = bench::scaled_reps(5)) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = wall_time();
-    fn();
-    const double dt = wall_time() - t0;
-    best = dt < best ? dt : best;
-  }
-  return best;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace kestrel;
@@ -47,44 +28,47 @@ int main(int argc, char** argv) {
   Vector u;
   gs.initial_condition(u);
 
-  const double t_jac = time_best([&] {
-    volatile auto sink = gs.rhs_jacobian(u).nnz();
-    (void)sink;
-  });
+  // Samples `make`, keeping one number of its product observable so the
+  // construction cannot be elided.
+  const int reps = bench::scaled_reps(5);
+  const auto sample_made = [reps](auto make) {
+    return bench::sample(
+        [&] {
+          volatile auto sink = make();
+          (void)sink;
+        },
+        reps, 0.0);
+  };
+  const bench::Sample t_jac =
+      sample_made([&] { return gs.rhs_jacobian(u).nnz(); });
   const mat::Csr csr = gs.rhs_jacobian(u);
-
-  const double t_sell = time_best([&] {
-    volatile auto sink = mat::Sell(csr).stored_elements();
-    (void)sink;
-  });
-  const double t_perm = time_best([&] {
-    volatile auto sink = mat::CsrPerm{mat::Csr(csr)}.num_groups();
-    (void)sink;
-  });
-  const double t_bcsr = time_best([&] {
-    volatile auto sink = mat::Bcsr(csr, 2).stored_blocks();
-    (void)sink;
-  });
+  const bench::Sample t_sell =
+      sample_made([&] { return mat::Sell(csr).stored_elements(); });
+  const bench::Sample t_perm =
+      sample_made([&] { return mat::CsrPerm{mat::Csr(csr)}.num_groups(); });
+  const bench::Sample t_bcsr =
+      sample_made([&] { return mat::Bcsr(csr, 2).stored_blocks(); });
   mat::Sell sell(csr);
-  const double t_refresh = time_best([&] { sell.copy_values_from(csr); });
+  const bench::Sample t_refresh =
+      bench::sample([&] { sell.copy_values_from(csr); }, reps, 0.0);
 
-  const double t_spmv = bench::time_spmv(sell);
+  const bench::Sample t_spmv = bench::time_spmv(sell);
 
-  std::printf("%-42s %10.2f ms\n", "Jacobian eval + direct CSR fill",
-              1e3 * t_jac);
-  std::printf("%-42s %10.2f ms\n", "CSR -> SELL conversion (first time)",
-              1e3 * t_sell);
-  std::printf("%-42s %10.2f ms\n", "CSR -> CSRPerm conversion", 1e3 * t_perm);
-  std::printf("%-42s %10.2f ms\n", "CSR -> BCSR(2) conversion", 1e3 * t_bcsr);
-  std::printf("%-42s %10.2f ms\n",
-              "SELL value refresh (pattern reuse)", 1e3 * t_refresh);
-  std::printf("%-42s %10.3f ms\n", "one SELL SpMV (for scale)",
-              1e3 * t_spmv);
+  const auto row = [](const char* label, const bench::Sample& t) {
+    std::printf("%-42s %10.3f ms %s\n", label, 1e3 * t.median,
+                bench::spread(t).c_str());
+  };
+  row("Jacobian eval + direct CSR fill", t_jac);
+  row("CSR -> SELL conversion (first time)", t_sell);
+  row("CSR -> CSRPerm conversion", t_perm);
+  row("CSR -> BCSR(2) conversion", t_bcsr);
+  row("SELL value refresh (pattern reuse)", t_refresh);
+  row("one SELL SpMV (for scale)", t_spmv);
   std::printf("\nSELL conversion == %.0f SpMVs; with pattern reuse the\n"
               "per-iteration cost drops to %.0f SpMVs — small against the\n"
               "tens of Krylov iterations each Jacobian is used for, which\n"
               "is why the paper reports no noticeable penalty in the\n"
               "non-SpMV parts of the solver.\n",
-              t_sell / t_spmv, t_refresh / t_spmv);
+              t_sell.median / t_spmv.median, t_refresh.median / t_spmv.median);
   return 0;
 }

@@ -52,13 +52,15 @@ int main(int argc, char** argv) {
 
   bench::header(
       "Figure 7 (measured): CSR baseline on this host across grid sizes");
-  std::printf("%12s %12s %12s %12s\n", "grid", "rows", "Gflop/s", "GB/s");
+  std::printf("%12s %12s %12s %6s %12s\n", "grid", "rows", "Gflop/s", "IQR",
+              "GB/s");
   for (Index n : {192, 256, 384}) {
     mat::Csr a = bench::gray_scott_matrix(bench::scaled(n, n / 8));
     a.set_tier(simd::IsaTier::kScalar);
-    const double t = bench::time_spmv(a);
-    std::printf("%7dx%-4d %12d %12.2f %12.2f\n", n, n, a.rows(),
-                bench::gflops(a, t), bench::achieved_gbs(a, t));
+    const bench::Sample t = bench::time_spmv(a);
+    std::printf("%7dx%-4d %12d %12.2f %s %12.2f\n", n, n, a.rows(),
+                bench::gflops(a, t.median), bench::spread(t).c_str(),
+                bench::achieved_gbs(a, t.median));
   }
   return 0;
 }

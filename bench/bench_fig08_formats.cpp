@@ -8,7 +8,6 @@
 // paper's core claim that SELL + AVX-512 beats CSR.
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
 
 #include "aegis/abft.hpp"
@@ -19,7 +18,6 @@
 #include "mat/talon.hpp"
 #include "perf/spmv_model.hpp"
 #include "prof/profiler.hpp"
-#include "prof/report.hpp"
 
 namespace {
 
@@ -78,22 +76,21 @@ int main(int argc, char** argv) {
   mat::Csr csr = bench::gray_scott_matrix(bench::scaled(512));
   std::printf("matrix: %d rows, %lld nnz (10 per row)\n\n", csr.rows(),
               static_cast<long long>(csr.nnz()));
-  std::printf("%-20s %10s %10s %10s\n", "variant", "Gflop/s", "GB/s",
-              "vs base");
+  std::printf("%-20s %10s %6s %10s %10s\n", "variant", "Gflop/s", "IQR",
+              "GB/s", "vs base");
 
   csr.set_tier(IsaTier::kScalar);
-  const double t_base = bench::time_spmv(csr);
+  const double t_base = bench::time_spmv(csr).median;
 
   auto report = [&](const char* label, const mat::Matrix& a) {
-    const double t = bench::time_spmv(a);
-    std::printf("%-20s %10.2f %10.2f %9.2fx\n", label, bench::gflops(a, t),
-                bench::achieved_gbs(a, t), t_base / t);
-    return bench::gflops(a, t);
+    const bench::Sample t = bench::time_spmv(a);
+    std::printf("%-20s %10.2f %s %10.2f %9.2fx\n", label,
+                bench::gflops(a, t.median), bench::spread(t).c_str(),
+                bench::achieved_gbs(a, t.median), t_base / t.median);
+    return bench::gflops(a, t.median);
   };
 
   const IsaTier best = simd::detect_best_tier();
-  const mat::Sell sell(csr);
-  const mat::CsrPerm perm{mat::Csr(csr)};
   double gf_sell = 0.0, gf_csr = 0.0;
   for (int ti = static_cast<int>(best); ti >= 0; --ti) {
     const IsaTier tier = static_cast<IsaTier>(ti);
@@ -141,19 +138,21 @@ int main(int argc, char** argv) {
   // O(n) against the O(nnz) multiply — so on nnz/row ≈ 10 matrices it
   // should stay well under the 10% budget.
   bench::header("Kestrel Aegis: ABFT-checksummed SpMV overhead");
-  std::printf("%-20s %10s %10s %10s\n", "variant", "plain", "abft",
-              "overhead");
+  std::printf("%-20s %11s %6s %11s %6s %10s\n", "variant", "plain",
+              "IQR", "abft", "IQR", "overhead");
   auto abft_overhead = [&](const char* label,
                            std::shared_ptr<const mat::Matrix> inner,
                            int verify_every) {
-    const double t_plain = bench::time_spmv(*inner);
+    const bench::Sample t_plain = bench::time_spmv(*inner);
     aegis::AbftOptions aopts;
     aopts.verify_every = verify_every;
     const aegis::AbftMatrix guarded(std::move(inner), aopts);
-    const double t_abft = bench::time_spmv(guarded);
-    const double pct = 100.0 * (t_abft - t_plain) / t_plain;
-    std::printf("%-20s %9.2fns %9.2fns %9.2f%%\n", label, t_plain * 1e9,
-                t_abft * 1e9, pct);
+    const bench::Sample t_abft = bench::time_spmv(guarded);
+    const double pct =
+        100.0 * (t_abft.median - t_plain.median) / t_plain.median;
+    std::printf("%-20s %9.2fns %s %9.2fns %s %9.2f%%\n", label,
+                t_plain.median * 1e9, bench::spread(t_plain).c_str(),
+                t_abft.median * 1e9, bench::spread(t_abft).c_str(), pct);
     return pct;
   };
   auto sell_best = std::make_shared<mat::Sell>(csr);
@@ -167,27 +166,18 @@ int main(int argc, char** argv) {
   csr_best->set_tier(best);
   const double abft_pct_csr = abft_overhead("CSR best-ISA", csr_best, 1);
 
-  if (!bench::json_path().empty()) {
-    // kestrel-scope-metrics-v1 artifact with the per-format Gflop/s at the
-    // host's best ISA tier, for the bench-smoke CI job and figure scripts.
-    prof::Profiler log;
-    log.set_metric("spmv_gflops/csr", gf_csr > 0.0 ? gf_csr : gf_base);
-    log.set_metric("spmv_gflops/csr_baseline", gf_base);
-    log.set_metric("spmv_gflops/sell", gf_sell);
-    log.set_metric("spmv_gflops/bcsr", gf_bcsr);
-    log.set_metric("spmv_gflops/talon", gf_talon);
-    log.set_metric("matrix_rows", static_cast<double>(csr.rows()));
-    log.set_metric("matrix_nnz", static_cast<double>(csr.nnz()));
-    log.set_metric("abft_overhead_pct/sell", abft_pct_sell);
-    log.set_metric("abft_overhead_pct/sell_every2", abft_pct_sell2);
-    log.set_metric("abft_overhead_pct/csr", abft_pct_csr);
-    std::ofstream out(bench::json_path());
-    if (!out.good()) {
-      std::fprintf(stderr, "cannot open %s\n", bench::json_path().c_str());
-      return 1;
-    }
-    prof::write_json_metrics(out, prof::reduce(log));
-    std::printf("\nwrote %s\n", bench::json_path().c_str());
-  }
-  return 0;
+  // Per-format Gflop/s at the host's best ISA tier, for the bench-smoke
+  // CI job (BENCH_spmv.json) and figure scripts.
+  prof::Profiler log;
+  log.set_metric("spmv_gflops/csr", gf_csr > 0.0 ? gf_csr : gf_base);
+  log.set_metric("spmv_gflops/csr_baseline", gf_base);
+  log.set_metric("spmv_gflops/sell", gf_sell);
+  log.set_metric("spmv_gflops/bcsr", gf_bcsr);
+  log.set_metric("spmv_gflops/talon", gf_talon);
+  log.set_metric("matrix_rows", static_cast<double>(csr.rows()));
+  log.set_metric("matrix_nnz", static_cast<double>(csr.nnz()));
+  log.set_metric("abft_overhead_pct/sell", abft_pct_sell);
+  log.set_metric("abft_overhead_pct/sell_every2", abft_pct_sell2);
+  log.set_metric("abft_overhead_pct/csr", abft_pct_csr);
+  return bench::write_metrics(log) ? 0 : 1;
 }

@@ -4,12 +4,15 @@
 //
 // Modeled section uses the ceilings printed in the paper's figure (LBNL
 // Empirical Roofline Tool on Theta). Measured section builds this host's
-// own roofline from a register-resident FMA peak and measured STREAM.
+// own roofline from a register-resident FMA peak and measured STREAM,
+// with the achieved bandwidth of the measured CSR and SELL kernels. Then
+// the section 6 memory-traffic model, CSR vs SELL, and the actual storage
+// footprints: the quantitative backbone of the paper's "SpMV is
+// bandwidth bound" argument.
 
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "mat/sell.hpp"
 #include "perf/roofline.hpp"
 #include "perf/stream.hpp"
 
@@ -43,21 +46,45 @@ int main(int argc, char** argv) {
   std::printf("measured peak (FMA): %8.2f Gflop/s\n", peak);
   std::printf("measured triad BW:   %8.2f GB/s\n\n", stream.triad_gbs);
 
-  mat::Csr csr = bench::gray_scott_matrix(bench::scaled(384));
+  const mat::Csr csr = bench::gray_scott_matrix(bench::scaled(384));
   const mat::Sell sell(csr);
-  const double ai_csr =
-      2.0 * csr.nnz() / static_cast<double>(csr.spmv_traffic_bytes());
-  const double ai_sell =
-      2.0 * sell.nnz() / static_cast<double>(sell.spmv_traffic_bytes());
-  const double t_csr = bench::time_spmv(csr);
-  const double t_sell = bench::time_spmv(sell);
-  std::printf("%-16s %8s %10s %16s\n", "kernel", "AI", "Gflop/s",
-              "roofline limit");
-  std::printf("%-16s %8.3f %10.2f %16.2f\n", "CSR (best ISA)", ai_csr,
-              bench::gflops(csr, t_csr),
-              std::min(peak, stream.triad_gbs * ai_csr));
-  std::printf("%-16s %8.3f %10.2f %16.2f\n", "SELL (best ISA)", ai_sell,
-              bench::gflops(sell, t_sell),
-              std::min(peak, stream.triad_gbs * ai_sell));
+  std::printf("%-16s %8s %10s %6s %10s %16s\n", "kernel", "AI", "Gflop/s",
+              "IQR", "GB/s", "roofline limit");
+  const auto measured = [&](const char* label, const mat::Matrix& a) {
+    const double ai =
+        2.0 * a.nnz() / static_cast<double>(a.spmv_traffic_bytes());
+    const bench::Sample t = bench::time_spmv(a);
+    std::printf("%-16s %8.3f %10.2f %s %10.2f %16.2f\n", label, ai,
+                bench::gflops(a, t.median), bench::spread(t).c_str(),
+                bench::achieved_gbs(a, t.median),
+                std::min(peak, stream.triad_gbs * ai));
+  };
+  measured("CSR (best ISA)", csr);
+  measured("SELL (best ISA)", sell);
+
+  bench::header("Section 6: SpMV minimum memory traffic, CSR vs SELL");
+  std::printf("%10s %14s %14s %14s %9s\n", "grid", "nnz", "CSR bytes",
+              "SELL bytes", "saved");
+  for (Index n : {128, 256, 512, 1024}) {
+    const mat::Csr grid_csr =
+        bench::gray_scott_matrix(bench::scaled(n, n / 16));
+    const mat::Sell grid_sell(grid_csr);
+    const double saved =
+        100.0 * (1.0 - static_cast<double>(grid_sell.spmv_traffic_bytes()) /
+                           static_cast<double>(grid_csr.spmv_traffic_bytes()));
+    std::printf("%6dx%-3d %14lld %14zu %14zu %8.2f%%\n", n, n,
+                static_cast<long long>(grid_csr.nnz()),
+                grid_csr.spmv_traffic_bytes(), grid_sell.spmv_traffic_bytes(),
+                saved);
+  }
+  std::printf(
+      "\nclosed forms: CSR 12*nnz + 24m + 8n | SELL 12*nnz + 10m + 8n\n");
+
+  bench::header("Storage footprint (actual arrays incl. padding)");
+  const mat::CsrPerm perm{mat::Csr(csr)};
+  std::printf("%-10s %14zu bytes\n", "CSR", csr.storage_bytes());
+  std::printf("%-10s %14zu bytes (fill ratio %.4f)\n", "SELL",
+              sell.storage_bytes(), sell.fill_ratio());
+  std::printf("%-10s %14zu bytes\n", "CSRPerm", perm.storage_bytes());
   return 0;
 }

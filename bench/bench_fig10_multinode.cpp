@@ -28,8 +28,10 @@ using namespace kestrel;
 
 /// Measured miniature of the paper's run: n x n Gray-Scott, CN dt=1,
 /// `steps` steps, MG(levels)-preconditioned GMRES, Jacobian in `fmt`.
+/// Returns the run's wall time; `matmult` gets the estimated MatMult time,
+/// the sampled Jacobian SpMV scaled by the number of applies.
 double run_gray_scott(Index n, int steps, int levels, bool use_sell,
-                      double* matmult_seconds) {
+                      bench::Sample* matmult) {
   app::GrayScott gs(n);
   Vector u;
   gs.initial_condition(u);
@@ -65,17 +67,16 @@ double run_gray_scott(Index n, int steps, int levels, bool use_sell,
   // MatMult share is re-measured directly: time one Jacobian SpMV and
   // multiply by the linear-iteration count (1 operator apply + MG applies)
   const mat::Csr jac = gs.rhs_jacobian(u);
-  double t_apply;
-  if (use_sell) {
-    const mat::Sell sell(jac);
-    t_apply = bench::time_spmv(sell, 5, 0.05);
-  } else {
-    t_apply = bench::time_spmv(jac, 5, 0.05);
-  }
+  const int reps = bench::scaled_reps(5);
+  const double secs = bench::scaled_seconds(0.05);
+  const bench::Sample t_apply =
+      use_sell ? bench::time_spmv(mat::Sell(jac), reps, secs)
+               : bench::time_spmv(jac, reps, secs);
   // fine + MG level SpMVs per linear iteration (~1 + 3 smoother/residual
   // applies over a geometric level hierarchy)
-  const double applies_per_it = 1.0 + 3.0 * 4.0 / 3.0;
-  *matmult_seconds = res.total_linear_iterations * applies_per_it * t_apply;
+  const double applies =
+      res.total_linear_iterations * (1.0 + 3.0 * 4.0 / 3.0);
+  *matmult = {applies * t_apply.median, applies * t_apply.iqr};
   return total;
 }
 
@@ -115,10 +116,12 @@ int main(int argc, char** argv) {
     const std::string saved = opts.get_string("threads", "");
     opts.set("threads", "1");
     scale_probe.repartition(1);
-    const double t1 = bench::time_spmv(scale_probe, 5, 0.05);
+    const int reps = bench::scaled_reps(5);
+    const double secs = bench::scaled_seconds(0.05);
+    const double t1 = bench::time_spmv(scale_probe, reps, secs).median;
     opts.set("threads", std::to_string(flock_threads));
     scale_probe.repartition(flock_threads);
-    const double tn = bench::time_spmv(scale_probe, 5, 0.05);
+    const double tn = bench::time_spmv(scale_probe, reps, secs).median;
     opts.set("threads", saved.empty() ? "1" : saved);
     flock.threads = flock_threads;
     flock.efficiency =
@@ -187,15 +190,17 @@ int main(int argc, char** argv) {
   std::printf("Gray-Scott 64x64, 2 steps, 3-level MG-GMRES, CN dt=1\n\n");
   const Index mini_n = bench::scaled(64, 16);
   const int mini_steps = bench::scaled_reps(2, 1);
-  double mm_csr = 0.0, mm_sell = 0.0;
+  bench::Sample mm_csr, mm_sell;
   const double t_csr = run_gray_scott(mini_n, mini_steps, 3, false, &mm_csr);
   const double t_sell = run_gray_scott(mini_n, mini_steps, 3, true, &mm_sell);
-  std::printf("%-14s %10s %18s\n", "format", "total [s]",
-              "est. MatMult [s]");
-  std::printf("%-14s %10.3f %18.3f\n", "CSR baseline", t_csr, mm_csr);
-  std::printf("%-14s %10.3f %18.3f\n", "SELL", t_sell, mm_sell);
+  std::printf("%-14s %10s %18s %6s\n", "format", "total [s]",
+              "est. MatMult [s]", "IQR");
+  std::printf("%-14s %10.3f %18.3f %s\n", "CSR baseline", t_csr,
+              mm_csr.median, bench::spread(mm_csr).c_str());
+  std::printf("%-14s %10.3f %18.3f %s\n", "SELL", t_sell, mm_sell.median,
+              bench::spread(mm_sell).c_str());
   std::printf("MatMult speedup (SELL vs CSR): %.2fx\n",
-              mm_csr / mm_sell);
+              mm_csr.median / mm_sell.median);
 
   if (logcfg.any()) {
     // Machine-readable results for the figure scripts: measured walltimes
@@ -203,9 +208,10 @@ int main(int argc, char** argv) {
     prof::Profiler& p = prof::current();
     p.set_metric("fig10_measured_total_csr_s", t_csr);
     p.set_metric("fig10_measured_total_sell_s", t_sell);
-    p.set_metric("fig10_measured_matmult_csr_s", mm_csr);
-    p.set_metric("fig10_measured_matmult_sell_s", mm_sell);
-    p.set_metric("fig10_measured_matmult_speedup", mm_csr / mm_sell);
+    p.set_metric("fig10_measured_matmult_csr_s", mm_csr.median);
+    p.set_metric("fig10_measured_matmult_sell_s", mm_sell.median);
+    p.set_metric("fig10_measured_matmult_speedup",
+                 mm_csr.median / mm_sell.median);
     p.set_metric("fig10_flock_threads",
                  static_cast<double>(flock.threads));
     p.set_metric("fig10_flock_efficiency", flock.efficiency);

@@ -2,14 +2,12 @@
 // Gflop/s of every kernel variant on Haswell, Broadwell, Skylake and KNL.
 //
 // Table 1's processor specifications are embedded as machine profiles; the
-// modeled sweep reproduces the figure's shape. A measured column for this
-// host is appended.
+// modeled sweep reproduces the figure's shape. This host's measured
+// CSR/SELL x ISA-tier table is Figure 8's (bench_fig08_formats).
 
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "mat/csr_perm.hpp"
-#include "mat/sell.hpp"
 #include "perf/spmv_model.hpp"
 
 int main(int argc, char** argv) {
@@ -68,22 +66,5 @@ int main(int argc, char** argv) {
       "Xeons (memory bound), big gains on KNL; Skylake ~2x Broadwell and\n"
       "Haswell thanks to six memory channels; AVX-512 CSR best on KNL,\n"
       "while CSR AVX/AVX2 peak on Skylake.\n");
-
-  bench::header("Figure 11 (measured): this host, 1 core");
-  mat::Csr csr = bench::gray_scott_matrix(bench::scaled(384));
-  const simd::IsaTier best = simd::detect_best_tier();
-  std::printf("host best ISA tier: %s\n\n", simd::tier_name(best));
-  std::printf("%-20s %10s\n", "variant", "Gflop/s");
-  for (int ti = 0; ti <= static_cast<int>(best); ++ti) {
-    const IsaTier tier = static_cast<IsaTier>(ti);
-    mat::Csr c2 = csr;
-    c2.set_tier(tier);
-    std::printf("CSR using %-10s %10.2f\n", simd::tier_name(tier),
-                bench::gflops(c2, bench::time_spmv(c2)));
-    mat::Sell s2(csr);
-    s2.set_tier(tier);
-    std::printf("SELL using %-9s %10.2f\n", simd::tier_name(tier),
-                bench::gflops(s2, bench::time_spmv(s2)));
-  }
   return 0;
 }

@@ -1,5 +1,5 @@
 // Kestrel Pulse bench: MEASURED DRAM bytes and IPC per SpMV, swept over the
-// format table (CSR / SELL / BCSR / Talon) on a bandwidth-bound Gray-Scott
+// format table (bench::kFormats) on a bandwidth-bound Gray-Scott
 // Jacobian, against the section-6 traffic model (spmv_traffic_bytes()).
 // This is the model-vs-machine loop the counters exist for: the modeled
 // bytes/row the roofline figures trust are checked against what the memory
@@ -20,18 +20,12 @@
 // CI records the skip as an artifact line rather than silently passing.
 
 #include <cstdio>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "mat/bcsr.hpp"
-#include "mat/sell.hpp"
-#include "mat/talon.hpp"
 #include "perf/machine.hpp"
 #include "prof/hwc.hpp"
-#include "prof/report.hpp"
 
 namespace {
 
@@ -52,17 +46,15 @@ FormatResult measure(const std::string& name, const mat::Matrix& a) {
   out.name = name;
   out.model_bytes = static_cast<double>(a.spmv_traffic_bytes());
 
-  Vector x(a.cols()), y(a.rows());
-  for (Index i = 0; i < x.size(); ++i) {
-    x[i] = 0.5 + 0.25 * ((i * 2654435761u) % 1024) / 1024.0;
-  }
+  const Vector x = bench::input_vector(a.cols());
+  Vector y(a.rows());
   a.spmv(x.data(), y.data());  // warm up: page the matrix in
 
   // Pick reps for ~0.2 s of measurement so the counter deltas dwarf the
   // read_thread() syscall overhead at the endpoints.
   int reps = 2;
   if (!bench::smoke_mode()) {
-    const double t1 = bench::time_spmv(a, 3, 0.02);
+    const double t1 = bench::time_spmv(a, 3, 0.02).median;
     reps = static_cast<int>(0.2 / t1) + 1;
     if (reps < 5) reps = 5;
   }
@@ -111,26 +103,9 @@ int main(int argc, char** argv) {
 
   std::vector<FormatResult> results;
   if (available) {
-    const simd::IsaTier best = simd::detect_best_tier();
-    {
-      mat::Csr c2 = csr;
-      c2.set_tier(best);
-      results.push_back(measure("csr", c2));
-    }
-    {
-      mat::Sell s2(csr);
-      s2.set_tier(best);
-      results.push_back(measure("sell", s2));
-    }
-    {
-      mat::Bcsr b2(csr, 2);  // natural 2x2 dof blocks of Gray-Scott
-      b2.set_tier(best);
-      results.push_back(measure("bcsr", b2));
-    }
-    {
-      mat::Talon t2(csr);
-      t2.set_tier(best);
-      results.push_back(measure("talon", t2));
+    for (const char* name : bench::kFormats) {
+      results.push_back(measure(
+          name, *bench::format(name, csr, simd::detect_best_tier())));
     }
 
     std::printf("%-8s %14s %14s %8s %8s %14s\n", "format", "model B/mult",
@@ -161,30 +136,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!bench::json_path().empty()) {
-    // prof::kMetricsSchema artifact; write_json_metrics adds the hwc
-    // capability block itself, so "available": false documents a skip.
-    prof::Profiler log;
-    log.set_metric("matrix_rows", static_cast<double>(csr.rows()));
-    log.set_metric("matrix_nnz", static_cast<double>(csr.nnz()));
-    log.set_metric("hwc/available", available ? 1.0 : 0.0);
-    log.set_metric("hwc/paranoid", static_cast<double>(cap.paranoid));
-    for (const FormatResult& r : results) {
-      log.set_metric("bytes_model/" + r.name, r.model_bytes);
-      log.set_metric("bytes_measured/" + r.name, r.measured_bytes);
-      log.set_metric("bytes_ratio/" + r.name, r.ratio);
-      log.set_metric("ipc/" + r.name, r.ipc);
-      log.set_metric("cycles_per_mult/" + r.name, r.cycles_per_mult);
-    }
-    std::ofstream out(bench::json_path());
-    if (!out.good()) {
-      std::fprintf(stderr, "bench_hwc: cannot open %s\n",
-                   bench::json_path().c_str());
-      return 1;
-    }
-    prof::write_json_metrics(out, prof::reduce(log));
-    std::printf("wrote %s\n", bench::json_path().c_str());
+  // The metrics document carries the hwc capability block itself, so
+  // "available": false documents a skip.
+  prof::Profiler log;
+  log.set_metric("matrix_rows", static_cast<double>(csr.rows()));
+  log.set_metric("matrix_nnz", static_cast<double>(csr.nnz()));
+  log.set_metric("hwc/available", available ? 1.0 : 0.0);
+  log.set_metric("hwc/paranoid", static_cast<double>(cap.paranoid));
+  for (const FormatResult& r : results) {
+    log.set_metric("bytes_model/" + r.name, r.model_bytes);
+    log.set_metric("bytes_measured/" + r.name, r.measured_bytes);
+    log.set_metric("bytes_ratio/" + r.name, r.ratio);
+    log.set_metric("ipc/" + r.name, r.ipc);
+    log.set_metric("cycles_per_mult/" + r.name, r.cycles_per_mult);
   }
-
-  return gate_failed ? 1 : 0;
+  return bench::write_metrics(log) && !gate_failed ? 0 : 1;
 }

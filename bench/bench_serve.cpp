@@ -20,14 +20,12 @@
 // RNG: --seed N reproduces a schedule bit-for-bit, which is what the CI
 // overload-stress job logs so a TSan hit replays locally.
 //
-//   ./bench_serve [--smoke] [--json BENCH_serve.json] [--min-time S]
-//                 [--seed N]
+//   ./bench_serve [--smoke] [--json BENCH_serve.json] [--seed N]
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,7 +34,6 @@
 #include "base/error.hpp"
 #include "base/rng.hpp"
 #include "bench_common.hpp"
-#include "prof/report.hpp"
 #include "svc/registry.hpp"
 #include "svc/service.hpp"
 
@@ -190,8 +187,7 @@ int main(int argc, char** argv) {
   opts.workers = 2;
   opts.queue_depth = 4;
 
-  double duration_s = bench::smoke_mode() ? 0.5 : 3.0;
-  if (bench::min_time() > duration_s) duration_s = bench::min_time();
+  const double duration_s = bench::smoke_mode() ? 0.5 : 3.0;
 
   // Capacity: the rate at which `workers` busy workers retire requests.
   const double solve_s = [&] {
@@ -267,15 +263,6 @@ int main(int argc, char** argv) {
               unstructured, monotonic ? "monotonic" : "NOT MONOTONIC",
               p99_ratio);
 
-  if (!bench::json_path().empty()) {
-    std::ofstream out(bench::json_path());
-    if (!out.good()) {
-      std::fprintf(stderr, "bench_serve: cannot open %s\n",
-                   bench::json_path().c_str());
-      return 1;
-    }
-    prof::write_json_metrics(out, prof::reduce(log));
-    std::printf("metrics written to %s\n", bench::json_path().c_str());
-  }
-  return unstructured == 0 && monotonic ? 0 : 1;
+  const bool wrote = bench::write_metrics(log);
+  return wrote && unstructured == 0 && monotonic ? 0 : 1;
 }

@@ -16,24 +16,17 @@
 // model, under the same [0.25, 4.0] wiring band bench_hwc applies to the
 // fat formats.
 //
-//   ./bench_slim [--smoke] [--json BENCH_slim.json] [--min-time S]
+//   ./bench_slim [--smoke] [--json BENCH_slim.json]
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "mat/bcsr.hpp"
-#include "mat/csr_perm.hpp"
-#include "mat/sell.hpp"
 #include "mat/slim.hpp"
-#include "mat/talon.hpp"
 #include "prof/hwc.hpp"
-#include "prof/report.hpp"
 #include "simd/isa.hpp"
 
 namespace {
@@ -44,25 +37,6 @@ struct SlimConfig {
   const char* label;
   mat::SlimOptions opts;
 };
-
-std::shared_ptr<mat::Matrix> build_format(const std::string& name,
-                                          const mat::Csr& csr) {
-  const simd::IsaTier best = simd::detect_best_tier();
-  std::shared_ptr<mat::Matrix> m;
-  if (name == "csr") {
-    m = std::make_shared<mat::Csr>(csr);
-  } else if (name == "csrperm") {
-    m = std::make_shared<mat::CsrPerm>(mat::Csr(csr));
-  } else if (name == "sell") {
-    m = std::make_shared<mat::Sell>(csr);
-  } else if (name == "bcsr") {
-    m = std::make_shared<mat::Bcsr>(csr, 2);  // Gray-Scott dof blocks
-  } else {
-    m = std::make_shared<mat::Talon>(csr);
-  }
-  m->set_tier(best);
-  return m;
-}
 
 /// Square banded matrix with `2 * half + 1` nonzeros per interior row,
 /// assembled directly in CSR form (no COO sort — at bench sizes that
@@ -87,39 +61,10 @@ mat::Csr banded_matrix(Index m, Index half) {
                   std::move(val));
 }
 
-/// Best-of timing that keeps real repetitions under --smoke (the gate
-/// matrix stays full size, so the metric must be a measurement, not a
-/// wiring check — same reasoning as bench_threads' gate loop).
-double time_gate(const mat::Matrix& a) {
-  const int reps = bench::smoke_mode() ? 5 : 10;
-  double secs = bench::smoke_mode() ? 0.1 : 0.3;
-  if (bench::min_time() > secs) secs = bench::min_time();
-  Vector x(a.cols()), y(a.rows());
-  for (Index i = 0; i < x.size(); ++i) {
-    x[i] = 0.5 + 0.25 * ((i * 2654435761u) % 1024) / 1024.0;
-  }
-  a.spmv(x.data(), y.data());  // warm up
-  double best = 1e300, spent = 0.0;
-  int k = 0;
-  while (k < reps || spent < secs) {
-    const double t0 = wall_time();
-    a.spmv(x.data(), y.data());
-    const double dt = wall_time() - t0;
-    best = std::min(best, dt);
-    spent += dt;
-    ++k;
-  }
-  volatile double sink = y[0];
-  (void)sink;
-  return best;
-}
-
 /// Measured DRAM bytes per multiply (0 when counters are unavailable).
 double measured_bytes(const mat::Matrix& a) {
-  Vector x(a.cols()), y(a.rows());
-  for (Index i = 0; i < x.size(); ++i) {
-    x[i] = 0.5 + 0.25 * ((i * 2654435761u) % 1024) / 1024.0;
-  }
+  const Vector x = bench::input_vector(a.cols());
+  Vector y(a.rows());
   a.spmv(x.data(), y.data());  // warm up
   const int reps = 5;
   const prof::hwc::Reading r0 = prof::hwc::read_thread();
@@ -170,7 +115,10 @@ int main(int argc, char** argv) {
       {"fat", {.fp32 = false}},
       {"fp32", {.fp32 = true}},  // the gated column
   };
-  const char* formats[] = {"csr", "csrperm", "sell", "bcsr", "talon"};
+  // The gate matrix stays full size, so keep real repetitions under
+  // --smoke too: the gate metric must be a measurement, not a wiring check.
+  const int reps = bench::scaled_reps(10, 5);
+  const double secs = bench::smoke_mode() ? 0.1 : 0.3;
 
   prof::Profiler log;
   log.set_metric("matrix_rows", static_cast<double>(csr.rows()));
@@ -180,18 +128,20 @@ int main(int argc, char** argv) {
   int gate_count = 0;
   bool band_failed = false;
   std::printf("%-8s", "format");
-  for (const SlimConfig& c : configs) std::printf(" %9s[GF/s]", c.label);
+  for (const SlimConfig& c : configs) {
+    std::printf(" %9s[GF/s]    IQR", c.label);
+  }
   std::printf("  speedup  model B/mult (fat->fp32)\n");
-  for (const char* fmt : formats) {
+  for (const char* fmt : bench::kFormats) {
     std::printf("%-8s", fmt);
     double fat_gf = 0.0, fp32_gf = 0.0;
     std::size_t fat_bytes = 0, fp32_bytes = 0;
     for (const SlimConfig& c : configs) {
-      auto m = build_format(fmt, csr);
+      auto m = bench::format(fmt, csr, best);
       const bool ok = m->set_slim(c.opts);
-      const double t = time_gate(*m);
-      const double gf = bench::gflops(*m, t);
-      std::printf(" %15.2f", gf);
+      const bench::Sample t = bench::time_spmv(*m, reps, secs);
+      const double gf = bench::gflops(*m, t.median);
+      std::printf(" %15.2f %s", gf, bench::spread(t).c_str());
       const std::string key = std::string("slim/") + fmt + "/" + c.label;
       log.set_metric(key + "_gflops", gf);
       log.set_metric(key + "_eligible", ok ? 1.0 : 0.0);
@@ -226,15 +176,5 @@ int main(int argc, char** argv) {
               "needs >= 2)\n",
               gate_count, gate_eligible ? "eligible" : "skipped");
 
-  if (!bench::json_path().empty()) {
-    std::ofstream out(bench::json_path());
-    if (!out.good()) {
-      std::fprintf(stderr, "bench_slim: cannot open %s\n",
-                   bench::json_path().c_str());
-      return 1;
-    }
-    prof::write_json_metrics(out, prof::reduce(log));
-    std::printf("metrics written to %s\n", bench::json_path().c_str());
-  }
-  return band_failed ? 1 : 0;
+  return bench::write_metrics(log) && !band_failed ? 0 : 1;
 }

@@ -16,117 +16,71 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "base/options.hpp"
 #include "bench_common.hpp"
-#include "mat/bcsr.hpp"
-#include "mat/csr_perm.hpp"
-#include "mat/sell.hpp"
-#include "mat/talon.hpp"
-#include "par/pool.hpp"
 #include "prof/profiler.hpp"
-#include "prof/report.hpp"
-
-namespace {
-
-using namespace kestrel;
-
-struct FormatEntry {
-  const char* label;
-  std::shared_ptr<mat::Matrix> m;
-};
-
-std::vector<FormatEntry> build_formats(const mat::Csr& csr) {
-  std::vector<FormatEntry> out;
-  out.push_back({"csr", std::make_shared<mat::Csr>(csr)});
-  out.push_back({"csrperm", std::make_shared<mat::CsrPerm>(csr)});
-  out.push_back({"sell", std::make_shared<mat::Sell>(csr)});
-  out.push_back({"bcsr", std::make_shared<mat::Bcsr>(csr, 2)});
-  out.push_back({"talon", std::make_shared<mat::Talon>(csr)});
-  return out;
-}
-
-double time_cfg(const mat::Matrix& a) {
-  // The small matrix is fast; keep real repetitions even under --smoke so
-  // the gate metric is a measurement, not a wiring check.
-  const int reps = bench::smoke_mode() ? 5 : 30;
-  const double secs = bench::smoke_mode() ? 0.02 : 0.2;
-  Vector x(a.cols()), y(a.rows());
-  for (Index i = 0; i < x.size(); ++i) {
-    x[i] = 0.5 + 0.25 * ((i * 2654435761u) % 1024) / 1024.0;
-  }
-  a.spmv(x.data(), y.data());
-  double best = 1e300, spent = 0.0;
-  int k = 0;
-  while (k < reps || spent < secs) {
-    const double t0 = wall_time();
-    a.spmv(x.data(), y.data());
-    const double dt = wall_time() - t0;
-    best = std::min(best, dt);
-    spent += dt;
-    ++k;
-  }
-  volatile double sink = y[0];
-  (void)sink;
-  return best;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
+  using namespace kestrel;
   bench::parse_args(argc, argv);
   Options::global().parse(argc, argv);
 
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   const std::vector<int> counts = {1, 2, 4, 8};
+  // The small matrix is fast; keep real repetitions even under --smoke so
+  // the gate metric is a measurement, not a wiring check.
+  const int reps = bench::scaled_reps(30, 5);
+  const double secs = bench::smoke_mode() ? 0.02 : 0.2;
+
+  const std::string saved_threads =
+      Options::global().get_string("threads", "");
+  prof::Profiler log;
+  log.set_metric("threads_hw_cores", static_cast<double>(hw));
+
+  // One row per format, Gflop/s at every thread count, exported as
+  // <prefix><fmt>_t<N>_gflops (and _speedup when `speedups`). Returns the
+  // best speedup at 4 threads across formats.
+  const auto sweep = [&](const mat::Csr& csr, const std::string& prefix,
+                         bool speedups) {
+    std::printf("%-10s", "format");
+    for (int t : counts) std::printf("   t=%d [Gflop/s]    IQR", t);
+    std::printf(speedups ? "   speedup@4\n" : "\n");
+    double best_sp4 = 0.0;
+    for (const char* name : bench::kFormats) {
+      const auto m = bench::format(name, csr, simd::default_tier());
+      std::printf("%-10s", name);
+      double t1 = 0.0, sp4 = 0.0;
+      for (int t : counts) {
+        Options::global().set("threads", std::to_string(t));
+        m->repartition(t);
+        const bench::Sample dt = bench::time_spmv(*m, reps, secs);
+        if (t == 1) t1 = dt.median;
+        const double gf = bench::gflops(*m, dt.median);
+        std::printf("   %13.2f %s", gf, bench::spread(dt).c_str());
+        const std::string key = prefix + name + "_t" + std::to_string(t);
+        log.set_metric(key + "_gflops", gf);
+        if (speedups) log.set_metric(key + "_speedup", t1 / dt.median);
+        if (t == 4) sp4 = t1 / dt.median;
+      }
+      best_sp4 = std::max(best_sp4, sp4);
+      if (speedups) std::printf("   %8.2fx", sp4);
+      std::printf("\n");
+    }
+    return best_sp4;
+  };
 
   // The small size is fixed (not --smoke scaled): the >= 2x gate needs a
   // matrix big enough that the pool barrier is noise, yet small enough to
   // stay cache-resident (~180k nnz, ~2.6 MB of values+indices).
-  const Index small_n = 96;
-  const mat::Csr small = bench::gray_scott_matrix(small_n);
+  const mat::Csr small = bench::gray_scott_matrix(96);
   bench::header("Kestrel Flock: thread scaling, cache-resident Gray-Scott " +
                 std::to_string(small.rows()) + " rows");
   std::printf("host: %d hardware threads\n\n", hw);
-
-  const std::string saved_threads =
-      Options::global().get_string("threads", "");
-
-  prof::Profiler log;
-  log.set_metric("threads_hw_cores", static_cast<double>(hw));
-  double gate_speedup = 0.0;
-
-  auto formats = build_formats(small);
-  std::printf("%-10s", "format");
-  for (int t : counts) std::printf("   t=%d [Gflop/s]", t);
-  std::printf("   speedup@4\n");
-  for (auto& fe : formats) {
-    std::printf("%-10s", fe.label);
-    double t1 = 0.0, sp4 = 0.0;
-    for (int t : counts) {
-      Options::global().set("threads", std::to_string(t));
-      fe.m->repartition(t);
-      const double dt = time_cfg(*fe.m);
-      if (t == 1) t1 = dt;
-      const double speedup = t1 / dt;
-      if (t == 4) sp4 = speedup;
-      std::printf("   %13.2f", bench::gflops(*fe.m, dt));
-      log.set_metric(std::string(fe.label) + "_t" + std::to_string(t) +
-                         "_gflops",
-                     bench::gflops(*fe.m, dt));
-      log.set_metric(std::string(fe.label) + "_t" + std::to_string(t) +
-                         "_speedup",
-                     speedup);
-    }
-    gate_speedup = std::max(gate_speedup, sp4);
-    std::printf("   %8.2fx\n", sp4);
-  }
-
+  const double gate_speedup = sweep(small, "", true);
   log.set_metric("threads_gate_speedup", gate_speedup);
   log.set_metric("threads_gate_eligible", hw >= 4 ? 1.0 : 0.0);
   std::printf("\nbest speedup at 4 threads: %.2fx (gate %s: host has %d "
@@ -141,33 +95,11 @@ int main(int argc, char** argv) {
     const mat::Csr large = bench::gray_scott_matrix(384);
     bench::header("Kestrel Flock: thread scaling, memory-resident Gray-"
                   "Scott " + std::to_string(large.rows()) + " rows");
-    auto lformats = build_formats(large);
-    std::printf("%-10s", "format");
-    for (int t : counts) std::printf("   t=%d [Gflop/s]", t);
-    std::printf("\n");
-    for (auto& fe : lformats) {
-      std::printf("%-10s", fe.label);
-      for (int t : counts) {
-        Options::global().set("threads", std::to_string(t));
-        fe.m->repartition(t);
-        const double dt = time_cfg(*fe.m);
-        std::printf("   %13.2f", bench::gflops(*fe.m, dt));
-        log.set_metric(std::string("large_") + fe.label + "_t" +
-                           std::to_string(t) + "_gflops",
-                       bench::gflops(*fe.m, dt));
-      }
-      std::printf("\n");
-    }
+    sweep(large, "large_", false);
   }
 
   // Restore the caller's -threads so the option state is as we found it.
   Options::global().set("threads",
                         saved_threads.empty() ? "1" : saved_threads);
-
-  if (!bench::json_path().empty()) {
-    std::ofstream out(bench::json_path());
-    prof::write_json_metrics(out, prof::reduce(log));
-    std::printf("\nmetrics written to %s\n", bench::json_path().c_str());
-  }
-  return 0;
+  return bench::write_metrics(log) ? 0 : 1;
 }

@@ -101,6 +101,10 @@ class Sell final : public Matrix {
   /// ablation); requires slice height 8 for the vector path.
   void spmv_prefetch(const Scalar* x, Scalar* y) const;
 
+  /// The tier the SpMV kernels run at: tier() lowered to the highest tier
+  /// whose kernels support this slice height.
+  simd::IsaTier vector_tier() const;
+
   SellView view() const {
     return {m_,      n_,   c_,           nslices_,
             sliceptr_.data(), colidx_.data(), val_.data(), rlen_.data(),
@@ -129,9 +133,6 @@ class Sell final : public Matrix {
   /// (sliceptr values are absolute into colidx/val, so only the sliceptr
   /// pointer, m and the output shift); serial when the partition is.
   void run_partitioned(simd::SellSpmvFn fn, const Scalar* x, Scalar* out) const;
-  /// tier_ lowered to the highest tier whose kernels support slice height c.
-  simd::IsaTier vector_tier() const;
-
   Index m_ = 0, n_ = 0;
   Index c_ = kZmmDoubles;
   Index nslices_ = 0;

@@ -29,8 +29,9 @@ int configured_threads() {
   if (n <= 0) n = 1;
   // Kestrel Bastion: a request past the machine's core count would only
   // park oversubscribed workers on the scheduler; clamp it and say so once
-  // instead of silently degrading every threaded kernel.
-  const std::int64_t hw =
+  // instead of silently degrading every threaded kernel. The count is read
+  // once: every threaded MatMult asks, and the query costs microseconds.
+  static const std::int64_t hw =
       static_cast<std::int64_t>(std::thread::hardware_concurrency());
   if (hw > 0 && n > hw) {
     static std::once_flag warned;

@@ -28,8 +28,6 @@ namespace kestrel::prof {
 /// top-level "hwc" machine/capability block and the per-event measured
 /// counter fields — so v1 consumers parse v2 documents untouched.
 inline constexpr const char* kMetricsSchema = "kestrel-scope-metrics-v2";
-/// Previous version, still accepted by validators (check.sh, CI).
-inline constexpr const char* kMetricsSchemaV1 = "kestrel-scope-metrics-v1";
 
 /// One (stage, event) cell reduced across ranks.
 struct ReducedRow {

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import sys
 
-SCHEMAS = ("kestrel-scope-metrics-v1", "kestrel-scope-metrics-v2")
+SCHEMA = "kestrel-scope-metrics-v2"
 FORMATS = ("csr", "csrperm", "sell", "bcsr", "talon")
 
 
@@ -37,7 +37,7 @@ def check(cond: bool, msg: str) -> None:
 def load_metrics_doc(path: str) -> dict:
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    check(doc.get("schema") in SCHEMAS,
+    check(doc.get("schema") == SCHEMA,
           f"{path}: unknown schema {doc.get('schema')!r}")
     return doc
 

@@ -108,11 +108,11 @@ svc-structured-errors
 
 prof-schema-version
     Profiler export paths must declare their schema version through the
-    shared constants in src/prof/report.hpp (prof::kMetricsSchema /
-    kMetricsSchemaV1). In src/, bench/ and examples/, (a) no code may
-    hardcode a "kestrel-scope-metrics-..." string literal outside
-    report.hpp, and (b) any line emitting a "schema" JSON key must
-    reference kMetricsSchema on that line. Hardcoded copies are how a
+    shared constant in src/prof/report.hpp (prof::kMetricsSchema). In
+    src/, bench/ and examples/, (a) no code may hardcode a
+    "kestrel-scope-metrics-..." string literal outside report.hpp, and
+    (b) any line emitting a "schema" JSON key must reference
+    kMetricsSchema on that line. Hardcoded copies are how a
     schema bump silently forks: one writer moves to -v2 while another
     keeps stamping -v1 over the new fields. Comments are exempt; tests
     are exempt (they pin exact strings on purpose).
@@ -667,9 +667,8 @@ def check_prof_schema_version(repo: str) -> list[Violation]:
                     violations.append(Violation(
                         "prof-schema-version", rel, lineno,
                         f"hardcodes a '{SCHEMA_PREFIX}...' schema string — "
-                        f"use prof::{SCHEMA_CONSTANT} (or "
-                        f"{SCHEMA_CONSTANT}V1) from {SCHEMA_HOME} so every "
-                        f"export path versions together"))
+                        f"use prof::{SCHEMA_CONSTANT} from {SCHEMA_HOME} "
+                        f"so every export path versions together"))
                 elif SCHEMA_KEY_EMIT in line and SCHEMA_CONSTANT not in line:
                     violations.append(Violation(
                         "prof-schema-version", rel, lineno,
