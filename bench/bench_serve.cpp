@@ -68,14 +68,6 @@ svc::SolveRequest make_request(const mat::Csr& csr) {
   return req;
 }
 
-double percentile(std::vector<double> sorted_ascending, double p) {
-  if (sorted_ascending.empty()) return 0.0;
-  std::sort(sorted_ascending.begin(), sorted_ascending.end());
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted_ascending.size() - 1));
-  return sorted_ascending[idx];
-}
-
 /// Median in-service seconds per request with the service idle (solo
 /// requests, no queueing): the capacity basis. A warm-up solve is
 /// discarded, and the median of `reps` more keeps one slow solve from
@@ -94,7 +86,8 @@ double calibrate_solve_s(svc::SolveService& service, const mat::Csr& csr,
     }
     if (i > 0) solve_s.push_back(resp.solve_s);
   }
-  return percentile(std::move(solve_s), 0.50);
+  std::sort(solve_s.begin(), solve_s.end());
+  return bench::quantile(solve_s, 0.50);
 }
 
 LoadResult run_load(svc::MatrixRegistry& registry, const mat::Csr& csr,
@@ -151,10 +144,13 @@ LoadResult run_load(svc::MatrixRegistry& registry, const mat::Csr& csr,
                              .count();
   r.accepted = static_cast<int>(tickets.size());
   r.achieved_rps = elapsed > 0.0 ? r.accepted / elapsed : 0.0;
-  r.p50_s = percentile(latencies, 0.50);
-  r.p99_s = percentile(latencies, 0.99);
-  r.solve_p50_s = percentile(std::move(solves), 0.50);
+  // Every request shed leaves the latencies empty: they then report 0.
   if (!latencies.empty()) {
+    std::sort(latencies.begin(), latencies.end());
+    std::sort(solves.begin(), solves.end());
+    r.p50_s = bench::quantile(latencies, 0.50);
+    r.p99_s = bench::quantile(latencies, 0.99);
+    r.solve_p50_s = bench::quantile(solves, 0.50);
     r.mean_wait_s /= static_cast<double>(latencies.size());
   }
   return r;

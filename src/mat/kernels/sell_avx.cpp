@@ -23,25 +23,14 @@ inline __m256d gather4_avx(const Scalar* x, const Index* idx) {
   return _mm256_insertf128_pd(_mm256_castpd128_pd256(lo), hi, 1);
 }
 
-template <bool Add>
 inline void store4(Scalar* y, Index valid, __m256d acc) {
   alignas(32) Scalar tmp[4];
   if (valid >= 4) {
-    if constexpr (Add) {
-      _mm256_storeu_pd(y, _mm256_add_pd(_mm256_loadu_pd(y), acc));
-    } else {
-      _mm256_storeu_pd(y, acc);
-    }
+    _mm256_storeu_pd(y, acc);
   } else if (valid > 0) {
     // kestrel-aligned: tmp is alignas(32) stack storage declared above
     _mm256_store_pd(tmp, acc);
-    for (Index lane = 0; lane < valid; ++lane) {
-      if constexpr (Add) {
-        y[lane] += tmp[lane];
-      } else {
-        y[lane] = tmp[lane];
-      }
-    }
+    for (Index lane = 0; lane < valid; ++lane) y[lane] = tmp[lane];
   }
 }
 
@@ -55,9 +44,8 @@ inline __m256d load4(const V* p) {
   }
 }
 
-/// One body for every entry point: V is the stored value type, Add
-/// accumulates into y.
-template <bool Add, class V>
+/// One body for every entry point: V is the stored value type.
+template <class V>
 void sell_spmv_avx_impl(const SellView& a, const V* val, const Scalar* x,
                          Scalar* y) {
   const Index c = a.c;  // multiple of 4, enforced by caller
@@ -77,7 +65,7 @@ void sell_spmv_avx_impl(const SellView& a, const V* val, const Scalar* x,
     const Index row0 = s * c;
     const Index nrows = (row0 + c <= a.m) ? c : (a.m - row0);
     for (Index v = 0; v < nv && v * 4 < nrows; ++v) {
-      store4<Add>(y + row0 + v * 4, nrows - v * 4, acc[v]);
+      store4(y + row0 + v * 4, nrows - v * 4, acc[v]);
     }
   }
 }
@@ -89,7 +77,7 @@ void sell_spmv_avx_impl(const SellView& a, const V* val, const Scalar* x,
 // argus-require: divides(4, c)
 // argus-traffic: sell
 void sell_spmv_avx(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_avx_impl<false, Scalar>(a, a.val, x, y);
+  sell_spmv_avx_impl<Scalar>(a, a.val, x, y);
 }
 // argus-kernel: sell_spmv_fp32_avx
 // argus-param: a : view SellView
@@ -98,16 +86,7 @@ void sell_spmv_avx(const SellView& a, const Scalar* x, Scalar* y) {
 // argus-require: divides(4, c)
 // argus-traffic: sell_fp32
 void sell_spmv_fp32_avx(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_avx_impl<false, float>(a, a.val32, x, y);
-}
-// argus-kernel: sell_spmv_add_avx
-// argus-param: a : view SellView
-// argus-param: x : in extent n
-// argus-param: y : out extent m
-// argus-require: divides(4, c)
-// argus-traffic: sell
-void sell_spmv_add_avx(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_avx_impl<true, Scalar>(a, a.val, x, y);
+  sell_spmv_avx_impl<float>(a, a.val32, x, y);
 }
 
 }  // namespace
@@ -115,7 +94,6 @@ void sell_spmv_add_avx(const SellView& a, const Scalar* x, Scalar* y) {
 void register_sell_avx() {
   KESTREL_REGISTER_KERNEL(kSellSpmv, kAvx, sell_spmv_avx);
   KESTREL_REGISTER_KERNEL(kSellSpmvFp32, kAvx, sell_spmv_fp32_avx);
-  KESTREL_REGISTER_KERNEL(kSellSpmvAdd, kAvx, sell_spmv_add_avx);
 }
 
 }  // namespace kestrel::mat::kernels

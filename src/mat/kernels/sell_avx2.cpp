@@ -16,25 +16,14 @@ namespace kestrel::mat::kernels {
 
 namespace {
 
-template <bool Add>
 inline void store4(Scalar* y, Index valid, __m256d acc) {
   alignas(32) Scalar tmp[4];
   if (valid >= 4) {
-    if constexpr (Add) {
-      _mm256_storeu_pd(y, _mm256_add_pd(_mm256_loadu_pd(y), acc));
-    } else {
-      _mm256_storeu_pd(y, acc);
-    }
+    _mm256_storeu_pd(y, acc);
   } else if (valid > 0) {
     // kestrel-aligned: tmp is alignas(32) stack storage declared above
     _mm256_store_pd(tmp, acc);
-    for (Index lane = 0; lane < valid; ++lane) {
-      if constexpr (Add) {
-        y[lane] += tmp[lane];
-      } else {
-        y[lane] = tmp[lane];
-      }
-    }
+    for (Index lane = 0; lane < valid; ++lane) y[lane] = tmp[lane];
   }
 }
 
@@ -48,9 +37,8 @@ inline __m256d load4(const V* p) {
   }
 }
 
-/// One body for every entry point: V is the stored value type, Add
-/// accumulates into y.
-template <bool Add, class V>
+/// One body for every entry point: V is the stored value type.
+template <class V>
 void sell_spmv_avx2_impl(const SellView& a, const V* val, const Scalar* x,
                          Scalar* y) {
   const Index c = a.c;  // multiple of 4, enforced by caller
@@ -72,7 +60,7 @@ void sell_spmv_avx2_impl(const SellView& a, const V* val, const Scalar* x,
     const Index row0 = s * c;
     const Index nrows = (row0 + c <= a.m) ? c : (a.m - row0);
     for (Index v = 0; v < nv && v * 4 < nrows; ++v) {
-      store4<Add>(y + row0 + v * 4, nrows - v * 4, acc[v]);
+      store4(y + row0 + v * 4, nrows - v * 4, acc[v]);
     }
   }
 }
@@ -84,7 +72,7 @@ void sell_spmv_avx2_impl(const SellView& a, const V* val, const Scalar* x,
 // argus-require: divides(4, c)
 // argus-traffic: sell
 void sell_spmv_avx2(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_avx2_impl<false, Scalar>(a, a.val, x, y);
+  sell_spmv_avx2_impl<Scalar>(a, a.val, x, y);
 }
 // argus-kernel: sell_spmv_fp32_avx2
 // argus-param: a : view SellView
@@ -93,16 +81,7 @@ void sell_spmv_avx2(const SellView& a, const Scalar* x, Scalar* y) {
 // argus-require: divides(4, c)
 // argus-traffic: sell_fp32
 void sell_spmv_fp32_avx2(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_avx2_impl<false, float>(a, a.val32, x, y);
-}
-// argus-kernel: sell_spmv_add_avx2
-// argus-param: a : view SellView
-// argus-param: x : in extent n
-// argus-param: y : out extent m
-// argus-require: divides(4, c)
-// argus-traffic: sell
-void sell_spmv_add_avx2(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_avx2_impl<true, Scalar>(a, a.val, x, y);
+  sell_spmv_avx2_impl<float>(a, a.val32, x, y);
 }
 
 }  // namespace
@@ -110,7 +89,6 @@ void sell_spmv_add_avx2(const SellView& a, const Scalar* x, Scalar* y) {
 void register_sell_avx2() {
   KESTREL_REGISTER_KERNEL(kSellSpmv, kAvx2, sell_spmv_avx2);
   KESTREL_REGISTER_KERNEL(kSellSpmvFp32, kAvx2, sell_spmv_fp32_avx2);
-  KESTREL_REGISTER_KERNEL(kSellSpmvAdd, kAvx2, sell_spmv_add_avx2);
 }
 
 }  // namespace kestrel::mat::kernels

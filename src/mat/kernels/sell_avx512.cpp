@@ -23,25 +23,15 @@ namespace kestrel::mat::kernels {
 
 namespace {
 
-template <bool Add>
 inline void store_lanes(Scalar* y, Index nrows, Index lane0, __m512d acc) {
   // nrows counts valid rows in the whole slice; this vector covers rows
   // [lane0, lane0+8).
   const Index valid = nrows - lane0;
   if (valid >= 8) {
-    if constexpr (Add) {
-      _mm512_storeu_pd(y, _mm512_add_pd(_mm512_loadu_pd(y), acc));
-    } else {
-      _mm512_storeu_pd(y, acc);
-    }
+    _mm512_storeu_pd(y, acc);
   } else if (valid > 0) {
     const __mmask8 mask = static_cast<__mmask8>((1u << valid) - 1u);
-    if constexpr (Add) {
-      const __m512d old = _mm512_maskz_loadu_pd(mask, y);
-      _mm512_mask_storeu_pd(y, mask, _mm512_add_pd(old, acc));
-    } else {
-      _mm512_mask_storeu_pd(y, mask, acc);
-    }
+    _mm512_mask_storeu_pd(y, mask, acc);
   }
 }
 
@@ -56,9 +46,8 @@ inline __m512d load8(const V* p) {
   }
 }
 
-/// One body for every entry point: V is the stored value type, Add
-/// accumulates into y.
-template <bool Add, class V>
+/// One body for every entry point: V is the stored value type.
+template <class V>
 void sell_spmv_avx512_impl(const SellView& a, const V* val, const Scalar* x,
                            Scalar* y) {
   const Index c = a.c;
@@ -77,7 +66,7 @@ void sell_spmv_avx512_impl(const SellView& a, const V* val, const Scalar* x,
       }
       const Index row0 = s * 8;
       const Index nrows = (row0 + 8 <= a.m) ? 8 : (a.m - row0);
-      store_lanes<Add>(y + row0, nrows, 0, acc);
+      store_lanes(y + row0, nrows, 0, acc);
     }
     return;
   }
@@ -100,7 +89,7 @@ void sell_spmv_avx512_impl(const SellView& a, const V* val, const Scalar* x,
     const Index row0 = s * c;
     const Index nrows = (row0 + c <= a.m) ? c : (a.m - row0);
     for (Index v = 0; v < nv && v * 8 < nrows; ++v) {
-      store_lanes<Add>(y + row0 + v * 8, nrows, v * 8, acc[v]);
+      store_lanes(y + row0 + v * 8, nrows, v * 8, acc[v]);
     }
   }
 }
@@ -112,7 +101,7 @@ void sell_spmv_avx512_impl(const SellView& a, const V* val, const Scalar* x,
 // argus-require: divides(8, c)
 // argus-traffic: sell
 void sell_spmv_avx512(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_avx512_impl<false, Scalar>(a, a.val, x, y);
+  sell_spmv_avx512_impl<Scalar>(a, a.val, x, y);
 }
 // argus-kernel: sell_spmv_fp32_avx512
 // argus-param: a : view SellView
@@ -121,16 +110,7 @@ void sell_spmv_avx512(const SellView& a, const Scalar* x, Scalar* y) {
 // argus-require: divides(8, c)
 // argus-traffic: sell_fp32
 void sell_spmv_fp32_avx512(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_avx512_impl<false, float>(a, a.val32, x, y);
-}
-// argus-kernel: sell_spmv_add_avx512
-// argus-param: a : view SellView
-// argus-param: x : in extent n
-// argus-param: y : out extent m
-// argus-require: divides(8, c)
-// argus-traffic: sell
-void sell_spmv_add_avx512(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_avx512_impl<true, Scalar>(a, a.val, x, y);
+  sell_spmv_avx512_impl<float>(a, a.val32, x, y);
 }
 
 /// ESB-style bit-array variant (section 5.3): padded lanes are skipped via
@@ -168,7 +148,7 @@ void sell_spmv_bitmask_avx512(const SellView& a, const Scalar* x, Scalar* y) {
     const Index row0 = s * c;
     const Index nrows = (row0 + c <= a.m) ? c : (a.m - row0);
     for (Index v = 0; v < nv && v * 8 < nrows; ++v) {
-      store_lanes<false>(y + row0 + v * 8, nrows, v * 8, acc[v]);
+      store_lanes(y + row0 + v * 8, nrows, v * 8, acc[v]);
     }
   }
 }
@@ -215,7 +195,7 @@ void sell_spmv_avx512_prefetch(const SellView& a, const Scalar* x,
     _mm512_storeu_pd(y + s * 8, acc0);
     const Index row1 = (s + 1) * 8;
     const Index nrows1 = (row1 + 8 <= a.m) ? 8 : (a.m - row1);
-    store_lanes<false>(y + row1, nrows1, 0, acc1);
+    store_lanes(y + row1, nrows1, 0, acc1);
   }
   for (; s < ns; ++s) {  // odd tail slice
     __m512d acc = _mm512_setzero_pd();
@@ -227,7 +207,7 @@ void sell_spmv_avx512_prefetch(const SellView& a, const Scalar* x,
     }
     const Index row0 = s * 8;
     const Index nrows = (row0 + 8 <= a.m) ? 8 : (a.m - row0);
-    store_lanes<false>(y + row0, nrows, 0, acc);
+    store_lanes(y + row0, nrows, 0, acc);
   }
 }
 
@@ -236,7 +216,6 @@ void sell_spmv_avx512_prefetch(const SellView& a, const Scalar* x,
 void register_sell_avx512() {
   KESTREL_REGISTER_KERNEL(kSellSpmv, kAvx512, sell_spmv_avx512);
   KESTREL_REGISTER_KERNEL(kSellSpmvFp32, kAvx512, sell_spmv_fp32_avx512);
-  KESTREL_REGISTER_KERNEL(kSellSpmvAdd, kAvx512, sell_spmv_add_avx512);
   KESTREL_REGISTER_KERNEL(kSellSpmvBitmask, kAvx512, sell_spmv_bitmask_avx512);
   KESTREL_REGISTER_KERNEL(kSellSpmvPrefetch, kAvx512,
                           sell_spmv_avx512_prefetch);

@@ -13,8 +13,8 @@ namespace kestrel::mat::kernels {
 namespace {
 
 /// One body for every entry point: V is the stored value type (double, or
-/// the fp32 stream widened to double on load); Add accumulates into y.
-template <bool Add, class V>
+/// the fp32 stream widened to double on load).
+template <class V>
 void sell_spmv_scalar_impl(const SellView& a, const V* val, const Scalar* x,
                            Scalar* y) {
   const Index c = a.c;
@@ -29,13 +29,7 @@ void sell_spmv_scalar_impl(const SellView& a, const V* val, const Scalar* x,
         acc[lane] += val[k + lane] * x[a.colidx[k + lane]];
       }
     }
-    for (Index lane = 0; lane < nrows; ++lane) {
-      if constexpr (Add) {
-        y[row0 + lane] += acc[lane];
-      } else {
-        y[row0 + lane] = acc[lane];
-      }
-    }
+    for (Index lane = 0; lane < nrows; ++lane) y[row0 + lane] = acc[lane];
   }
 }
 
@@ -45,7 +39,7 @@ void sell_spmv_scalar_impl(const SellView& a, const V* val, const Scalar* x,
 // argus-param: y : out extent m
 // argus-traffic: sell
 void sell_spmv_scalar(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_scalar_impl<false, Scalar>(a, a.val, x, y);
+  sell_spmv_scalar_impl<Scalar>(a, a.val, x, y);
 }
 // argus-kernel: sell_spmv_fp32_scalar
 // argus-param: a : view SellView
@@ -53,15 +47,7 @@ void sell_spmv_scalar(const SellView& a, const Scalar* x, Scalar* y) {
 // argus-param: y : out extent m
 // argus-traffic: sell_fp32
 void sell_spmv_fp32_scalar(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_scalar_impl<false, float>(a, a.val32, x, y);
-}
-// argus-kernel: sell_spmv_add_scalar
-// argus-param: a : view SellView
-// argus-param: x : in extent n
-// argus-param: y : out extent m
-// argus-traffic: sell
-void sell_spmv_add_scalar(const SellView& a, const Scalar* x, Scalar* y) {
-  sell_spmv_scalar_impl<true, Scalar>(a, a.val, x, y);
+  sell_spmv_scalar_impl<float>(a, a.val32, x, y);
 }
 
 /// ESB-style bit-array variant (paper section 5.3 ablation): skip padded
@@ -94,7 +80,6 @@ void sell_spmv_bitmask_scalar(const SellView& a, const Scalar* x, Scalar* y) {
 void register_sell_scalar() {
   KESTREL_REGISTER_KERNEL(kSellSpmv, kScalar, sell_spmv_scalar);
   KESTREL_REGISTER_KERNEL(kSellSpmvFp32, kScalar, sell_spmv_fp32_scalar);
-  KESTREL_REGISTER_KERNEL(kSellSpmvAdd, kScalar, sell_spmv_add_scalar);
   KESTREL_REGISTER_KERNEL(kSellSpmvBitmask, kScalar, sell_spmv_bitmask_scalar);
   // scalar fallback for the prefetch variant is the plain kernel
   KESTREL_REGISTER_KERNEL(kSellSpmvPrefetch, kScalar, sell_spmv_scalar);

@@ -47,7 +47,7 @@ inline __m256d load4(const V* p) {
   }
 }
 
-template <int R, bool Add, class V>
+template <int R, class V>
 void talon_panel_avx2(const TalonView& a, const V* val, Index p,
                       const Scalar* x, Scalar* y) {
   const Index row0 = a.panel_row[p];
@@ -81,32 +81,26 @@ void talon_panel_avx2(const TalonView& a, const V* val, Index p,
     const __m128d lo = _mm256_castpd256_pd128(acc[j]);
     const __m128d hi = _mm256_extractf128_pd(acc[j], 1);
     const __m128d pair = _mm_add_pd(lo, hi);
-    const Scalar sum =
+    y[row0 + j] =
         _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair))) +
         tail[j];
-    if constexpr (Add) {
-      y[row0 + j] += sum;
-    } else {
-      y[row0 + j] = sum;
-    }
   }
 }
 
-/// One body for every entry point: V is the stored value type, Add
-/// accumulates into y.
-template <bool Add, class V>
+/// One body for every entry point: V is the stored value type.
+template <class V>
 void talon_spmv_avx2_impl(const TalonView& a, const V* val, const Scalar* x,
                           Scalar* y) {
   for (Index p = 0; p < a.npanels; ++p) {
     switch (a.panel_row[p + 1] - a.panel_row[p]) {
       case 1:
-        talon_panel_avx2<1, Add, V>(a, val, p, x, y);
+        talon_panel_avx2<1, V>(a, val, p, x, y);
         break;
       case 2:
-        talon_panel_avx2<2, Add, V>(a, val, p, x, y);
+        talon_panel_avx2<2, V>(a, val, p, x, y);
         break;
       default:
-        talon_panel_avx2<4, Add, V>(a, val, p, x, y);
+        talon_panel_avx2<4, V>(a, val, p, x, y);
         break;
     }
   }
@@ -118,7 +112,7 @@ void talon_spmv_avx2_impl(const TalonView& a, const V* val, const Scalar* x,
 // argus-param: y : out extent m
 // argus-traffic: talon
 void talon_spmv_avx2(const TalonView& a, const Scalar* x, Scalar* y) {
-  talon_spmv_avx2_impl<false, Scalar>(a, a.val, x, y);
+  talon_spmv_avx2_impl<Scalar>(a, a.val, x, y);
 }
 // argus-kernel: talon_spmv_fp32_avx2
 // argus-param: a : view TalonView
@@ -126,15 +120,7 @@ void talon_spmv_avx2(const TalonView& a, const Scalar* x, Scalar* y) {
 // argus-param: y : out extent m
 // argus-traffic: talon_fp32
 void talon_spmv_fp32_avx2(const TalonView& a, const Scalar* x, Scalar* y) {
-  talon_spmv_avx2_impl<false, float>(a, a.val32, x, y);
-}
-// argus-kernel: talon_spmv_add_avx2
-// argus-param: a : view TalonView
-// argus-param: x : in extent n
-// argus-param: y : out extent m
-// argus-traffic: talon
-void talon_spmv_add_avx2(const TalonView& a, const Scalar* x, Scalar* y) {
-  talon_spmv_avx2_impl<true, Scalar>(a, a.val, x, y);
+  talon_spmv_avx2_impl<float>(a, a.val32, x, y);
 }
 
 }  // namespace
@@ -142,7 +128,6 @@ void talon_spmv_add_avx2(const TalonView& a, const Scalar* x, Scalar* y) {
 void register_talon_avx2() {
   KESTREL_REGISTER_KERNEL(kTalonSpmv, kAvx2, talon_spmv_avx2);
   KESTREL_REGISTER_KERNEL(kTalonSpmvFp32, kAvx2, talon_spmv_fp32_avx2);
-  KESTREL_REGISTER_KERNEL(kTalonSpmvAdd, kAvx2, talon_spmv_add_avx2);
 }
 
 }  // namespace kestrel::mat::kernels

@@ -33,7 +33,7 @@ inline __m512d expand8(__mmask8 mask, const V* p) {
   }
 }
 
-template <int R, bool Add, class V>
+template <int R, class V>
 void talon_panel_avx512(const TalonView& a, const V* val, Index p,
                         const Scalar* x, Scalar* y) {
   const Index row0 = a.panel_row[p];
@@ -65,29 +65,24 @@ void talon_panel_avx512(const TalonView& a, const V* val, Index p,
   }
   for (int j = 0; j < R; ++j) {
     const Scalar sum = _mm512_reduce_add_pd(acc[j]);
-    if constexpr (Add) {
-      y[row0 + j] += sum;
-    } else {
-      y[row0 + j] = sum;
-    }
+    y[row0 + j] = sum;
   }
 }
 
-/// One body for every entry point: V is the stored value type, Add
-/// accumulates into y.
-template <bool Add, class V>
+/// One body for every entry point: V is the stored value type.
+template <class V>
 void talon_spmv_avx512_impl(const TalonView& a, const V* val,
                             const Scalar* x, Scalar* y) {
   for (Index p = 0; p < a.npanels; ++p) {
     switch (a.panel_row[p + 1] - a.panel_row[p]) {
       case 1:
-        talon_panel_avx512<1, Add, V>(a, val, p, x, y);
+        talon_panel_avx512<1, V>(a, val, p, x, y);
         break;
       case 2:
-        talon_panel_avx512<2, Add, V>(a, val, p, x, y);
+        talon_panel_avx512<2, V>(a, val, p, x, y);
         break;
       default:
-        talon_panel_avx512<4, Add, V>(a, val, p, x, y);
+        talon_panel_avx512<4, V>(a, val, p, x, y);
         break;
     }
   }
@@ -99,7 +94,7 @@ void talon_spmv_avx512_impl(const TalonView& a, const V* val,
 // argus-param: y : out extent m
 // argus-traffic: talon
 void talon_spmv_avx512(const TalonView& a, const Scalar* x, Scalar* y) {
-  talon_spmv_avx512_impl<false, Scalar>(a, a.val, x, y);
+  talon_spmv_avx512_impl<Scalar>(a, a.val, x, y);
 }
 // argus-kernel: talon_spmv_fp32_avx512
 // argus-param: a : view TalonView
@@ -107,15 +102,7 @@ void talon_spmv_avx512(const TalonView& a, const Scalar* x, Scalar* y) {
 // argus-param: y : out extent m
 // argus-traffic: talon_fp32
 void talon_spmv_fp32_avx512(const TalonView& a, const Scalar* x, Scalar* y) {
-  talon_spmv_avx512_impl<false, float>(a, a.val32, x, y);
-}
-// argus-kernel: talon_spmv_add_avx512
-// argus-param: a : view TalonView
-// argus-param: x : in extent n
-// argus-param: y : out extent m
-// argus-traffic: talon
-void talon_spmv_add_avx512(const TalonView& a, const Scalar* x, Scalar* y) {
-  talon_spmv_avx512_impl<true, Scalar>(a, a.val, x, y);
+  talon_spmv_avx512_impl<float>(a, a.val32, x, y);
 }
 
 }  // namespace
@@ -123,7 +110,6 @@ void talon_spmv_add_avx512(const TalonView& a, const Scalar* x, Scalar* y) {
 void register_talon_avx512() {
   KESTREL_REGISTER_KERNEL(kTalonSpmv, kAvx512, talon_spmv_avx512);
   KESTREL_REGISTER_KERNEL(kTalonSpmvFp32, kAvx512, talon_spmv_fp32_avx512);
-  KESTREL_REGISTER_KERNEL(kTalonSpmvAdd, kAvx512, talon_spmv_add_avx512);
 }
 
 }  // namespace kestrel::mat::kernels

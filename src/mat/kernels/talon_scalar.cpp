@@ -15,8 +15,8 @@ namespace kestrel::mat::kernels {
 namespace {
 
 /// One body for every entry point: V is the stored value type (double, or
-/// the fp32 stream widened to double on load); Add accumulates into y.
-template <bool Add, class V>
+/// the fp32 stream widened to double on load).
+template <class V>
 void talon_spmv_scalar_impl(const TalonView& a, const V* val, const Scalar* x,
                             Scalar* y) {
   for (Index p = 0; p < a.npanels; ++p) {
@@ -35,13 +35,7 @@ void talon_spmv_scalar_impl(const TalonView& a, const V* val, const Scalar* x,
         }
       }
     }
-    for (Index j = 0; j < r; ++j) {
-      if constexpr (Add) {
-        y[row0 + j] += acc[j];
-      } else {
-        y[row0 + j] = acc[j];
-      }
-    }
+    for (Index j = 0; j < r; ++j) y[row0 + j] = acc[j];
   }
 }
 
@@ -51,7 +45,7 @@ void talon_spmv_scalar_impl(const TalonView& a, const V* val, const Scalar* x,
 // argus-param: y : out extent m
 // argus-traffic: talon
 void talon_spmv_scalar(const TalonView& a, const Scalar* x, Scalar* y) {
-  talon_spmv_scalar_impl<false, Scalar>(a, a.val, x, y);
+  talon_spmv_scalar_impl<Scalar>(a, a.val, x, y);
 }
 // argus-kernel: talon_spmv_fp32_scalar
 // argus-param: a : view TalonView
@@ -59,15 +53,7 @@ void talon_spmv_scalar(const TalonView& a, const Scalar* x, Scalar* y) {
 // argus-param: y : out extent m
 // argus-traffic: talon_fp32
 void talon_spmv_fp32_scalar(const TalonView& a, const Scalar* x, Scalar* y) {
-  talon_spmv_scalar_impl<false, float>(a, a.val32, x, y);
-}
-// argus-kernel: talon_spmv_add_scalar
-// argus-param: a : view TalonView
-// argus-param: x : in extent n
-// argus-param: y : out extent m
-// argus-traffic: talon
-void talon_spmv_add_scalar(const TalonView& a, const Scalar* x, Scalar* y) {
-  talon_spmv_scalar_impl<true, Scalar>(a, a.val, x, y);
+  talon_spmv_scalar_impl<float>(a, a.val32, x, y);
 }
 
 }  // namespace
@@ -75,7 +61,6 @@ void talon_spmv_add_scalar(const TalonView& a, const Scalar* x, Scalar* y) {
 void register_talon_scalar() {
   KESTREL_REGISTER_KERNEL(kTalonSpmv, kScalar, talon_spmv_scalar);
   KESTREL_REGISTER_KERNEL(kTalonSpmvFp32, kScalar, talon_spmv_fp32_scalar);
-  KESTREL_REGISTER_KERNEL(kTalonSpmvAdd, kScalar, talon_spmv_add_scalar);
 }
 
 }  // namespace kestrel::mat::kernels

@@ -70,8 +70,7 @@ void Sell::build(const Csr& csr, const SellOptions& opts) {
 
   // Fill slice-column-major. Padded entries get value 0 and a column index
   // copied from the row's last real entry (section 5.5) so gathers stay on
-  // addresses the row already touches and — in the parallel off-diagonal
-  // case — never reference a ghost entry the row does not own.
+  // addresses the row already touches.
   for (Index s = 0; s < nslices_; ++s) {
     const Index base = sliceptr_[static_cast<std::size_t>(s)];
     const Index width = (sliceptr_[static_cast<std::size_t>(s) + 1] - base) / c_;
@@ -183,14 +182,6 @@ void Sell::spmv(const Scalar* x, Scalar* y) const {
 bool Sell::set_slim(const SlimOptions& opts) {
   slim_.attach(opts, val_.data(), val_.size());
   return true;
-}
-
-void Sell::spmv_add(const Scalar* x, Scalar* y) const {
-  KESTREL_PROF_SPMV("MatMultAdd(sell)", 2 * nnz(), fat_spmv_traffic_bytes());
-  KESTREL_CHECK(perm_.empty(), "spmv_add does not support sigma sorting");
-  auto fn = simd::lookup_as<simd::SellSpmvAddFn>(simd::Op::kSellSpmvAdd,
-                                                 vector_tier());
-  run_partitioned(fn, x, y);
 }
 
 void Sell::spmv_bitmask(const Scalar* x, Scalar* y) const {

@@ -90,9 +90,6 @@ class Sell final : public Matrix {
   /// slicing/padding need not be recomputed). Throws on pattern mismatch.
   void copy_values_from(const Csr& csr);
 
-  /// y += A*x using the add kernel (off-diagonal block path).
-  void spmv_add(const Scalar* x, Scalar* y) const;
-
   /// Forces the ESB masked kernel regardless of default dispatch
   /// (ablation); requires has_bitmask().
   void spmv_bitmask(const Scalar* x, Scalar* y) const;

@@ -190,13 +190,6 @@ bool Talon::set_slim(const SlimOptions& opts) {
   return true;
 }
 
-void Talon::spmv_add(const Scalar* x, Scalar* y) const {
-  KESTREL_PROF_SPMV("MatMultAdd(talon)", 2 * nnz(), fat_spmv_traffic_bytes());
-  auto fn =
-      simd::lookup_as<simd::TalonSpmvFn>(simd::Op::kTalonSpmvAdd, tier_);
-  run_partitioned(fn, x, y);
-}
-
 double Talon::block_fill() const {
   std::int64_t capacity = 0;
   for (Index p = 0; p < npanels_; ++p) {

@@ -60,9 +60,6 @@ class Talon final : public Matrix {
   std::size_t storage_bytes() const override;
   std::size_t spmv_traffic_bytes() const override;
 
-  /// y += A*x using the add kernel (off-diagonal block path).
-  void spmv_add(const Scalar* x, Scalar* y) const;
-
   // Talon-specific ---------------------------------------------------------
   Index num_panels() const { return npanels_; }
   std::int64_t num_blocks() const {

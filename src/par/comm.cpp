@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -83,6 +84,21 @@ bool env_flag(const char* name, bool fallback) {
   return !(v[0] == '0' && v[1] == '\0');
 }
 
+/// Seconds from an environment variable, or `fallback` when it is unset.
+/// A value that is not wholly one finite number throws: read as 0 or as its
+/// numeric prefix, a typo would silently change the setting.
+double env_seconds(const char* name, double fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  const double s = std::strtod(v, &end);
+  if (*v == '\0' || *end != '\0' || !std::isfinite(s)) {
+    KESTREL_FAIL(std::string(name) + " must be a number of seconds, got '" +
+                 v + "'");
+  }
+  return s;
+}
+
 }  // namespace
 
 /// One persistent SPSC channel (Kestrel Slipstream). The receiver owns
@@ -131,15 +147,7 @@ FabricOptions::FabricOptions() {
   constexpr bool kBuildDefault = true;
 #endif
   check = env_flag("KESTREL_FABRIC_CHECK", kBuildDefault);
-  hang_timeout_s = 30.0;
-  if (const char* v = std::getenv("KESTREL_FABRIC_HANG_TIMEOUT")) {
-    hang_timeout_s = std::strtod(v, nullptr);
-  }
-  // Millisecond override (Kestrel Aegis): fault-injection tests need short
-  // bounded waits without flaking the second-granularity knob above.
-  if (const char* v = std::getenv("KESTREL_FABRIC_TIMEOUT_MS")) {
-    hang_timeout_s = std::strtod(v, nullptr) / 1000.0;
-  }
+  hang_timeout_s = env_seconds("KESTREL_FABRIC_HANG_TIMEOUT", 30.0);
   faults = aegis::FaultPlan::from_env();
 }
 

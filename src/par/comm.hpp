@@ -216,9 +216,9 @@ class Comm {
 ///   * check: KESTREL_FABRIC_CHECK=0/1 if set; else KESTREL_FABRIC_CHECK_DEFAULT
 ///     if compiled in (the sanitizer presets define it to 1); else on in
 ///     debug (!NDEBUG) builds and off in release builds.
-///   * hang_timeout_s: KESTREL_FABRIC_TIMEOUT_MS milliseconds if set, else
-///     KESTREL_FABRIC_HANG_TIMEOUT seconds if set, else 30s. Only active
-///     while checking; <= 0 disables hang detection.
+///   * hang_timeout_s: KESTREL_FABRIC_HANG_TIMEOUT seconds (fractions
+///     allowed) if set, else 30s; a value that is not a number throws.
+///     Only active while checking; <= 0 disables hang detection.
 ///   * faults: the Kestrel Aegis fault-injection plan; parsed from
 ///     KESTREL_AEGIS when set, nullptr (no injection) otherwise.
 struct FabricOptions {

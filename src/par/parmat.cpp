@@ -187,41 +187,6 @@ ParMatrix::ParMatrix(const mat::Csr& local_rows, LayoutPtr layout,
   offdiag_.set_tier(opts.tier);
   ghost_.resize(nghost_);
 
-  if (opts.offdiag_format != OffdiagFormat::kCompressedCsr) {
-    // expand the compressed block to full local rows (empty rows are free
-    // in SELL — zero-width slices — and in Talon — blockless r=1 panels)
-    std::vector<Index> full_rowptr(static_cast<std::size_t>(m) + 1, 0);
-    for (std::size_t r = 0; r < offdiag_rows_.size(); ++r) {
-      full_rowptr[static_cast<std::size_t>(offdiag_rows_[r]) + 1] =
-          offdiag_.row_nnz(static_cast<Index>(r));
-    }
-    for (Index i = 0; i < m; ++i) {
-      full_rowptr[static_cast<std::size_t>(i) + 1] +=
-          full_rowptr[static_cast<std::size_t>(i)];
-    }
-    std::vector<Index> full_colidx(
-        static_cast<std::size_t>(offdiag_.nnz()));
-    std::vector<Scalar> full_val(static_cast<std::size_t>(offdiag_.nnz()));
-    for (std::size_t r = 0; r < offdiag_rows_.size(); ++r) {
-      const auto cols = offdiag_.row_cols(static_cast<Index>(r));
-      const auto vals = offdiag_.row_vals(static_cast<Index>(r));
-      Index dst = full_rowptr[static_cast<std::size_t>(offdiag_rows_[r])];
-      for (std::size_t k2 = 0; k2 < cols.size(); ++k2, ++dst) {
-        full_colidx[static_cast<std::size_t>(dst)] = cols[k2];
-        full_val[static_cast<std::size_t>(dst)] = vals[k2];
-      }
-    }
-    mat::Csr full(m, nghost_, std::move(full_rowptr),
-                  std::move(full_colidx), std::move(full_val));
-    if (opts.offdiag_format == OffdiagFormat::kSell) {
-      offdiag_sell_ = std::make_shared<mat::Sell>(full, opts.sell);
-      offdiag_sell_->set_tier(opts.tier);
-    } else {
-      offdiag_talon_ = std::make_shared<mat::Talon>(full, opts.talon);
-      offdiag_talon_->set_tier(opts.tier);
-    }
-  }
-
   // ---- Compute format for the diagonal block --------------------------
   switch (opts.diag_format) {
     case DiagFormat::kCsr:
@@ -247,8 +212,6 @@ ParMatrix::ParMatrix(const mat::Csr& local_rows, LayoutPtr layout,
   if (opts.threads > 0) {
     diag_->repartition(opts.threads);
     offdiag_.repartition(opts.threads);
-    if (offdiag_sell_) offdiag_sell_->repartition(opts.threads);
-    if (offdiag_talon_) offdiag_talon_->repartition(opts.threads);
   }
 
   // ---- Exchange communication plans (collective) ----------------------
@@ -336,9 +299,7 @@ ParMatrix::ParMatrix(const mat::Csr& local_rows, LayoutPtr layout,
   abft_tol_ = opts.abft_tol;
   if (abft_) {
     diag_->abft_col_checksum(abft_cdiag_);
-    // The compressed CSR's column space is already the packed ghost space,
-    // and the SELL/Talon off-diagonal alternatives store exactly the same
-    // entries, so one checksum covers all three representations.
+    // The compressed CSR's column space is already the packed ghost space.
     offdiag_.abft_col_checksum(abft_coff_);
   }
 }
@@ -395,14 +356,10 @@ void ParMatrix::spmv_local(const Scalar* x_local, Vector& y_local,
   static const int ev_local = prof::registered_event("MatMultLocal");
   static const int ev_wait = prof::registered_event("MatMultWait");
   static const int ev_off = prof::registered_event("MatMultOffdiag");
-  const std::size_t offdiag_traffic =
-      offdiag_sell_    ? offdiag_sell_->spmv_traffic_bytes()
-      : offdiag_talon_ ? offdiag_talon_->spmv_traffic_bytes()
-                       : offdiag_.spmv_traffic_bytes();
   prof::ScopedEvent mult(
       ev_mult,
       2u * static_cast<std::uint64_t>(diag_->nnz() + offdiag_.nnz()),
-      diag_->spmv_traffic_bytes() + offdiag_traffic);
+      diag_->spmv_traffic_bytes() + offdiag_.spmv_traffic_bytes());
 
   const bool exchanging = !sends_.empty() || !recvs_.empty();
   PersistentExchange* exchange =
@@ -436,37 +393,27 @@ void ParMatrix::spmv_local(const Scalar* x_local, Vector& y_local,
     diag_->spmv(x_local, y_local.data());
   };
   const auto offdiag_multiply = [&] {
-    if (offdiag_sell_) {
-      if (nghost_ > 0) {
-        offdiag_sell_->spmv_add(ghost_.data(), y_local.data());
-      }
-    } else if (offdiag_talon_) {
-      if (nghost_ > 0) {
-        offdiag_talon_->spmv_add(ghost_.data(), y_local.data());
-      }
-    } else if (!offdiag_rows_.empty()) {
-      auto fn = simd::lookup_as<simd::CsrSpmvAddRowsFn>(
-          simd::Op::kCsrSpmvAddRows, offdiag_.tier());
-      const mat::FlockPartition& part = offdiag_.partition();
-      if (part.nparts() <= 1) {
-        fn(offdiag_.view(), offdiag_rows_.data(), ghost_.data(),
-           y_local.data());
-        return;
-      }
-      // Flock over the compressed rows: rowptr values are absolute, the
-      // row-id list shifts with the range, and y stays unshifted because
-      // the kernel scatters through rows[] — compressed rows are distinct
-      // local rows, so parts never touch the same y entry.
-      const mat::CsrView v = offdiag_.view();
-      ThreadPool::rank_pool().run(part.nparts(), [&](int p, int) {
-        const Index r0 = part.begin(p);
-        const Index r1 = part.end(p);
-        if (r0 == r1) return;
-        const mat::CsrView sub{r1 - r0, v.n, v.rowptr + r0, v.colidx,
-                               v.val};
-        fn(sub, offdiag_rows_.data() + r0, ghost_.data(), y_local.data());
-      });
+    if (offdiag_rows_.empty()) return;
+    auto fn = simd::lookup_as<simd::CsrSpmvAddRowsFn>(
+        simd::Op::kCsrSpmvAddRows, offdiag_.tier());
+    const mat::FlockPartition& part = offdiag_.partition();
+    if (part.nparts() <= 1) {
+      fn(offdiag_.view(), offdiag_rows_.data(), ghost_.data(),
+         y_local.data());
+      return;
     }
+    // Flock over the compressed rows: rowptr values are absolute, the
+    // row-id list shifts with the range, and y stays unshifted because
+    // the kernel scatters through rows[] — compressed rows are distinct
+    // local rows, so parts never touch the same y entry.
+    const mat::CsrView v = offdiag_.view();
+    ThreadPool::rank_pool().run(part.nparts(), [&](int p, int) {
+      const Index r0 = part.begin(p);
+      const Index r1 = part.end(p);
+      if (r0 == r1) return;
+      const mat::CsrView sub{r1 - r0, v.n, v.rowptr + r0, v.colidx, v.val};
+      fn(sub, offdiag_rows_.data() + r0, ghost_.data(), y_local.data());
+    });
   };
 
   // (2) diagonal block with the local x — overlaps with message delivery.

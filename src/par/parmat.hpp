@@ -42,14 +42,13 @@ DiagFormat parse_diag_format(const std::string& name);
 const char* diag_format_name(DiagFormat fmt);
 
 /// Storage for the off-diagonal block: the paper's "compressed CSR" (only
-/// nonzero rows stored, section 2.2), full-row SELL as in PETSc's MPISELL
-/// type (empty interior rows cost nothing because their slices have zero
-/// width), or full-row Talon (empty rows cost one r=1 panel with zero
-/// blocks).
-enum class OffdiagFormat { kCompressedCsr, kSell, kTalon };
+/// nonzero rows stored, section 2.2) is the only one.
+enum class OffdiagFormat { kCompressedCsr };
 
 struct ParMatrixOptions {
   DiagFormat diag_format = DiagFormat::kCsr;
+  /// Has one value and is never read. Kept only while
+  /// perfbench/src/wl_dist_cg.cpp assigns it.
   OffdiagFormat offdiag_format = OffdiagFormat::kCompressedCsr;
   mat::SellOptions sell;    ///< used when diag_format == kSell
   mat::TalonOptions talon;  ///< used when diag_format == kTalon
@@ -114,8 +113,6 @@ class ParMatrix {
   std::shared_ptr<mat::Matrix> diag_;  ///< square block, local columns
   mat::Csr offdiag_;   ///< compressed rows, packed ghost column space
   std::vector<Index> offdiag_rows_;  ///< local row id per compressed row
-  std::shared_ptr<mat::Sell> offdiag_sell_;  ///< full-row SELL alternative
-  std::shared_ptr<mat::Talon> offdiag_talon_;  ///< full-row Talon alternative
   Index nghost_ = 0;
 
   // communication plan

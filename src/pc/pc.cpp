@@ -4,7 +4,6 @@
 #include "mat/csr.hpp"
 #include "pc/bjacobi.hpp"
 #include "pc/ilu0.hpp"
-#include "pc/ilu0_level.hpp"
 #include "pc/jacobi.hpp"
 #include "pc/sor.hpp"
 
@@ -17,9 +16,8 @@ std::unique_ptr<Pc> make_pc(const std::string& type, const mat::Csr& a,
   if (type == "bjacobi") return std::make_unique<BlockJacobi>(a, block_size);
   if (type == "sor") return std::make_unique<Sor>(a);
   if (type == "ilu") return std::make_unique<Ilu0>(a);
-  if (type == "ilu-level") return std::make_unique<Ilu0Level>(a);
   KESTREL_FAIL("unknown pc type '" + type +
-               "' (expected none|jacobi|bjacobi|sor|ilu|ilu-level)");
+               "' (expected none|jacobi|bjacobi|sor|ilu)");
 }
 
 }  // namespace kestrel::pc

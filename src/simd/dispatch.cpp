@@ -48,8 +48,6 @@ const char* op_name(Op op) {
       return "sell_spmv";
     case Op::kSellSpmvFp32:
       return "sell_spmv_fp32";
-    case Op::kSellSpmvAdd:
-      return "sell_spmv_add";
     case Op::kSellSpmvBitmask:
       return "sell_spmv_bitmask";
     case Op::kSellSpmvPrefetch:
@@ -66,8 +64,6 @@ const char* op_name(Op op) {
       return "talon_spmv";
     case Op::kTalonSpmvFp32:
       return "talon_spmv_fp32";
-    case Op::kTalonSpmvAdd:
-      return "talon_spmv_add";
     case Op::kGatherPack:
       return "gather_pack";
     default:

@@ -23,14 +23,10 @@ using CsrSpmvAddRowsFn = void (*)(const mat::CsrView&, const Index* rows,
                                   const Scalar* x, Scalar* y);
 /// y = A*x  (SELL). Alg. 2 of the paper for vector tiers.
 using SellSpmvFn = void (*)(const mat::SellView&, const Scalar* x, Scalar* y);
-/// y += A*x (SELL), used when SELL stores the off-diagonal block.
-using SellSpmvAddFn = void (*)(const mat::SellView&, const Scalar* x,
-                               Scalar* y);
 using CsrPermSpmvFn = void (*)(const mat::CsrPermView&, const Scalar* x,
                                Scalar* y);
 using BcsrSpmvFn = void (*)(const mat::BcsrView&, const Scalar* x, Scalar* y);
-/// y = A*x (Talon beta(r,c) blocks, SPC5-style mask-driven expand loads);
-/// the Add variant computes y += A*x for the off-diagonal block path.
+/// y = A*x (Talon beta(r,c) blocks, SPC5-style mask-driven expand loads).
 using TalonSpmvFn = void (*)(const mat::TalonView&, const Scalar* x,
                              Scalar* y);
 /// out[i] = x[idx[i]] for i in [0, n): gather-pack of ghost values into a
@@ -48,7 +44,6 @@ enum class Op : int {
   kCsrSpmvAddRows,
   kSellSpmv,
   kSellSpmvFp32,
-  kSellSpmvAdd,
   kSellSpmvBitmask,   ///< ESB-style masked variant (ablation)
   kSellSpmvPrefetch,  ///< unrolled + software-prefetch variant (ablation,
                       ///< paper section 5.5)
@@ -58,7 +53,6 @@ enum class Op : int {
   kBcsrSpmvFp32,
   kTalonSpmv,
   kTalonSpmvFp32,
-  kTalonSpmvAdd,
   kGatherPack,
   kOpCount,
 };

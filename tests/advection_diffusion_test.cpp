@@ -1,5 +1,4 @@
-// Advection-diffusion assembly and solve tests, plus the SELL-offdiag
-// ParMatrix option (PETSc MPISELL analogue) and the umbrella header.
+// Advection-diffusion assembly and solve tests, plus the umbrella header.
 
 #include <gtest/gtest.h>
 
@@ -78,51 +77,6 @@ TEST(AdvectionDiffusion, SellAndCsrAgree) {
   csr.spmv(xv, y1);
   sell.spmv(xv, y2);
   for (Index i = 0; i < y1.size(); ++i) EXPECT_NEAR(y1[i], y2[i], 1e-12);
-}
-
-TEST(ParMatrixSellOffdiag, MatchesCompressedCsrOffdiag) {
-  const mat::Csr global = testing::banded(60, {-9, -1, 1, 9}, 13);
-  const auto x = testing::random_x(60, 3);
-  Vector xg(60);
-  for (Index i = 0; i < 60; ++i) xg[i] = x[static_cast<std::size_t>(i)];
-  Vector y_seq;
-  global.spmv(xg, y_seq);
-
-  for (int nranks : {2, 4}) {
-    auto layout =
-        std::make_shared<par::Layout>(par::Layout::even(60, nranks));
-    par::Fabric::run(nranks, [&](par::Comm& comm) {
-      par::ParMatrixOptions opts;
-      opts.diag_format = par::DiagFormat::kSell;
-      opts.offdiag_format = par::OffdiagFormat::kSell;
-      const par::ParMatrix a =
-          par::ParMatrix::from_global(global, layout, comm, opts);
-      par::ParVector xp(layout, comm.rank()), yp(layout, comm.rank());
-      xp.set_from_global(xg);
-      a.spmv(xp, yp, comm);
-      const Vector y_par = yp.gather_all(comm);
-      for (Index i = 0; i < 60; ++i) {
-        EXPECT_NEAR(y_par[i], y_seq[i], 1e-11) << "row " << i;
-      }
-    });
-  }
-}
-
-TEST(ParMatrixSellOffdiag, WorksWithNoGhosts) {
-  // block-diagonal layout: SELL offdiag with zero columns must be a no-op
-  mat::Coo coo(12, 12);
-  for (Index i = 0; i < 12; ++i) coo.add(i, (i / 6) * 6 + (i + 1) % 6, 1.0);
-  const mat::Csr global = coo.to_csr();
-  auto layout = std::make_shared<par::Layout>(par::Layout::even(12, 2));
-  par::Fabric::run(2, [&](par::Comm& comm) {
-    par::ParMatrixOptions opts;
-    opts.offdiag_format = par::OffdiagFormat::kSell;
-    const par::ParMatrix a =
-        par::ParMatrix::from_global(global, layout, comm, opts);
-    par::ParVector xp(layout, comm.rank()), yp(layout, comm.rank());
-    xp.local().set(1.0);
-    EXPECT_NO_THROW(a.spmv(xp, yp, comm));
-  });
 }
 
 }  // namespace

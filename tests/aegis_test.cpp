@@ -163,11 +163,34 @@ TEST(AegisStats, PublishMetricsEmitsScopeNames) {
   aegis::stats().reset();
 }
 
-TEST(FabricTimeout, MillisecondEnvOverridesHangTimeout) {
-  ::setenv("KESTREL_FABRIC_TIMEOUT_MS", "250", 1);
-  const par::FabricOptions opts;
-  EXPECT_NEAR(opts.hang_timeout_s, 0.25, 1e-12);
-  ::unsetenv("KESTREL_FABRIC_TIMEOUT_MS");
+/// Sets KESTREL_FABRIC_HANG_TIMEOUT for one scope.
+struct HangTimeoutEnv {
+  explicit HangTimeoutEnv(const char* v) {
+    ::setenv("KESTREL_FABRIC_HANG_TIMEOUT", v, 1);
+  }
+  ~HangTimeoutEnv() { ::unsetenv("KESTREL_FABRIC_HANG_TIMEOUT"); }
+};
+
+TEST(FabricTimeout, FractionalSecondsSetHangTimeout) {
+  const HangTimeoutEnv env("0.25");
+  EXPECT_EQ(par::FabricOptions().hang_timeout_s, 0.25);
+}
+
+TEST(FabricTimeout, MalformedHangTimeoutThrowsNamingTheVariable) {
+  for (const char* bad : {"", "abc", "30s", "0.5 ", "nan", "inf"}) {
+    const HangTimeoutEnv env(bad);
+    try {
+      (void)par::FabricOptions();
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("KESTREL_FABRIC_HANG_TIMEOUT"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Numbers <= 0 stay valid: they turn hang detection off.
+  const HangTimeoutEnv off("0");
+  EXPECT_EQ(par::FabricOptions().hang_timeout_s, 0.0);
 }
 
 // --------------------------------------------------------------------------

@@ -1,123 +1,20 @@
-// Tests for the extension features: level-scheduled ILU(0) (the paper's
-// future-work item), flexible GMRES, pattern-reuse value refresh (CSR and
-// SELL), transpose SpMV, and the blocked AVX2 BAIJ kernel.
+// Tests for the extension features: flexible GMRES, pattern-reuse value
+// refresh (CSR and SELL), transpose SpMV, and the blocked AVX2 BAIJ kernel.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
 
 #include "app/gray_scott.hpp"
 #include "app/laplacian.hpp"
 #include "ksp/context.hpp"
 #include "mat/bcsr.hpp"
 #include "mat/sell.hpp"
-#include "mat/spgemm.hpp"
-#include "pc/ilu0.hpp"
-#include "pc/ilu0_level.hpp"
 #include "pc/jacobi.hpp"
 #include "test_matrices.hpp"
 
 namespace kestrel {
 namespace {
-
-// ---- level-scheduled ILU(0) ------------------------------------------
-
-TEST(Ilu0Level, MatchesSequentialIlu0Exactly) {
-  for (auto make : {+[] { return app::laplacian_dirichlet(12, 12); },
-                    +[] { return testing::banded(80, {-7, -1, 1, 7}); },
-                    +[] { return testing::uniform_random(60, 60, 5, 17); }}) {
-    mat::Csr a = make();
-    // ensure a structural diagonal everywhere
-    a = mat::add(1.0, a, 10.0, mat::identity(a.rows()));
-    const pc::Ilu0 seq(a);
-    const pc::Ilu0Level lvl(a);
-    Vector r(a.rows());
-    for (Index i = 0; i < r.size(); ++i) r[i] = std::sin(0.3 * i);
-    Vector z1, z2;
-    seq.apply(r, z1);
-    lvl.apply(r, z2);
-    for (Index i = 0; i < r.size(); ++i) {
-      EXPECT_NEAR(z1[i], z2[i], 1e-12) << "row " << i;
-    }
-  }
-}
-
-TEST(Ilu0Level, LevelsAreTrulyIndependent) {
-  // No row in a level may reference (in its strictly-lower part) another
-  // row of the same or a later level.
-  const mat::Csr a = app::laplacian_dirichlet(10, 10);
-  const pc::Ilu0Level lvl(a);
-  std::vector<int> level_of(static_cast<std::size_t>(a.rows()), -1);
-  for (int l = 0; l < lvl.num_lower_levels(); ++l) {
-    for (Index row : lvl.lower_level(l)) {
-      level_of[static_cast<std::size_t>(row)] = l;
-    }
-  }
-  for (int l = 0; l < lvl.num_lower_levels(); ++l) {
-    for (Index row : lvl.lower_level(l)) {
-      for (Index j : lvl.factors().row_cols(row)) {
-        if (j >= row) break;
-        EXPECT_LT(level_of[static_cast<std::size_t>(j)], l);
-      }
-    }
-  }
-}
-
-TEST(Ilu0Level, LevelsPartitionAllRows) {
-  const mat::Csr a = testing::banded(45, {-2, 2}, 9);
-  const pc::Ilu0Level lvl(a);
-  std::set<Index> seen;
-  for (int l = 0; l < lvl.num_lower_levels(); ++l) {
-    for (Index row : lvl.lower_level(l)) {
-      EXPECT_TRUE(seen.insert(row).second) << "duplicate row " << row;
-    }
-  }
-  EXPECT_EQ(static_cast<Index>(seen.size()), a.rows());
-}
-
-TEST(Ilu0Level, DiagonalMatrixIsOneLevel) {
-  const mat::Csr a = mat::identity(20);
-  const pc::Ilu0Level lvl(a);
-  EXPECT_EQ(lvl.num_lower_levels(), 1);
-  EXPECT_EQ(lvl.num_upper_levels(), 1);
-}
-
-TEST(Ilu0Level, TridiagonalIsFullySequential) {
-  // a tridiagonal chain has no across-row parallelism: n levels
-  const mat::Csr a = testing::banded(16, {-1, 1}, 4);
-  const pc::Ilu0Level lvl(a);
-  EXPECT_EQ(lvl.num_lower_levels(), 16);
-}
-
-TEST(Ilu0Level, GrayScottJacobianHasFewLevels) {
-  // 5-point stencils level-schedule like wavefronts: O(nx + ny) levels for
-  // O(nx * ny) rows — lots of exposed parallelism.
-  app::GrayScott gs(12);
-  Vector u;
-  gs.initial_condition(u);
-  const mat::Csr jac = gs.rhs_jacobian(u);
-  const pc::Ilu0Level lvl(jac);
-  EXPECT_LT(lvl.num_lower_levels(), jac.rows() / 4);
-}
-
-TEST(Ilu0Level, AcceleratesGmresLikeIlu0) {
-  const mat::Csr a = app::laplacian_dirichlet(16, 16);
-  const Vector b(a.rows(), 1.0);
-  ksp::Settings settings;
-  settings.rtol = 1e-8;
-  const ksp::Gmres gmres(settings);
-
-  Vector x1(a.rows()), x2(a.rows());
-  const pc::Ilu0 seq(a);
-  const pc::Ilu0Level lvl(a);
-  ksp::SeqContext c1(a, &seq), c2(a, &lvl);
-  const auto r1 = gmres.solve(c1, b, x1);
-  const auto r2 = gmres.solve(c2, b, x2);
-  ASSERT_TRUE(r1.converged);
-  ASSERT_TRUE(r2.converged);
-  EXPECT_EQ(r1.iterations, r2.iterations);  // identical preconditioner
-}
 
 // ---- FGMRES ------------------------------------------------------------
 

@@ -444,42 +444,6 @@ TEST(FlockDifferential, ThreadedResultStillMatchesDenseReference) {
   }
 }
 
-TEST(FlockDifferential, SellAndTalonAddPathsAreThreadInvariant) {
-  // The off-diagonal y += A*x entry points thread over the same partitions
-  // but must preserve (not overwrite) y — exercised directly because
-  // ParMatrix is their only other caller.
-  const mat::Csr csr = testing::power_law(90);
-  const std::vector<Scalar> x = testing::random_x(90, 31);
-  std::vector<Scalar> base(90);
-  for (Index i = 0; i < 90; ++i) {
-    base[static_cast<std::size_t>(i)] = 0.125 * static_cast<Scalar>(i) - 3.0;
-  }
-  const std::size_t bytes = 90 * sizeof(Scalar);
-
-  mat::Sell sell(csr);
-  mat::Talon talon(csr);
-  std::vector<Scalar> ys1(base), yt1(base);
-  {
-    ThreadsGuard g(1);
-    sell.repartition(1);
-    talon.repartition(1);
-    sell.spmv_add(x.data(), ys1.data());
-    talon.spmv_add(x.data(), yt1.data());
-  }
-  for (int t : {2, 3, 8}) {
-    ThreadsGuard g(t);
-    sell.repartition(t);
-    talon.repartition(t);
-    std::vector<Scalar> ys(base), yt(base);
-    sell.spmv_add(x.data(), ys.data());
-    talon.spmv_add(x.data(), yt.data());
-    EXPECT_EQ(std::memcmp(ys1.data(), ys.data(), bytes), 0)
-        << "sell spmv_add diverged at threads=" << t;
-    EXPECT_EQ(std::memcmp(yt1.data(), yt.data(), bytes), 0)
-        << "talon spmv_add diverged at threads=" << t;
-  }
-}
-
 TEST(FlockDifferential, AbftMatrixOverThreadedFormatRecoversBitwise) {
   // The pooled verify reductions (fixed part order, fixed chunking) must
   // leave ABFT detection and bitwise recovery intact.

@@ -86,7 +86,9 @@ TEST(HwcCapability, ProbeIsConsistentAndNeverThrows) {
   const prof::hwc::Capability& cap = prof::hwc::capability();
   // Unavailable hosts must say why (the single structured warning and the
   // JSON hwc block both surface this string).
-  if (!cap.counters) EXPECT_FALSE(cap.detail.empty());
+  if (!cap.counters) {
+    EXPECT_FALSE(cap.detail.empty());
+  }
   // The probe is cached: a second call returns the same object.
   EXPECT_EQ(&cap, &prof::hwc::capability());
 }
@@ -118,7 +120,7 @@ TEST(HwcGroup, SoftwareGroupDeliversConsistentSnapshots) {
   // Burn measurable CPU time; task-clock counts in nanoseconds, so even a
   // short spin moves it by thousands of counts.
   volatile double sink = 0.0;
-  for (int i = 0; i < 2'000'000; ++i) sink += 1e-9 * i;
+  for (int i = 0; i < 2'000'000; ++i) sink = sink + 1e-9 * i;
   (void)sink;
 
   prof::hwc::Group::Sample s1;
@@ -167,7 +169,7 @@ TEST(HwcPipeline, ProfilerAccumulatesAndExportsMeasuredCounters) {
   {
     prof::ScopedEvent scope(ev, /*flops=*/100, /*bytes=*/4096);
     volatile double sink = 0.0;
-    for (int i = 0; i < 2'000'000; ++i) sink += 1e-9 * i;
+    for (int i = 0; i < 2'000'000; ++i) sink = sink + 1e-9 * i;
     (void)sink;
   }
 

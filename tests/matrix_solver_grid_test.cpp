@@ -1,8 +1,8 @@
 // Full-grid compatibility sweeps: every Krylov solver against every
 // applicable preconditioner on the advection-diffusion operator, and the
-// distributed SpMV across every (diag format x offdiag format x ranks)
-// combination — the configuration matrix a PETSc-style library must keep
-// working under option changes.
+// distributed SpMV across every (diag format x ranks) combination — the
+// configuration matrix a PETSc-style library must keep working under option
+// changes.
 
 #include <gtest/gtest.h>
 
@@ -65,23 +65,16 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, SolverPcGrid,
     ::testing::Combine(::testing::Values("gmres", "fgmres", "bicgstab",
                                          "richardson"),
-                       ::testing::Values("none", "jacobi", "sor", "ilu",
-                                         "ilu-level")),
+                       ::testing::Values("none", "jacobi", "sor", "ilu")),
     [](const ::testing::TestParamInfo<std::tuple<const char*, const char*>>&
            p) {
-      std::string name = std::string(std::get<0>(p.param)) + "_" +
-                         std::get<1>(p.param);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
+      return std::string(std::get<0>(p.param)) + "_" + std::get<1>(p.param);
     });
 
 // ---- distributed configuration grid ---------------------------------------
 
 struct ParConfig {
   par::DiagFormat diag;
-  par::OffdiagFormat offdiag;
   int ranks;
 };
 
@@ -107,7 +100,6 @@ TEST_P(ParFormatGrid, SpmvMatchesSequential) {
   par::Fabric::run(cfg.ranks, [&](par::Comm& comm) {
     par::ParMatrixOptions opts;
     opts.diag_format = cfg.diag;
-    opts.offdiag_format = cfg.offdiag;
     opts.block_size = 2;
     const par::ParMatrix a =
         par::ParMatrix::from_global(global, layout, comm, opts);
@@ -128,12 +120,7 @@ std::vector<ParConfig> par_configs() {
   for (par::DiagFormat diag :
        {par::DiagFormat::kCsr, par::DiagFormat::kCsrPerm,
         par::DiagFormat::kSell, par::DiagFormat::kBcsr}) {
-    for (par::OffdiagFormat offdiag :
-         {par::OffdiagFormat::kCompressedCsr, par::OffdiagFormat::kSell}) {
-      for (int ranks : {1, 2, 4}) {
-        configs.push_back({diag, offdiag, ranks});
-      }
-    }
+    for (int ranks : {1, 2, 4}) configs.push_back({diag, ranks});
   }
   return configs;
 }
@@ -141,10 +128,8 @@ std::vector<ParConfig> par_configs() {
 INSTANTIATE_TEST_SUITE_P(
     Grid, ParFormatGrid, ::testing::ValuesIn(par_configs()),
     [](const ::testing::TestParamInfo<ParConfig>& p) {
-      return std::string(par::diag_format_name(p.param.diag)) + "_" +
-             (p.param.offdiag == par::OffdiagFormat::kSell ? "osell"
-                                                           : "occsr") +
-             "_r" + std::to_string(p.param.ranks);
+      return std::string(par::diag_format_name(p.param.diag)) + "_r" +
+             std::to_string(p.param.ranks);
     });
 
 }  // namespace

@@ -195,7 +195,7 @@ TEST(Factory, MakesAllSimpleTypes) {
   EXPECT_EQ(make_pc("bjacobi", a, 1)->name(), "bjacobi");
   EXPECT_EQ(make_pc("sor", a)->name(), "sor");
   EXPECT_EQ(make_pc("ilu", a)->name(), "ilu");
-  EXPECT_EQ(make_pc("ilu-level", a)->name(), "ilu-level");
+  EXPECT_THROW(make_pc("ilu-level", a), Error);  // Ilu0 is the one ILU(0)
   EXPECT_THROW(make_pc("voodoo", a), Error);
 }
 

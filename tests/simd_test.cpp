@@ -37,8 +37,7 @@ TEST(Isa, ScalarAlwaysSupported) {
 
 TEST(Dispatch, ScalarKernelsAlwaysRegistered) {
   for (Op op : {Op::kCsrSpmv, Op::kCsrSpmvAddRows, Op::kSellSpmv,
-                Op::kSellSpmvAdd, Op::kSellSpmvBitmask, Op::kCsrPermSpmv,
-                Op::kBcsrSpmv}) {
+                Op::kSellSpmvBitmask, Op::kCsrPermSpmv, Op::kBcsrSpmv}) {
     EXPECT_TRUE(has_exact(op, IsaTier::kScalar));
     EXPECT_NE(lookup(op, IsaTier::kScalar), nullptr);
   }

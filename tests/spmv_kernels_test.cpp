@@ -201,48 +201,12 @@ TEST_P(SpmvSweep, TalonForcedShapesMatchDense) {
   }
 }
 
-TEST_P(SpmvSweep, TalonAddAccumulates) {
-  const auto [pat_idx, tier] = GetParam();
-  const Csr csr = patterns()[static_cast<std::size_t>(pat_idx)].make();
-  Talon talon(csr);
-  talon.set_tier(tier);
-  const auto x = random_x(csr.cols(), 5);
-  const auto ax = dense_spmv(csr, x);
-  Vector xv(csr.cols());
-  for (Index i = 0; i < csr.cols(); ++i) {
-    xv[i] = x[static_cast<std::size_t>(i)];
-  }
-  Vector yv(csr.rows(), 1.5);
-  talon.spmv_add(xv.data(), yv.data());
-  for (Index i = 0; i < csr.rows(); ++i) {
-    EXPECT_NEAR(yv[i], 1.5 + ax[static_cast<std::size_t>(i)], 1e-11);
-  }
-}
-
 TEST_P(SpmvSweep, CsrPermMatchesDense) {
   const auto [pat_idx, tier] = GetParam();
   const Csr csr = patterns()[static_cast<std::size_t>(pat_idx)].make();
   CsrPerm perm{Csr(csr)};
   perm.set_tier(tier);
   expect_matches_reference(perm, csr, "csrperm");
-}
-
-TEST_P(SpmvSweep, SellAddAccumulates) {
-  const auto [pat_idx, tier] = GetParam();
-  const Csr csr = patterns()[static_cast<std::size_t>(pat_idx)].make();
-  Sell sell(csr);
-  sell.set_tier(tier);
-  const auto x = random_x(csr.cols(), 5);
-  const auto ax = dense_spmv(csr, x);
-  Vector xv(csr.cols());
-  for (Index i = 0; i < csr.cols(); ++i) {
-    xv[i] = x[static_cast<std::size_t>(i)];
-  }
-  Vector yv(csr.rows(), 1.5);
-  sell.spmv_add(xv.data(), yv.data());
-  for (Index i = 0; i < csr.rows(); ++i) {
-    EXPECT_NEAR(yv[i], 1.5 + ax[static_cast<std::size_t>(i)], 1e-11);
-  }
 }
 
 std::vector<std::tuple<int, simd::IsaTier>> sweep_params() {
@@ -412,7 +376,7 @@ TEST(KernelOracle, CsrSpmvAddRowsMatchesScalar) {
 }
 
 TEST(KernelOracle, SellOpsMatchScalar) {
-  // All four SELL table ops, at both slice heights the vector kernels
+  // All three SELL table ops, at both slice heights the vector kernels
   // accept (c = 8 fills one ZMM; c = 16 exercises the multi-vector loop).
   // The bitmask variant gets a matrix built with the ESB bit array; the
   // prefetch variant is specified for c = 8 only.
@@ -420,14 +384,12 @@ TEST(KernelOracle, SellOpsMatchScalar) {
     Op op;
     bool needs_bitmask;
     bool c8_only;
-    bool add;  ///< kernel accumulates into y
     const char* label;
   };
   const SellOp ops[] = {
-      {Op::kSellSpmv, false, false, false, "sell_spmv"},
-      {Op::kSellSpmvAdd, false, false, true, "sell_spmv_add"},
-      {Op::kSellSpmvBitmask, true, false, false, "sell_spmv_bitmask"},
-      {Op::kSellSpmvPrefetch, false, true, false, "sell_spmv_prefetch"},
+      {Op::kSellSpmv, false, false, "sell_spmv"},
+      {Op::kSellSpmvBitmask, true, false, "sell_spmv_bitmask"},
+      {Op::kSellSpmvPrefetch, false, true, "sell_spmv_prefetch"},
   };
   for (const SellOp& sop : ops) {
     const auto scalar =
@@ -443,9 +405,8 @@ TEST(KernelOracle, SellOpsMatchScalar) {
           opts.build_bitmask = sop.needs_bitmask;
           const Sell sell(csr, opts);
           const auto x = random_x(csr.cols(), 44);
-          const Scalar fill = sop.add ? 0.75 : -7.0;
           std::vector<Scalar> ref(static_cast<std::size_t>(csr.rows()),
-                                  fill);
+                                  -7.0);
           std::vector<Scalar> got(ref);
           scalar(sell.view(), x.data(), ref.data());
           fn(sell.view(), x.data(), got.data());
@@ -489,40 +450,26 @@ TEST(KernelOracle, SellSigmaSortedOpsMatchScalar) {
 }
 
 TEST(KernelOracle, TalonOpsMatchScalar) {
-  // Both Talon ops, every vector tier, every block shape the inspector can
-  // emit (auto plus forced r = 1/2/4), over the full oracle matrix family.
-  struct TalonOp {
-    Op op;
-    bool add;
-    const char* label;
-  };
-  const TalonOp ops[] = {
-      {Op::kTalonSpmv, false, "talon_spmv"},
-      {Op::kTalonSpmvAdd, true, "talon_spmv_add"},
-  };
-  for (const TalonOp& top : ops) {
-    const auto scalar =
-        simd::lookup_as<simd::TalonSpmvFn>(top.op, IsaTier::kScalar);
-    for (IsaTier tier : oracle_tiers()) {
-      if (!simd::has_exact(top.op, tier)) continue;
-      const auto fn = simd::lookup_as<simd::TalonSpmvFn>(top.op, tier);
-      for (Index force_r : {Index(0), Index(1), Index(2), Index(4)}) {
-        for (const auto& [name, csr] : oracle_csrs()) {
-          TalonOptions opts;
-          opts.force_r = force_r;
-          const Talon talon(csr, opts);
-          const auto x = random_x(csr.cols(), 48);
-          const Scalar fill = top.add ? 0.75 : -7.0;
-          std::vector<Scalar> ref(static_cast<std::size_t>(csr.rows()),
-                                  fill);
-          std::vector<Scalar> got(ref);
-          scalar(talon.view(), x.data(), ref.data());
-          fn(talon.view(), x.data(), got.data());
-          expect_same(ref, got,
-                      std::string(top.label) + "/r" +
-                          std::to_string(force_r) + "/" +
-                          simd::tier_name(tier) + "/" + name);
-        }
+  // Every vector tier, every block shape the inspector can emit (auto plus
+  // forced r = 1/2/4), over the full oracle matrix family.
+  const auto scalar =
+      simd::lookup_as<simd::TalonSpmvFn>(Op::kTalonSpmv, IsaTier::kScalar);
+  for (IsaTier tier : oracle_tiers()) {
+    if (!simd::has_exact(Op::kTalonSpmv, tier)) continue;
+    const auto fn = simd::lookup_as<simd::TalonSpmvFn>(Op::kTalonSpmv, tier);
+    for (Index force_r : {Index(0), Index(1), Index(2), Index(4)}) {
+      for (const auto& [name, csr] : oracle_csrs()) {
+        TalonOptions opts;
+        opts.force_r = force_r;
+        const Talon talon(csr, opts);
+        const auto x = random_x(csr.cols(), 48);
+        std::vector<Scalar> ref(static_cast<std::size_t>(csr.rows()), -7.0);
+        std::vector<Scalar> got(ref);
+        scalar(talon.view(), x.data(), ref.data());
+        fn(talon.view(), x.data(), got.data());
+        expect_same(ref, got,
+                    "talon_spmv/r" + std::to_string(force_r) + "/" +
+                        simd::tier_name(tier) + "/" + name);
       }
     }
   }
