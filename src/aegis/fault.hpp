@@ -15,10 +15,13 @@
 //   drop=P        drop a message with probability P (sender retries with
 //                 exponential backoff; recoverable)
 //   delay=P       delay a message with probability P (delay_ms each)
-//   dup=P         duplicate a message (the stale copy is discarded)
-//   reorder=P     deliver a message out of order (re-sequenced)
-//   bitflip=P     corrupt the payload in flight (the checksum mismatch is
-//                 detected and the clean retransmission accepted)
+//   dup=P         duplicate a message (the round counters order and
+//                 deduplicate rounds, so it ends in a retransmission with
+//                 backoff, like drop)
+//   reorder=P     deliver a message out of order (ends in a retransmission
+//                 with backoff, like drop)
+//   bitflip=P     corrupt the payload in flight (counted in
+//                 checksum_failures; ends in a retransmission with backoff)
 //   kill=R@M      rank R throws RankFailure at its M-th plan consultation
 //                 (models a rank dying mid-collective)
 //   delay_ms=X    delay duration in milliseconds (default 1)

@@ -1,7 +1,10 @@
 #include "base/options.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <type_traits>
 
 #include "base/error.hpp"
 
@@ -115,5 +118,28 @@ Options& Options::global() {
   static Options instance;
   return instance;
 }
+
+template <class T>
+T env_number(const char* name, T fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  T parsed{};
+  if constexpr (std::is_integral_v<T>) {
+    parsed = std::strtoll(v, &end, 10);
+  } else {
+    parsed = std::strtod(v, &end);
+  }
+  if (*v == '\0' || *end != '\0' ||
+      !std::isfinite(static_cast<double>(parsed))) {
+    KESTREL_FAIL(std::string(name) + " must be " +
+                 (std::is_integral_v<T> ? "an integer" : "a number") +
+                 ", got '" + v + "'");
+  }
+  return parsed;
+}
+
+template std::int64_t env_number(const char*, std::int64_t);
+template double env_number(const char*, double);
 
 }  // namespace kestrel

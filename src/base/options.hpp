@@ -76,4 +76,13 @@ class Options {
   std::map<std::string, Entry> kv_;
 };
 
+/// The value of environment variable `name`, or `fallback` when it is
+/// unset. The value must be wholly one number of type T (std::int64_t: a
+/// base-10 integer; double: a finite number), or an Error naming the
+/// variable is thrown; an empty value throws too. Read as 0 or as its
+/// numeric prefix, as atol() reads it, a typo would silently change the
+/// setting.
+template <class T>
+T env_number(const char* name, T fallback);
+
 }  // namespace kestrel

@@ -1,6 +1,14 @@
-// Restarted GMRES with left preconditioning, modified Gram–Schmidt
-// orthogonalization and Givens-rotation least squares — the workhorse
-// solver in the paper's experiments (-ksp_type gmres is PETSc's default).
+// Restarted GMRES with modified Gram–Schmidt orthogonalization and
+// Givens-rotation least squares — the workhorse solver in the paper's
+// experiments (-ksp_type gmres is PETSc's default). One body serves both
+// preconditioning sides:
+//   * Gmres preconditions on the left: it minimizes ‖M⁻¹(b − A x)‖ over
+//     the Krylov basis V of M⁻¹A and updates x += V y;
+//   * FGmres is flexible GMRES (Saad 1993), preconditioned on the right: it
+//     stores the directions z_j = M⁻¹ v_j and updates x += Z y, so the
+//     preconditioner may change between iterations (an inner iterative
+//     solve, an adaptive multigrid cycle). PETSc exposes it as
+//     -ksp_type fgmres.
 
 #include <cmath>
 #include <vector>
@@ -13,14 +21,17 @@ namespace kestrel::ksp {
 SolveResult Gmres::solve_once(LinearContext& ctx, const Vector& b,
                               Vector& x) const {
   const Index n = ctx.local_size();
-  KESTREL_CHECK(b.size() == n, "gmres: rhs size mismatch");
-  KESTREL_CHECK(x.size() == n, "gmres: solution size mismatch");
+  KESTREL_CHECK(b.size() == n, name() + ": rhs size mismatch");
+  KESTREL_CHECK(x.size() == n, name() + ": solution size mismatch");
   const int m = settings_.gmres_restart;
-  KESTREL_CHECK(m >= 1, "gmres: restart must be >= 1");
+  KESTREL_CHECK(m >= 1, name() + ": restart must be >= 1");
   SolveResult result;
 
-  Vector r(n), w(n), t(n);
+  Vector r(n), w(n);
+  Vector t(flexible_ ? 0 : n);  // A v_j, or b - A x, before M^{-1}
   std::vector<Vector> basis(static_cast<std::size_t>(m) + 1);
+  // z_j = M^{-1} v_j, stored only by the flexible variant.
+  std::vector<Vector> z(flexible_ ? static_cast<std::size_t>(m) : 0);
   // Hessenberg in column-major packed form h[j][i], plus Givens terms.
   std::vector<std::vector<Scalar>> h(
       static_cast<std::size_t>(m),
@@ -29,20 +40,25 @@ SolveResult Gmres::solve_once(LinearContext& ctx, const Vector& b,
   std::vector<Scalar> sn(static_cast<std::size_t>(m), 0.0);
   std::vector<Scalar> g(static_cast<std::size_t>(m) + 1, 0.0);
 
-  // Preconditioned initial residual: r = M^{-1}(b - A x).
-  ctx.apply_operator(x, t);
-  t.aypx(-1.0, b);
-  ctx.apply_pc(t, r);
-  const Scalar rnorm0 = ctx.norm2(r);
+  // The cycle's residual r and its norm: M^{-1}(b - A x) on the left,
+  // b - A x on the right.
+  const auto residual = [&] {
+    if (flexible_) {
+      ctx.apply_operator(x, r);
+      r.aypx(-1.0, b);
+    } else {
+      ctx.apply_operator(x, t);
+      t.aypx(-1.0, b);
+      ctx.apply_pc(t, r);
+    }
+    return ctx.norm2(r);
+  };
+  Scalar beta = residual();
+  const Scalar rnorm0 = beta;
   if (check(rnorm0, rnorm0, 0, &result)) return result;
 
   int total_it = 0;
   while (true) {
-    // Arnoldi from the current residual.
-    ctx.apply_operator(x, t);
-    t.aypx(-1.0, b);
-    ctx.apply_pc(t, r);
-    Scalar beta = ctx.norm2(r);
     if (beta == 0.0) {
       result.converged = true;
       result.reason = Reason::kConvergedAtol;
@@ -50,6 +66,7 @@ SolveResult Gmres::solve_once(LinearContext& ctx, const Vector& b,
       result.residual_norm = 0.0;
       return result;
     }
+    // Arnoldi from the current residual.
     basis[0].copy_from(r);
     basis[0].scale(1.0 / beta);
     std::fill(g.begin(), g.end(), 0.0);
@@ -58,9 +75,17 @@ SolveResult Gmres::solve_once(LinearContext& ctx, const Vector& b,
     int k = 0;  // number of completed Arnoldi steps this cycle
     for (int j = 0; j < m; ++j) {
       ++total_it;
-      // w = M^{-1} A v_j
-      ctx.apply_operator(basis[static_cast<std::size_t>(j)], t);
-      ctx.apply_pc(t, w);
+      const Vector& vj = basis[static_cast<std::size_t>(j)];
+      if (flexible_) {
+        // z_j = M^{-1} v_j (stored), w = A z_j
+        Vector& zj = z[static_cast<std::size_t>(j)];
+        ctx.apply_pc(vj, zj);
+        ctx.apply_operator(zj, w);
+      } else {
+        // w = M^{-1} A v_j
+        ctx.apply_operator(vj, t);
+        ctx.apply_pc(t, w);
+      }
       // modified Gram–Schmidt
       for (int i = 0; i <= j; ++i) {
         const Scalar hij = ctx.dot(w, basis[static_cast<std::size_t>(i)]);
@@ -116,7 +141,7 @@ SolveResult Gmres::solve_once(LinearContext& ctx, const Vector& b,
       k = j + 1;
       const Scalar rnorm = std::abs(g[static_cast<std::size_t>(j) + 1]);
       const bool done = check(rnorm, rnorm0, total_it, &result);
-      if (!done && hlast != 0.0 && j + 1 <= m) {
+      if (!done && hlast != 0.0) {
         basis[static_cast<std::size_t>(j) + 1].copy_from(w);
         basis[static_cast<std::size_t>(j) + 1].scale(1.0 / hlast);
       }
@@ -144,10 +169,12 @@ SolveResult Gmres::solve_once(LinearContext& ctx, const Vector& b,
       }
       y[static_cast<std::size_t>(i)] = sum / hii;
     }
-    // fused multi-vector update (VecMAXPY): one pass over x
+    // fused multi-vector update (VecMAXPY), one pass over x: x += V y on
+    // the left, x += Z y on the right
+    const std::vector<Vector>& dirs = flexible_ ? z : basis;
     std::vector<const Vector*> ptrs(static_cast<std::size_t>(k));
     for (int i = 0; i < k; ++i) {
-      ptrs[static_cast<std::size_t>(i)] = &basis[static_cast<std::size_t>(i)];
+      ptrs[static_cast<std::size_t>(i)] = &dirs[static_cast<std::size_t>(i)];
     }
     x.maxpy(static_cast<std::size_t>(k), y.data(), ptrs.data());
 
@@ -157,6 +184,7 @@ SolveResult Gmres::solve_once(LinearContext& ctx, const Vector& b,
          total_it >= settings_.max_iterations)) {
       return result;
     }
+    beta = residual();
   }
 }
 

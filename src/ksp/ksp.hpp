@@ -132,8 +132,9 @@ class Solver {
                            Vector& x) const;
 };
 
-/// Factory keyed by PETSc-style names: cg, gmres, bicgstab, richardson,
-/// chebyshev.
+/// Factory keyed by PETSc-style names: cg, gmres, fgmres, bicgstab (alias
+/// bcgs) and richardson. Chebyshev needs spectrum bounds, so it is
+/// constructed directly, not through the factory.
 std::unique_ptr<Solver> make_solver(const std::string& type,
                                     Settings settings = {});
 
@@ -147,21 +148,28 @@ class Cg final : public Solver {
   std::string name() const override { return "cg"; }
 };
 
-class Gmres final : public Solver {
+/// Restarted GMRES(m), left-preconditioned. FGmres runs the same body
+/// preconditioned on the right.
+class Gmres : public Solver {
  public:
-  using Solver::Solver;
+  explicit Gmres(Settings settings = {}) : Gmres(settings, false) {}
   SolveResult solve_once(LinearContext& ctx, const Vector& b,
                          Vector& x) const override;
   std::string name() const override { return "gmres"; }
+
+ protected:
+  Gmres(Settings settings, bool flexible)
+      : Solver(settings), flexible_(flexible) {}
+
+ private:
+  bool flexible_;  ///< right preconditioning with stored M^{-1} v_j
 };
 
 /// Flexible GMRES (right-preconditioned; the preconditioner may vary per
 /// iteration).
-class FGmres final : public Solver {
+class FGmres final : public Gmres {
  public:
-  using Solver::Solver;
-  SolveResult solve_once(LinearContext& ctx, const Vector& b,
-                         Vector& x) const override;
+  explicit FGmres(Settings settings = {}) : Gmres(settings, true) {}
   std::string name() const override { return "fgmres"; }
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -11,6 +10,7 @@
 
 #include "aegis/fault.hpp"
 #include "base/error.hpp"
+#include "base/options.hpp"
 #include "par/checker.hpp"
 #include "prof/profiler.hpp"
 
@@ -52,21 +52,28 @@ bool spin_before_park(const Pred& ready) {
   return ready();
 }
 
-/// cv.wait(lock, pred), bounded by `timeout_s` when it is positive. Returns
-/// false when the bound expired with pred() still false.
+/// cv.wait(lock, pred), bounded by `timeout_s` when it is positive and
+/// steady_clock can represent the deadline. Returns false when the bound
+/// expired with pred() still false.
 template <class Pred>
 bool wait_bounded(std::condition_variable& cv,
                   std::unique_lock<std::mutex>& lock, double timeout_s,
                   const Pred& pred) {
-  if (timeout_s <= 0) {
+  using Clock = std::chrono::steady_clock;
+  using Ticks = std::chrono::duration<double, Clock::period>;
+  const std::chrono::duration<double> timeout(timeout_s);
+  const Clock::time_point now = Clock::now();
+  // Decided in double, before any cast: a deadline past the clock's range
+  // would overflow duration_cast and land in the past, so it waits without
+  // one, as a timeout <= 0 does.
+  const double deadline =
+      Ticks(now.time_since_epoch()).count() + Ticks(timeout).count();
+  if (timeout_s <= 0 || !(deadline < Ticks(Clock::duration::max()).count())) {
     cv.wait(lock, pred);
     return true;
   }
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout_s));
-  return cv.wait_until(lock, deadline, pred);
+  return cv.wait_until(
+      lock, now + std::chrono::duration_cast<Clock::duration>(timeout), pred);
 }
 
 /// What a rank throws when it unwinds because of another rank: the fabric
@@ -82,21 +89,6 @@ bool env_flag(const char* name, bool fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
   return !(v[0] == '0' && v[1] == '\0');
-}
-
-/// Seconds from an environment variable, or `fallback` when it is unset.
-/// A value that is not wholly one finite number throws: read as 0 or as its
-/// numeric prefix, a typo would silently change the setting.
-double env_seconds(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  const double s = std::strtod(v, &end);
-  if (*v == '\0' || *end != '\0' || !std::isfinite(s)) {
-    KESTREL_FAIL(std::string(name) + " must be a number of seconds, got '" +
-                 v + "'");
-  }
-  return s;
 }
 
 }  // namespace
@@ -147,7 +139,7 @@ FabricOptions::FabricOptions() {
   constexpr bool kBuildDefault = true;
 #endif
   check = env_flag("KESTREL_FABRIC_CHECK", kBuildDefault);
-  hang_timeout_s = env_seconds("KESTREL_FABRIC_HANG_TIMEOUT", 30.0);
+  hang_timeout_s = env_number("KESTREL_FABRIC_HANG_TIMEOUT", 30.0);
   faults = aegis::FaultPlan::from_env();
 }
 

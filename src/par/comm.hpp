@@ -218,7 +218,10 @@ class Comm {
 ///     debug (!NDEBUG) builds and off in release builds.
 ///   * hang_timeout_s: KESTREL_FABRIC_HANG_TIMEOUT seconds (fractions
 ///     allowed) if set, else 30s; a value that is not a number throws.
-///     Only active while checking; <= 0 disables hang detection.
+///     Only active while checking; <= 0 disables hang detection, and so
+///     does a timeout whose deadline steady_clock cannot represent (now
+///     plus the timeout past the clock's range, about 292 years of
+///     nanoseconds from its epoch): such a wait has no bound.
 ///   * faults: the Kestrel Aegis fault-injection plan; parsed from
 ///     KESTREL_AEGIS when set, nullptr (no injection) otherwise.
 struct FabricOptions {

@@ -1,7 +1,6 @@
 #include "par/pool.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -23,9 +22,7 @@ thread_local bool t_pool_worker = false;
 int configured_threads() {
   if (t_pool_worker) return 1;
   std::int64_t n = Options::global().get_index("threads", 0);
-  if (n <= 0) {
-    if (const char* env = std::getenv("KESTREL_THREADS")) n = std::atol(env);
-  }
+  if (n <= 0) n = env_number("KESTREL_THREADS", std::int64_t{0});
   if (n <= 0) n = 1;
   // Kestrel Bastion: a request past the machine's core count would only
   // park oversubscribed workers on the scheduler; clamp it and say so once

@@ -42,7 +42,9 @@ inline constexpr int kMaxPoolThreads = 64;
 
 /// The rank's thread count: `-threads N` (Options::global()), else the
 /// KESTREL_THREADS environment variable, else 1; clamped to
-/// [1, kMaxPoolThreads]. Pool workers always read 1 (see header comment).
+/// [1, kMaxPoolThreads]. A KESTREL_THREADS value that is empty or not
+/// wholly an integer throws (env_number). Pool workers always read 1 (see
+/// header comment).
 int configured_threads();
 
 class ThreadPool {

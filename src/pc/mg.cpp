@@ -1,7 +1,5 @@
 #include "pc/mg.hpp"
 
-#include <cmath>
-
 #include "base/error.hpp"
 #include "mat/spgemm.hpp"
 #include "prof/profiler.hpp"
@@ -39,9 +37,6 @@ Multigrid::Multigrid(const mat::Csr& fine, std::vector<mat::Csr> interps,
       KESTREL_CHECK(level.inv_diag[i] != 0.0, "mg: zero diagonal");
       level.inv_diag[i] = 1.0 / level.inv_diag[i];
     }
-    if (opts_.smoother == Smoother::kChebyshev) {
-      level.emax = estimate_level_emax(level);
-    }
   }
 
   const mat::Csr& coarse = levels_.back().a;
@@ -52,81 +47,14 @@ Multigrid::Multigrid(const mat::Csr& fine, std::vector<mat::Csr> interps,
   }
 }
 
-Scalar Multigrid::estimate_level_emax(const Level& level) const {
-  // power iteration on D^{-1} A with a fixed pseudo-random start
-  const Index n = level.a.rows();
-  Vector v(n), av(n);
-  for (Index i = 0; i < n; ++i) {
-    v[i] = 0.5 + 0.37 * ((i * 2654435761u) % 97) / 97.0;
-  }
-  Scalar lambda = 1.0;
-  for (int it = 0; it < opts_.cheby_power_iterations; ++it) {
-    const Scalar nv = v.norm2();
-    if (nv == 0.0) break;
-    v.scale(1.0 / nv);
-    level.op->spmv(v.data(), av.data());
-    for (Index i = 0; i < n; ++i) av[i] *= level.inv_diag[i];
-    lambda = v.dot(av);
-    v.copy_from(av);
-  }
-  return std::abs(lambda);
-}
-
 void Multigrid::smooth(const Level& level, const Vector& rhs, Vector& x,
                        int sweeps) const {
-  if (opts_.smoother == Smoother::kChebyshev && level.emax > 0.0) {
-    smooth_chebyshev(level, rhs, x, sweeps);
-  } else {
-    smooth_jacobi(level, rhs, x, sweeps);
-  }
-}
-
-void Multigrid::smooth_jacobi(const Level& level, const Vector& rhs,
-                              Vector& x, int sweeps) const {
-  // damped Jacobi: x += omega * D^{-1} (rhs - A x)
   for (int s = 0; s < sweeps; ++s) {
     level.op->spmv(x.data(), level.tmp.data());
     for (Index i = 0; i < x.size(); ++i) {
       x[i] += opts_.jacobi_omega * level.inv_diag[i] *
               (rhs[i] - level.tmp[i]);
     }
-  }
-}
-
-void Multigrid::smooth_chebyshev(const Level& level, const Vector& rhs,
-                                 Vector& x, int sweeps) const {
-  // Chebyshev iteration on the Jacobi-preconditioned operator targeting
-  // the upper spectrum [low_fraction, safety] * emax; each "sweep" here is
-  // a fixed small number of Chebyshev steps (PETSc runs 2 by default).
-  const Scalar emin = opts_.cheby_low_fraction * level.emax;
-  const Scalar emax = opts_.cheby_safety * level.emax;
-  const Scalar theta = 0.5 * (emax + emin);
-  const Scalar delta = 0.5 * (emax - emin);
-  const int steps = 2 * sweeps;
-
-  const Index n = x.size();
-  level.p.resize(n);
-  Scalar alpha = 0.0;
-  for (int s = 0; s < steps; ++s) {
-    // z = D^{-1} (rhs - A x), reusing tmp as the residual buffer
-    level.op->spmv(x.data(), level.tmp.data());
-    for (Index i = 0; i < n; ++i) {
-      level.tmp[i] = level.inv_diag[i] * (rhs[i] - level.tmp[i]);
-    }
-    if (s == 0) {
-      level.p.copy_from(level.tmp);
-      alpha = 1.0 / theta;
-    } else {
-      Scalar beta;
-      if (s == 1) {
-        beta = 0.5 * (delta * alpha) * (delta * alpha);
-      } else {
-        beta = (delta * alpha / 2.0) * (delta * alpha / 2.0);
-      }
-      alpha = 1.0 / (theta - beta / alpha);
-      level.p.aypx(beta, level.tmp);
-    }
-    x.axpy(alpha, level.p);
   }
 }
 

@@ -23,21 +23,11 @@ namespace kestrel::pc {
 
 class Multigrid final : public Pc {
  public:
-  enum class Smoother {
-    kJacobi,     ///< damped point Jacobi (the paper's configuration)
-    kChebyshev,  ///< Chebyshev/Jacobi (PETSc's default MG smoother)
-  };
-
   struct Options {
     int pre_smooths = 1;
     int post_smooths = 1;
-    Smoother smoother = Smoother::kJacobi;
+    /// Damping of the point-Jacobi smoother (the paper's configuration).
     Scalar jacobi_omega = 2.0 / 3.0;
-    /// Chebyshev smoothing targets [emax_low_frac, emax_safety] * lambda_max
-    /// of D^{-1}A, estimated per level by power iteration (PETSc defaults).
-    Scalar cheby_low_fraction = 0.1;
-    Scalar cheby_safety = 1.1;
-    int cheby_power_iterations = 12;
     /// Largest coarse problem solved directly; hierarchies whose coarsest
     /// level is bigger than this use damped-Jacobi sweeps there instead
     /// (the paper's -mg_coarse_pc_type jacobi choice).
@@ -70,18 +60,13 @@ class Multigrid final : public Pc {
     mat::Csr interp;                         ///< P to the next-coarser level
     mat::Csr restrict_;                      ///< P^T
     Vector inv_diag;                         ///< Jacobi smoother data
-    Scalar emax = 0.0;  ///< lambda_max(D^{-1}A) estimate (Chebyshev)
     // V-cycle scratch (mutable via the cycle being non-const on copies)
-    mutable Vector x, r, tmp, rc, xc, p;
+    mutable Vector x, r, tmp, rc, xc;
   };
 
+  /// `sweeps` damped-Jacobi sweeps: x += omega * D^{-1} (rhs - A x).
   void smooth(const Level& level, const Vector& rhs, Vector& x,
               int sweeps) const;
-  void smooth_jacobi(const Level& level, const Vector& rhs, Vector& x,
-                     int sweeps) const;
-  void smooth_chebyshev(const Level& level, const Vector& rhs, Vector& x,
-                        int sweeps) const;
-  Scalar estimate_level_emax(const Level& level) const;
   void cycle(int l, const Vector& rhs, Vector& x) const;
 
   Options opts_;

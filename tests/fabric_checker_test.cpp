@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/error.hpp"
@@ -116,6 +118,36 @@ TEST(FabricChecker, CollectiveHangNamesRoundAndMissingRank) {
   EXPECT_NE(what.find("allreduce round 2 (not arrived: 1)"),
             std::string::npos)
       << what;
+}
+
+TEST(FabricChecker, HangTimeoutPastClockRangeWaitsWithoutBound) {
+  // Rank 1 reaches the barrier, then arms its receive, 50 ms late, so
+  // rank 0 parks in the collective and then in the channel send. A timeout
+  // whose deadline steady_clock cannot represent waits without a bound, as
+  // a timeout <= 0 does; it must not expire at once.
+  for (const double timeout_s : {1e10, 1e300}) {
+    const std::string what = run_and_capture_error(
+        2,
+        [](Comm& comm) {
+          const auto arrive_late = [&comm] {
+            if (comm.rank() == 1) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            }
+          };
+          arrive_late();
+          comm.barrier();
+          const int peer = 1 - comm.rank();
+          std::vector<Scalar> ghost(2, 0.0);
+          auto ex = comm.open_exchange({{peer, 2}}, {{peer, ghost.data(), 2}});
+          const std::vector<Scalar> packed = {1.0, 2.0};
+          arrive_late();
+          ex->arm();
+          ex->send(0, packed.data(), 2);
+          ex->wait_all();
+        },
+        timeout_s);
+    EXPECT_EQ(what, "") << "hang timeout " << timeout_s << " s";
+  }
 }
 
 TEST(FabricChecker, AllgathervHangNamesRoundAndMissingRanks) {

@@ -24,9 +24,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,6 +68,27 @@ class ThreadsGuard {
 
  private:
   std::string saved_;
+};
+
+/// Sets KESTREL_THREADS for one scope, then restores the previous value.
+class ThreadsEnvGuard {
+ public:
+  explicit ThreadsEnvGuard(const char* value) {
+    if (const char* old = std::getenv("KESTREL_THREADS")) saved_ = old;
+    ::setenv("KESTREL_THREADS", value, 1);
+  }
+  ~ThreadsEnvGuard() {
+    if (saved_) {
+      ::setenv("KESTREL_THREADS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("KESTREL_THREADS");
+    }
+  }
+  ThreadsEnvGuard(const ThreadsEnvGuard&) = delete;
+  ThreadsEnvGuard& operator=(const ThreadsEnvGuard&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
 };
 
 // --------------------------------------------------------------------------
@@ -291,6 +314,31 @@ TEST(FlockPool, ConfiguredThreadsReadsOptionAndClamps) {
     const int modest = hw > 0 ? std::min(hw, 2) : 2;
     ThreadsGuard g(modest);
     EXPECT_EQ(par::configured_threads(), modest);
+  }
+}
+
+TEST(FlockPool, KestrelThreadsMustBeWhollyAnInteger) {
+  const ThreadsGuard no_option(0);  // -threads unset: the variable decides
+  for (const char* bad : {"3x", "abc", "2.5", ""}) {
+    const ThreadsEnvGuard env(bad);
+    try {
+      (void)par::configured_threads();
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("KESTREL_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  {
+    const ThreadsEnvGuard env("2");
+    EXPECT_EQ(par::configured_threads(), hw > 0 ? std::min(hw, 2) : 2);
+  }
+  // Integers <= 0 stay valid and mean a serial pool.
+  for (const char* serial : {"0", "-3"}) {
+    const ThreadsEnvGuard env(serial);
+    EXPECT_EQ(par::configured_threads(), 1) << serial;
   }
 }
 

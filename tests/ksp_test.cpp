@@ -4,14 +4,17 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <vector>
 
+#include "app/advection_diffusion.hpp"
 #include "app/laplacian.hpp"
 #include "base/rng.hpp"
 #include "ksp/context.hpp"
 #include "mat/spgemm.hpp"
 #include "ksp/ksp.hpp"
 #include "par/parmat.hpp"
+#include "pc/ilu0.hpp"
 #include "pc/jacobi.hpp"
 #include "test_matrices.hpp"
 
@@ -339,13 +342,14 @@ class ThreeReductionCg final : public Solver {
   }
 };
 
-/// Forwards to another context and counts its dot() calls, i.e. the
-/// reductions of a distributed solve.
+/// Forwards to another context and counts its operator applications and
+/// its dot() calls, i.e. the reductions of a distributed solve.
 class CountingContext final : public LinearContext {
  public:
   explicit CountingContext(LinearContext& inner) : inner_(inner) {}
   Index local_size() const override { return inner_.local_size(); }
   void apply_operator(const Vector& x, Vector& y) override {
+    ++operator_applications;
     inner_.apply_operator(x, y);
   }
   const pc::Pc* preconditioner() const override {
@@ -355,10 +359,26 @@ class CountingContext final : public LinearContext {
     ++dots;
     return inner_.dot(a, b);
   }
+  int operator_applications = 0;
   int dots = 0;
 
  private:
   LinearContext& inner_;
+};
+
+/// Forwards to another preconditioner and counts its applications.
+class CountingPc final : public pc::Pc {
+ public:
+  explicit CountingPc(const pc::Pc& inner) : inner_(inner) {}
+  void apply(const Vector& r, Vector& z) const override {
+    ++applications;
+    inner_.apply(r, z);
+  }
+  std::string name() const override { return inner_.name(); }
+  mutable int applications = 0;
+
+ private:
+  const pc::Pc& inner_;
 };
 
 bool same_bits(Scalar a, Scalar b) {
@@ -367,17 +387,19 @@ bool same_bits(Scalar a, Scalar b) {
 
 /// One solve's observable output: the solution, the result and the monitor
 /// history.
-struct CgTrace {
+struct SolveTrace {
   Vector x;
   SolveResult res;
   std::vector<Scalar> history;
 };
 
 template <class Method>
-CgTrace traced_solve(LinearContext& ctx, const Vector& b) {
-  CgTrace t;
+SolveTrace traced_solve(LinearContext& ctx, const Vector& b,
+                        int gmres_restart = 30) {
+  SolveTrace t;
   Settings settings;
   settings.rtol = 1e-10;
+  settings.gmres_restart = gmres_restart;
   settings.monitor = [&t](int it, Scalar rnorm) {
     EXPECT_EQ(it, static_cast<int>(t.history.size()));
     t.history.push_back(rnorm);
@@ -387,7 +409,7 @@ CgTrace traced_solve(LinearContext& ctx, const Vector& b) {
   return t;
 }
 
-void expect_bitwise_equal(const CgTrace& got, const CgTrace& want,
+void expect_bitwise_equal(const SolveTrace& got, const SolveTrace& want,
                           const std::string& what) {
   EXPECT_TRUE(got.res.converged) << what;
   EXPECT_EQ(got.res.iterations, want.res.iterations) << what;
@@ -405,11 +427,9 @@ void expect_bitwise_equal(const CgTrace& got, const CgTrace& want,
   }
 }
 
-/// D A D for the 2-D Dirichlet Laplacian A and a diagonal D spread over
-/// an order of magnitude: SPD, and its diagonal varies, so Jacobi changes
-/// the iterates.
-mat::Csr scaled_laplacian(Index nx) {
-  const mat::Csr a = app::laplacian_dirichlet(nx, nx);
+/// D A D for a diagonal D spread over an order of magnitude: its diagonal
+/// varies, so Jacobi changes the iterates, and it stays SPD when A is.
+mat::Csr diag_scaled(const mat::Csr& a) {
   std::vector<Scalar> d(static_cast<std::size_t>(a.rows()));
   Rng rng(29);
   for (Scalar& v : d) v = std::pow(10.0, rng.uniform(0.0, 1.0));
@@ -425,6 +445,11 @@ mat::Csr scaled_laplacian(Index nx) {
   return coo.to_csr();
 }
 
+/// The 2-D Dirichlet Laplacian, scaled to D A D.
+mat::Csr scaled_laplacian(Index nx) {
+  return diag_scaled(app::laplacian_dirichlet(nx, nx));
+}
+
 TEST(CgReductions, SeqMatchesThreeReductionCgBitForBit) {
   const mat::Csr a = scaled_laplacian(14);
   const Vector b = make_rhs(a, sinusoid(a.rows()));
@@ -432,8 +457,8 @@ TEST(CgReductions, SeqMatchesThreeReductionCgBitForBit) {
   for (const pc::Pc* pc : {static_cast<const pc::Pc*>(nullptr),
                            static_cast<const pc::Pc*>(&jacobi)}) {
     SeqContext ctx(a, pc);
-    const CgTrace want = traced_solve<ThreeReductionCg>(ctx, b);
-    const CgTrace got = traced_solve<Cg>(ctx, b);
+    const SolveTrace want = traced_solve<ThreeReductionCg>(ctx, b);
+    const SolveTrace got = traced_solve<Cg>(ctx, b);
     ASSERT_TRUE(want.res.converged);
     expect_bitwise_equal(got, want, pc ? "seq jacobi" : "seq");
   }
@@ -454,8 +479,8 @@ TEST(CgReductions, ParMatchesThreeReductionCgBitForBit) {
       for (const pc::Pc* pc : {static_cast<const pc::Pc*>(nullptr),
                                static_cast<const pc::Pc*>(&jacobi)}) {
         ParContext ctx(pa, comm, pc);
-        const CgTrace want = traced_solve<ThreeReductionCg>(ctx, pb.local());
-        const CgTrace got = traced_solve<Cg>(ctx, pb.local());
+        const SolveTrace want = traced_solve<ThreeReductionCg>(ctx, pb.local());
+        const SolveTrace got = traced_solve<Cg>(ctx, pb.local());
         ASSERT_TRUE(want.res.converged);
         expect_bitwise_equal(got, want,
                              std::to_string(nranks) + " ranks, rank " +
@@ -473,21 +498,469 @@ TEST(CgReductions, TwoReductionsPerIterationWithoutPreconditioner) {
 
   SeqContext plain(a);
   CountingContext count_plain(plain);
-  const CgTrace p = traced_solve<Cg>(count_plain, b);
+  const SolveTrace p = traced_solve<Cg>(count_plain, b);
   ASSERT_TRUE(p.res.converged);
   EXPECT_EQ(count_plain.dots, 2 * p.res.iterations + 1);
 
   SeqContext pre(a, &jacobi);
   CountingContext count_pre(pre);
-  const CgTrace q = traced_solve<Cg>(count_pre, b);
+  const SolveTrace q = traced_solve<Cg>(count_pre, b);
   ASSERT_TRUE(q.res.converged);
   EXPECT_EQ(count_pre.dots, 3 * q.res.iterations + 1);
 
   // The reference pays three per iteration either way.
   CountingContext count_ref(plain);
-  const CgTrace r = traced_solve<ThreeReductionCg>(count_ref, b);
+  const SolveTrace r = traced_solve<ThreeReductionCg>(count_ref, b);
   EXPECT_EQ(count_ref.dots, 3 * r.res.iterations + 1);
   EXPECT_EQ(r.res.iterations, p.res.iterations);
+}
+
+// --------------------------------------------------------------------------
+// One restarted-GMRES body. Gmres and FGmres run one body that computes
+// each cycle's residual once. The references below are GMRES and FGMRES as
+// two separate bodies that compute the first cycle's residual twice (once
+// for rnorm0, then again to start the cycle). The one body must keep every
+// bit of their output and make exactly one operator application fewer per
+// solve.
+// --------------------------------------------------------------------------
+
+/// Left-preconditioned restarted GMRES as a body of its own. The bitwise
+/// reference for ksp::Gmres.
+class ReferenceGmres final : public Solver {
+ public:
+  using Solver::Solver;
+  std::string name() const override { return "gmres"; }
+  SolveResult solve_once(LinearContext& ctx, const Vector& b,
+                         Vector& x) const override;
+};
+
+/// Flexible (right-preconditioned) GMRES as a body of its own. The bitwise
+/// reference for ksp::FGmres.
+class ReferenceFGmres final : public Solver {
+ public:
+  using Solver::Solver;
+  std::string name() const override { return "fgmres"; }
+  SolveResult solve_once(LinearContext& ctx, const Vector& b,
+                         Vector& x) const override;
+};
+
+SolveResult ReferenceGmres::solve_once(LinearContext& ctx, const Vector& b,
+                                       Vector& x) const {
+  const Index n = ctx.local_size();
+  KESTREL_CHECK(b.size() == n, "gmres: rhs size mismatch");
+  KESTREL_CHECK(x.size() == n, "gmres: solution size mismatch");
+  const int m = settings_.gmres_restart;
+  KESTREL_CHECK(m >= 1, "gmres: restart must be >= 1");
+  SolveResult result;
+
+  Vector r(n), w(n), t(n);
+  std::vector<Vector> basis(static_cast<std::size_t>(m) + 1);
+  // Hessenberg in column-major packed form h[j][i], plus Givens terms.
+  std::vector<std::vector<Scalar>> h(
+      static_cast<std::size_t>(m),
+      std::vector<Scalar>(static_cast<std::size_t>(m) + 1, 0.0));
+  std::vector<Scalar> cs(static_cast<std::size_t>(m), 0.0);
+  std::vector<Scalar> sn(static_cast<std::size_t>(m), 0.0);
+  std::vector<Scalar> g(static_cast<std::size_t>(m) + 1, 0.0);
+
+  // Preconditioned initial residual: r = M^{-1}(b - A x).
+  ctx.apply_operator(x, t);
+  t.aypx(-1.0, b);
+  ctx.apply_pc(t, r);
+  const Scalar rnorm0 = ctx.norm2(r);
+  if (check(rnorm0, rnorm0, 0, &result)) return result;
+
+  int total_it = 0;
+  while (true) {
+    // Arnoldi from the current residual.
+    ctx.apply_operator(x, t);
+    t.aypx(-1.0, b);
+    ctx.apply_pc(t, r);
+    Scalar beta = ctx.norm2(r);
+    if (beta == 0.0) {
+      result.converged = true;
+      result.reason = Reason::kConvergedAtol;
+      result.iterations = total_it;
+      result.residual_norm = 0.0;
+      return result;
+    }
+    basis[0].copy_from(r);
+    basis[0].scale(1.0 / beta);
+    std::fill(g.begin(), g.end(), 0.0);
+    g[0] = beta;
+
+    int k = 0;  // number of completed Arnoldi steps this cycle
+    for (int j = 0; j < m; ++j) {
+      ++total_it;
+      // w = M^{-1} A v_j
+      ctx.apply_operator(basis[static_cast<std::size_t>(j)], t);
+      ctx.apply_pc(t, w);
+      // modified Gram–Schmidt
+      for (int i = 0; i <= j; ++i) {
+        const Scalar hij = ctx.dot(w, basis[static_cast<std::size_t>(i)]);
+        h[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] = hij;
+        w.axpy(-hij, basis[static_cast<std::size_t>(i)]);
+      }
+      const Scalar hlast = ctx.norm2(w);
+      h[static_cast<std::size_t>(j)][static_cast<std::size_t>(j) + 1] =
+          hlast;
+
+      // apply previous Givens rotations to the new column
+      auto& col = h[static_cast<std::size_t>(j)];
+      for (int i = 0; i < j; ++i) {
+        const Scalar tmp = cs[static_cast<std::size_t>(i)] *
+                               col[static_cast<std::size_t>(i)] +
+                           sn[static_cast<std::size_t>(i)] *
+                               col[static_cast<std::size_t>(i) + 1];
+        col[static_cast<std::size_t>(i) + 1] =
+            -sn[static_cast<std::size_t>(i)] *
+                col[static_cast<std::size_t>(i)] +
+            cs[static_cast<std::size_t>(i)] *
+                col[static_cast<std::size_t>(i) + 1];
+        col[static_cast<std::size_t>(i)] = tmp;
+      }
+      // new rotation to annihilate the subdiagonal
+      const Scalar denom = std::hypot(col[static_cast<std::size_t>(j)],
+                                      col[static_cast<std::size_t>(j) + 1]);
+      if (!std::isfinite(denom)) {
+        // A NaN/Inf Hessenberg entry (poisoned operator or dot product)
+        // would silently corrupt every later rotation; surface it now.
+        result.converged = false;
+        result.reason = Reason::kDivergedNan;
+        result.iterations = total_it;
+        result.residual_norm = denom;
+        return result;
+      }
+      if (denom == 0.0) {
+        cs[static_cast<std::size_t>(j)] = 1.0;
+        sn[static_cast<std::size_t>(j)] = 0.0;
+      } else {
+        cs[static_cast<std::size_t>(j)] =
+            col[static_cast<std::size_t>(j)] / denom;
+        sn[static_cast<std::size_t>(j)] =
+            col[static_cast<std::size_t>(j) + 1] / denom;
+      }
+      col[static_cast<std::size_t>(j)] = denom;
+      col[static_cast<std::size_t>(j) + 1] = 0.0;
+      g[static_cast<std::size_t>(j) + 1] =
+          -sn[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
+      g[static_cast<std::size_t>(j)] =
+          cs[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
+
+      k = j + 1;
+      const Scalar rnorm = std::abs(g[static_cast<std::size_t>(j) + 1]);
+      const bool done = check(rnorm, rnorm0, total_it, &result);
+      if (!done && hlast != 0.0 && j + 1 <= m) {
+        basis[static_cast<std::size_t>(j) + 1].copy_from(w);
+        basis[static_cast<std::size_t>(j) + 1].scale(1.0 / hlast);
+      }
+      if (done || hlast == 0.0) {
+        // solve the least squares and update x, then return or restart
+        break;
+      }
+    }
+
+    // back substitution: y = H^{-1} g (upper triangular k x k)
+    std::vector<Scalar> y(static_cast<std::size_t>(k), 0.0);
+    for (int i = k - 1; i >= 0; --i) {
+      Scalar sum = g[static_cast<std::size_t>(i)];
+      for (int j2 = i + 1; j2 < k; ++j2) {
+        sum -= h[static_cast<std::size_t>(j2)][static_cast<std::size_t>(i)] *
+               y[static_cast<std::size_t>(j2)];
+      }
+      const Scalar hii =
+          h[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)];
+      if (hii == 0.0) {
+        result.converged = false;
+        result.reason = Reason::kDivergedBreakdown;
+        result.iterations = total_it;
+        return result;
+      }
+      y[static_cast<std::size_t>(i)] = sum / hii;
+    }
+    // fused multi-vector update (VecMAXPY): one pass over x
+    std::vector<const Vector*> ptrs(static_cast<std::size_t>(k));
+    for (int i = 0; i < k; ++i) {
+      ptrs[static_cast<std::size_t>(i)] = &basis[static_cast<std::size_t>(i)];
+    }
+    x.maxpy(static_cast<std::size_t>(k), y.data(), ptrs.data());
+
+    if (result.converged || result.reason == Reason::kDivergedNan ||
+        result.reason == Reason::kDeadlineExceeded ||
+        (result.reason == Reason::kDivergedMaxIts &&
+         total_it >= settings_.max_iterations)) {
+      return result;
+    }
+  }
+}
+
+SolveResult ReferenceFGmres::solve_once(LinearContext& ctx,
+                                        const Vector& b, Vector& x) const {
+  const Index n = ctx.local_size();
+  KESTREL_CHECK(b.size() == n, "fgmres: rhs size mismatch");
+  KESTREL_CHECK(x.size() == n, "fgmres: solution size mismatch");
+  const int m = settings_.gmres_restart;
+  KESTREL_CHECK(m >= 1, "fgmres: restart must be >= 1");
+  SolveResult result;
+
+  Vector r(n), w(n);
+  std::vector<Vector> v(static_cast<std::size_t>(m) + 1);  // Krylov basis
+  std::vector<Vector> z(static_cast<std::size_t>(m));      // M^{-1} v_j
+  std::vector<std::vector<Scalar>> h(
+      static_cast<std::size_t>(m),
+      std::vector<Scalar>(static_cast<std::size_t>(m) + 1, 0.0));
+  std::vector<Scalar> cs(static_cast<std::size_t>(m), 0.0);
+  std::vector<Scalar> sn(static_cast<std::size_t>(m), 0.0);
+  std::vector<Scalar> g(static_cast<std::size_t>(m) + 1, 0.0);
+
+  // unpreconditioned residual (right preconditioning)
+  ctx.apply_operator(x, r);
+  r.aypx(-1.0, b);
+  const Scalar rnorm0 = ctx.norm2(r);
+  if (check(rnorm0, rnorm0, 0, &result)) return result;
+
+  int total_it = 0;
+  while (true) {
+    ctx.apply_operator(x, r);
+    r.aypx(-1.0, b);
+    const Scalar beta = ctx.norm2(r);
+    if (beta == 0.0) {
+      result.converged = true;
+      result.reason = Reason::kConvergedAtol;
+      result.iterations = total_it;
+      result.residual_norm = 0.0;
+      return result;
+    }
+    v[0].copy_from(r);
+    v[0].scale(1.0 / beta);
+    std::fill(g.begin(), g.end(), 0.0);
+    g[0] = beta;
+
+    int k = 0;
+    for (int j = 0; j < m; ++j) {
+      ++total_it;
+      // z_j = M^{-1} v_j  (stored!), w = A z_j
+      ctx.apply_pc(v[static_cast<std::size_t>(j)],
+                   z[static_cast<std::size_t>(j)]);
+      ctx.apply_operator(z[static_cast<std::size_t>(j)], w);
+      for (int i = 0; i <= j; ++i) {
+        const Scalar hij = ctx.dot(w, v[static_cast<std::size_t>(i)]);
+        h[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] = hij;
+        w.axpy(-hij, v[static_cast<std::size_t>(i)]);
+      }
+      const Scalar hlast = ctx.norm2(w);
+      h[static_cast<std::size_t>(j)][static_cast<std::size_t>(j) + 1] =
+          hlast;
+
+      auto& col = h[static_cast<std::size_t>(j)];
+      for (int i = 0; i < j; ++i) {
+        const Scalar tmp = cs[static_cast<std::size_t>(i)] *
+                               col[static_cast<std::size_t>(i)] +
+                           sn[static_cast<std::size_t>(i)] *
+                               col[static_cast<std::size_t>(i) + 1];
+        col[static_cast<std::size_t>(i) + 1] =
+            -sn[static_cast<std::size_t>(i)] *
+                col[static_cast<std::size_t>(i)] +
+            cs[static_cast<std::size_t>(i)] *
+                col[static_cast<std::size_t>(i) + 1];
+        col[static_cast<std::size_t>(i)] = tmp;
+      }
+      const Scalar denom = std::hypot(col[static_cast<std::size_t>(j)],
+                                      col[static_cast<std::size_t>(j) + 1]);
+      if (!std::isfinite(denom)) {
+        // A NaN/Inf Hessenberg entry (poisoned operator or dot product)
+        // would silently corrupt every later rotation; surface it now.
+        result.converged = false;
+        result.reason = Reason::kDivergedNan;
+        result.iterations = total_it;
+        result.residual_norm = denom;
+        return result;
+      }
+      if (denom == 0.0) {
+        cs[static_cast<std::size_t>(j)] = 1.0;
+        sn[static_cast<std::size_t>(j)] = 0.0;
+      } else {
+        cs[static_cast<std::size_t>(j)] =
+            col[static_cast<std::size_t>(j)] / denom;
+        sn[static_cast<std::size_t>(j)] =
+            col[static_cast<std::size_t>(j) + 1] / denom;
+      }
+      col[static_cast<std::size_t>(j)] = denom;
+      col[static_cast<std::size_t>(j) + 1] = 0.0;
+      g[static_cast<std::size_t>(j) + 1] =
+          -sn[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
+      g[static_cast<std::size_t>(j)] =
+          cs[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
+
+      k = j + 1;
+      const Scalar rnorm = std::abs(g[static_cast<std::size_t>(j) + 1]);
+      const bool done = check(rnorm, rnorm0, total_it, &result);
+      if (!done && hlast != 0.0) {
+        v[static_cast<std::size_t>(j) + 1].copy_from(w);
+        v[static_cast<std::size_t>(j) + 1].scale(1.0 / hlast);
+      }
+      if (done || hlast == 0.0) break;
+    }
+
+    // x += Z y with H y = g (the flexible update uses Z, not V)
+    std::vector<Scalar> y(static_cast<std::size_t>(k), 0.0);
+    for (int i = k - 1; i >= 0; --i) {
+      Scalar sum = g[static_cast<std::size_t>(i)];
+      for (int j2 = i + 1; j2 < k; ++j2) {
+        sum -= h[static_cast<std::size_t>(j2)][static_cast<std::size_t>(i)] *
+               y[static_cast<std::size_t>(j2)];
+      }
+      const Scalar hii =
+          h[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)];
+      if (hii == 0.0) {
+        result.converged = false;
+        result.reason = Reason::kDivergedBreakdown;
+        result.iterations = total_it;
+        return result;
+      }
+      y[static_cast<std::size_t>(i)] = sum / hii;
+    }
+    // fused multi-vector update (VecMAXPY) over the stored Z directions
+    std::vector<const Vector*> ptrs(static_cast<std::size_t>(k));
+    for (int i = 0; i < k; ++i) {
+      ptrs[static_cast<std::size_t>(i)] = &z[static_cast<std::size_t>(i)];
+    }
+    x.maxpy(static_cast<std::size_t>(k), y.data(), ptrs.data());
+
+    if (result.converged || result.reason == Reason::kDivergedNan ||
+        result.reason == Reason::kDeadlineExceeded ||
+        (result.reason == Reason::kDivergedMaxIts &&
+         total_it >= settings_.max_iterations)) {
+      return result;
+    }
+  }
+}
+
+/// Upwinded advection–diffusion on an 8x8 grid, scaled to D A D:
+/// nonsymmetric, and hard enough that GMRES(5) restarts with every
+/// preconditioner the tests use, and GMRES(30) without ILU(0).
+mat::Csr nonsymmetric_operator() {
+  return diag_scaled(app::advection_diffusion(8, {0.05, 1.0, 0.5}));
+}
+
+template <class Method, class Reference>
+void expect_matches_reference(LinearContext& ctx, const Vector& b,
+                              int restart, const std::string& what) {
+  const SolveTrace want = traced_solve<Reference>(ctx, b, restart);
+  const SolveTrace got = traced_solve<Method>(ctx, b, restart);
+  ASSERT_TRUE(want.res.converged) << what;
+  expect_bitwise_equal(got, want, what);
+}
+
+TEST(GmresOneBody, SeqMatchesReferenceBodiesBitForBit) {
+  const mat::Csr a = nonsymmetric_operator();
+  const Vector b = make_rhs(a, sinusoid(a.rows()));
+  const pc::Jacobi jacobi(a);
+  const pc::Ilu0 ilu(a);
+  for (const pc::Pc* pc : {static_cast<const pc::Pc*>(nullptr),
+                           static_cast<const pc::Pc*>(&jacobi),
+                           static_cast<const pc::Pc*>(&ilu)}) {
+    SeqContext ctx(a, pc);
+    for (const int restart : {5, 30}) {
+      const std::string what = std::string(pc ? pc->name() : "no pc") +
+                                ", restart " + std::to_string(restart);
+      expect_matches_reference<Gmres, ReferenceGmres>(ctx, b, restart,
+                                                      "gmres, " + what);
+      expect_matches_reference<FGmres, ReferenceFGmres>(ctx, b, restart,
+                                                        "fgmres, " + what);
+    }
+  }
+}
+
+TEST(GmresOneBody, ParMatchesReferenceBodiesBitForBit) {
+  const mat::Csr a = nonsymmetric_operator();
+  const Vector b = make_rhs(a, sinusoid(a.rows()));
+  for (int nranks : {1, 2, 4}) {
+    auto layout =
+        std::make_shared<par::Layout>(par::Layout::even(a.rows(), nranks));
+    par::Fabric::run(nranks, [&](par::Comm& comm) {
+      const par::ParMatrix pa =
+          par::ParMatrix::from_global(a, layout, comm, {});
+      par::ParVector pb(layout, comm.rank());
+      pb.set_from_global(b);
+      // Block-Jacobi compositions: each rank preconditions its own block.
+      const pc::Jacobi jacobi(pa.diag_block());
+      const pc::Ilu0 ilu(dynamic_cast<const mat::Csr&>(pa.diag_block()));
+      for (const pc::Pc* pc : {static_cast<const pc::Pc*>(nullptr),
+                               static_cast<const pc::Pc*>(&jacobi),
+                               static_cast<const pc::Pc*>(&ilu)}) {
+        ParContext ctx(pa, comm, pc);
+        for (const int restart : {5, 30}) {
+          const std::string what =
+              std::to_string(nranks) + " ranks, rank " +
+              std::to_string(comm.rank()) + ", " +
+              (pc ? pc->name() : "no pc") + ", restart " +
+              std::to_string(restart);
+          expect_matches_reference<Gmres, ReferenceGmres>(
+              ctx, pb.local(), restart, "gmres, " + what);
+          expect_matches_reference<FGmres, ReferenceFGmres>(
+              ctx, pb.local(), restart, "fgmres, " + what);
+        }
+      }
+    });
+  }
+}
+
+/// Operator and preconditioner applications of one sequential solve.
+struct Applications {
+  int iterations = 0;
+  int operators = 0;
+  int pcs = 0;
+};
+
+template <class Method>
+Applications count_applications(const mat::Matrix& a, const pc::Pc& pc,
+                                const Vector& b, int restart) {
+  const CountingPc counting_pc(pc);
+  SeqContext seq(a, &counting_pc);
+  CountingContext ctx(seq);
+  const SolveTrace t = traced_solve<Method>(ctx, b, restart);
+  EXPECT_TRUE(t.res.converged);
+  return {t.res.iterations, ctx.operator_applications,
+          counting_pc.applications};
+}
+
+TEST(GmresOneBody, OneResidualPerCycle) {
+  const mat::Csr a = nonsymmetric_operator();
+  const Vector b = make_rhs(a, sinusoid(a.rows()));
+  const pc::Jacobi jacobi(a);
+  for (const int restart : {5, 30}) {
+    SCOPED_TRACE("restart " + std::to_string(restart));
+    // Each cycle costs one residual plus one operator application per
+    // iteration; the cycles are ceil(iterations / restart) when no cycle
+    // ends early on a happy breakdown.
+    const auto cycles = [restart](int its) {
+      return (its + restart - 1) / restart;
+    };
+
+    const Applications left =
+        count_applications<Gmres>(a, jacobi, b, restart);
+    const Applications left_ref =
+        count_applications<ReferenceGmres>(a, jacobi, b, restart);
+    EXPECT_EQ(left.iterations, left_ref.iterations);
+    EXPECT_GT(cycles(left.iterations), 1);
+    EXPECT_EQ(left.operators, left.iterations + cycles(left.iterations));
+    EXPECT_EQ(left.operators, left_ref.operators - 1);
+    // Left preconditioning applies M^{-1} after every operator application.
+    EXPECT_EQ(left.pcs, left.operators);
+    EXPECT_EQ(left.pcs, left_ref.pcs - 1);
+
+    const Applications right =
+        count_applications<FGmres>(a, jacobi, b, restart);
+    const Applications right_ref =
+        count_applications<ReferenceFGmres>(a, jacobi, b, restart);
+    EXPECT_EQ(right.iterations, right_ref.iterations);
+    EXPECT_EQ(right.operators, right.iterations + cycles(right.iterations));
+    EXPECT_EQ(right.operators, right_ref.operators - 1);
+    // Right preconditioning applies M^{-1} once per Arnoldi step only.
+    EXPECT_EQ(right.pcs, right.iterations);
+    EXPECT_EQ(right.pcs, right_ref.pcs);
+  }
 }
 
 }  // namespace

@@ -164,49 +164,6 @@ TEST(Multigrid, PeriodicGrayScottStyleHierarchy) {
   EXPECT_LE(res.iterations, 10);
 }
 
-TEST(Multigrid, ChebyshevSmootherConvergesLikeJacobi) {
-  // Chebyshev/Jacobi smoothing (PETSc's default) should give MG at least
-  // as strong contraction as damped Jacobi on the Laplacian.
-  const Index nf = 31;
-  const mat::Csr a = app::laplacian_dirichlet(nf, nf);
-
-  auto iterations_with = [&](Multigrid::Smoother smoother) {
-    std::vector<mat::Csr> interps{dirichlet_interpolation(nf)};
-    Multigrid::Options opts;
-    opts.smoother = smoother;
-    Multigrid mg(a, std::move(interps), opts);
-    Vector b(a.rows(), 1.0), x(a.rows());
-    ksp::Settings settings;
-    settings.rtol = 1e-8;
-    const ksp::Cg cg(settings);
-    ksp::SeqContext ctx(a, &mg);
-    const auto res = cg.solve(ctx, b, x);
-    EXPECT_TRUE(res.converged);
-    return res.iterations;
-  };
-
-  const int jac = iterations_with(Multigrid::Smoother::kJacobi);
-  const int cheb = iterations_with(Multigrid::Smoother::kChebyshev);
-  EXPECT_LE(cheb, jac + 1);
-  EXPECT_LE(cheb, 20);
-}
-
-TEST(Multigrid, ChebyshevEigenvalueEstimateIsSane) {
-  // For the Jacobi-preconditioned Laplacian, lambda_max(D^{-1}A) < 2.
-  const mat::Csr a = app::laplacian_dirichlet(15, 15);
-  std::vector<mat::Csr> interps{dirichlet_interpolation(15)};
-  Multigrid::Options opts;
-  opts.smoother = Multigrid::Smoother::kChebyshev;
-  const Multigrid mg(a, std::move(interps), opts);
-  // reaching in via behavior: one V-cycle must still contract strongly
-  Vector r(a.rows(), 1.0), z;
-  mg.apply(r, z);
-  Vector az;
-  a.spmv(z, az);
-  az.aypx(-1.0, r);
-  EXPECT_LT(az.norm2(), 0.35 * r.norm2());
-}
-
 TEST(Multigrid, InterpolationShapeMismatchRejected) {
   const mat::Csr a = app::laplacian_dirichlet(15, 15);
   std::vector<mat::Csr> bad{dirichlet_interpolation(31)};  // wrong size

@@ -47,7 +47,11 @@ banned-construct
     so running them on the Flock pool would starve kernel dispatch). The
     hardware-query std::thread::hardware_concurrency and the identity
     type std::thread::id — Kestrel Scope keys per-thread span stacks on
-    it — are allowed: neither spawns a thread.
+    it — are allowed: neither spawns a thread. Calls to atoi, atol, atoll
+    and atof (with or without std::) are banned everywhere in src/: they
+    cannot report a malformed value ("3x" reads as 3, "abc" as 0), so a
+    typo silently changes a setting. Parse with strtol/strtod and check
+    the end pointer, as Options and env_number (base/options.hpp) do.
 
 kernel-perf-reporting
     Every format in KESTREL_KERNEL_TABLE must report spmv flops and
@@ -144,6 +148,9 @@ ISA_REQUIRED_FLAGS = {
     "avx512": ["-mavx512f", "-mfma"],
 }
 
+# A call to a C parse that cannot report a malformed value; a member such
+# as ksp::Settings::atol (`settings_.atol`) is not a call to it.
+C_PARSE_RE = re.compile(r"(?<![\w.>])(?:std::)?ato(?:i|l|ll|f)\s*\(")
 ALIGNED_INTRIN_RE = re.compile(
     r"_mm\d*_(?:mask_|maskz_)?(?:load|store)_(?:pd|ps|sd|ss|si\d+|epi\d+|epu\d+)\b"
 )
@@ -450,6 +457,13 @@ def check_banned_constructs(repo: str) -> list[Violation]:
                     "banned-construct", rel, lineno,
                     "std::thread outside src/par/ — threading is the "
                     "fabric's job (kestrel::par)"))
+            m = C_PARSE_RE.search(line)
+            if m:
+                violations.append(Violation(
+                    "banned-construct", rel, lineno,
+                    f"{m.group(0).rstrip('( ')} cannot report a malformed "
+                    f"value — parse with strtol/strtod and check the end "
+                    f"pointer (env_number in base/options.hpp)"))
     return violations
 
 
@@ -856,8 +870,22 @@ def self_test() -> int:
         _write(fx, os.path.join("src", "prof", "stacks.cpp"),
                "#include <map>\n#include <thread>\n"
                "std::map<std::thread::id, int> depth;\n")
+        # A field named like a C parse is not a call to one.
+        _write(fx, os.path.join("src", "ksp", "check.cpp"),
+               "bool done(const Settings& settings_, double r) "
+               "{ return r <= settings_.atol; }\n")
         expect("allowed_thread", {v.rule for v in lint(fx)},
                "banned-construct", False)
+
+        # 7b. C parses that cannot report a malformed value, anywhere in
+        # src/.
+        fx = os.path.join(tmp, "c_parse")
+        _make_clean_fixture(fx)
+        _write(fx, os.path.join("src", "par", "pool.cpp"),
+               "#include <cstdlib>\n"
+               "long n() { return std::atol(std::getenv(\"THREADS\")); }\n")
+        expect("c_parse", {v.rule for v in lint(fx)},
+               "banned-construct", True)
 
         # 8. A table format whose TU never reports spmv flops/bytes.
         fx = os.path.join(tmp, "silent_format")
@@ -1141,7 +1169,7 @@ def self_test() -> int:
         for f in failures:
             print("  " + f, file=sys.stderr)
         return 1
-    print("kestrel_lint self-test passed (27 fixtures).")
+    print("kestrel_lint self-test passed (28 fixtures).")
     return 0
 
 
