@@ -17,6 +17,8 @@
 #include "base/rng.hpp"
 #include "bench_common.hpp"
 #include "mat/coo.hpp"
+#include "mat/sell.hpp"
+#include "mat/talon.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/isa.hpp"
 

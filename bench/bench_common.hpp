@@ -13,12 +13,9 @@
 #include <vector>
 
 #include "app/gray_scott.hpp"
-#include "mat/bcsr.hpp"
+#include "mat/convert.hpp"
 #include "mat/csr.hpp"
-#include "mat/csr_perm.hpp"
 #include "mat/matrix.hpp"
-#include "mat/sell.hpp"
-#include "mat/talon.hpp"
 #include "prof/profiler.hpp"
 #include "prof/report.hpp"
 #include "vec/vector.hpp"
@@ -87,8 +84,8 @@ inline Vector input_vector(Index n) {
   return x;
 }
 
-/// The format table the multi-format benches sweep, in table order. bcsr
-/// uses 2x2 blocks, the Gray–Scott dof coupling.
+/// The formats the multi-format benches sweep, in mat::convert's table
+/// order. bcsr uses 2x2 blocks, the Gray–Scott dof coupling.
 inline constexpr const char* kFormats[] = {"csr", "csrperm", "sell", "bcsr",
                                            "talon"};
 
@@ -96,18 +93,7 @@ inline constexpr const char* kFormats[] = {"csr", "csrperm", "sell", "bcsr",
 inline std::shared_ptr<mat::Matrix> format(std::string_view name,
                                            const mat::Csr& csr,
                                            simd::IsaTier tier) {
-  std::shared_ptr<mat::Matrix> m;
-  if (name == "csr") {
-    m = std::make_shared<mat::Csr>(csr);
-  } else if (name == "csrperm") {
-    m = std::make_shared<mat::CsrPerm>(mat::Csr(csr));
-  } else if (name == "sell") {
-    m = std::make_shared<mat::Sell>(csr);
-  } else if (name == "bcsr") {
-    m = std::make_shared<mat::Bcsr>(csr, 2);
-  } else {
-    m = std::make_shared<mat::Talon>(csr);
-  }
+  std::shared_ptr<mat::Matrix> m = mat::convert(csr, name, 2);
   m->set_tier(tier);
   return m;
 }

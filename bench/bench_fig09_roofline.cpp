@@ -13,6 +13,8 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "mat/csr_perm.hpp"
+#include "mat/sell.hpp"
 #include "perf/roofline.hpp"
 #include "perf/stream.hpp"
 

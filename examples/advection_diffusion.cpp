@@ -1,20 +1,21 @@
 // Advection-diffusion scenario: a nonsymmetric, advection-dominated system
-// solved with GMRES/BiCGStab + ILU(0), with the operator held in CSR or
-// SELL — the second PDE family the paper's introduction motivates (its
-// test code lives in PETSc's advection-diffusion tutorial directory).
+// solved with GMRES/BiCGStab + ILU(0), with the operator held in any
+// -mat_type format — the second PDE family the paper's introduction
+// motivates (its test code lives in PETSc's advection-diffusion tutorial
+// directory).
 //
 //   ./advection_diffusion [-n 96] [-eps 0.01] [-bx 1.0] [-by 0.5]
-//                         [-ksp_type gmres|bicgstab] [-pc_type ilu|jacobi]
-//                         [-mat_type sell|csr]
+//                         [-ksp_type gmres|bicgstab]
+//                         [-pc_type ilu|jacobi|bjacobi|sor|none]
+//                         [-mat_type sell|csr|csrperm|bcsr|talon]
 
 #include <cstdio>
 
 #include "app/advection_diffusion.hpp"
 #include "base/options.hpp"
 #include "ksp/context.hpp"
-#include "mat/sell.hpp"
-#include "pc/ilu0.hpp"
-#include "pc/jacobi.hpp"
+#include "mat/convert.hpp"
+#include "pc/pc.hpp"
 
 using namespace kestrel;
 
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
   params.by = opts.get_scalar("by", 0.5);
   const std::string ksp_type = opts.get_string("ksp_type", "gmres");
   const std::string pc_type = opts.get_string("pc_type", "ilu");
-  const bool use_sell = opts.get_string("mat_type", "sell") == "sell";
+  const std::string mat_type = opts.get_string("mat_type", "sell");
 
   const Scalar h = 1.0 / (n + 1);
   std::printf("advection-diffusion: %dx%d grid, eps=%g, b=(%g, %g), "
@@ -37,21 +38,12 @@ int main(int argc, char** argv) {
               std::abs(params.bx) * h / params.eps);
 
   const mat::Csr csr = app::advection_diffusion(n, params);
-  std::shared_ptr<mat::Matrix> a;
-  if (use_sell) {
-    a = std::make_shared<mat::Sell>(csr);
-  } else {
-    a = std::make_shared<mat::Csr>(csr);
-  }
+  // One unknown per grid point: bcsr uses 1x1 blocks.
+  const std::shared_ptr<mat::Matrix> a = mat::convert(csr, mat_type, 1);
   std::printf("operator: %s, %lld nonzeros\n", a->format_name().c_str(),
               static_cast<long long>(a->nnz()));
 
-  std::unique_ptr<pc::Pc> prec;
-  if (pc_type == "ilu") {
-    prec = std::make_unique<pc::Ilu0>(csr);
-  } else {
-    prec = std::make_unique<pc::Jacobi>(*a);
-  }
+  const std::unique_ptr<pc::Pc> prec = pc::make_pc(pc_type, csr);
 
   const Vector b = app::advection_diffusion_rhs(n);
   Vector u(csr.rows());

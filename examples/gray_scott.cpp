@@ -4,7 +4,8 @@
 // under test. Mirrors src/ts/examples/.../ex5adj.c from PETSc plus the
 // options the paper lists:
 //
-//   ./gray_scott [-n 128] [-steps 5] [-mat_type sell|csr]
+//   ./gray_scott [-n 128] [-steps 5]
+//                [-mat_type sell|csr|csrperm|bcsr|talon]
 //                [-mat_scalar fp64|fp32]
 //                [-pc_mg_levels 3] [-ksp_type gmres] [-spmv_isa avx512]
 //                [-aegis_checkpoint_every 5] [-aegis_max_rollbacks 2]
@@ -16,7 +17,7 @@
 
 #include "app/gray_scott.hpp"
 #include "base/options.hpp"
-#include "mat/sell.hpp"
+#include "mat/convert.hpp"
 #include "mat/slim.hpp"
 #include "pc/mg.hpp"
 #include "perf/spmv_model.hpp"
@@ -33,8 +34,8 @@ int main(int argc, char** argv) {
   const Index n = opts.get_index("n", 128);
   const int steps = opts.get_index("steps", 5);
   const int levels = opts.get_index("pc_mg_levels", 3);
-  const std::string mat_type = opts.get_string("mat_type", "sell");
-  const bool use_sell = mat_type == "sell";
+  const std::string mat_type(
+      mat::canonical_format(opts.get_string("mat_type", "sell")));
 
   app::GrayScott gs(n);
   std::printf("Gray-Scott %dx%d grid, %d dof, dt=1 Crank-Nicolson, "
@@ -65,28 +66,22 @@ int main(int argc, char** argv) {
   topts.max_rollbacks =
       static_cast<int>(opts.get_index("aegis_max_rollbacks", 2));
 
-  if (use_sell) {
-    topts.newton.format_factory = [](const mat::Csr& a) {
-      return std::make_shared<const mat::Sell>(a);
-    };
-  }
+  // Two dof per grid point: bcsr stores the Jacobian in 2x2 blocks.
+  topts.newton.format_factory = [&mat_type](const mat::Csr& a) {
+    return mat::convert(a, mat_type, 2);
+  };
   // Kestrel Slim: -mat_scalar fp32 stores the multigrid level operators'
   // values in fp32 (widened on load, accumulated in double). GMRES keeps
   // multiplying the double Jacobian, so only the preconditioner works on a
   // float-rounded operator and the Newton/GMRES iteration counts hold.
   const mat::SlimOptions slim = mat::slim_options_from(opts);
   const auto chain = app::gray_scott_interpolation_chain(gs.grid(), levels);
-  topts.newton.pc_factory = [&chain, use_sell, slim](const mat::Csr& a)
+  topts.newton.pc_factory = [&chain, &mat_type, slim](const mat::Csr& a)
       -> std::unique_ptr<pc::Pc> {
     pc::Multigrid::Options mg_opts;
     const pc::Multigrid::FormatFactory factory =
-        [use_sell, slim](const mat::Csr& lvl) -> mat::MatrixPtr {
-      std::shared_ptr<mat::Matrix> op;
-      if (use_sell) {
-        op = std::make_shared<mat::Sell>(lvl);
-      } else {
-        op = std::make_shared<mat::Csr>(lvl);
-      }
+        [&mat_type, slim](const mat::Csr& lvl) -> mat::MatrixPtr {
+      const std::shared_ptr<mat::Matrix> op = mat::convert(lvl, mat_type, 2);
       op->set_slim(slim);
       return op;
     };
@@ -115,17 +110,21 @@ int main(int argc, char** argv) {
   if (logcfg.any()) {
     // Carry the section 6 model's per-SpMV traffic prediction into the
     // metrics dump so figure scripts plot measured vs model side by side.
+    // The model covers every format but bcsr.
     prof::Profiler& p = prof::current();
     const perf::SpmvWorkload wl = perf::SpmvWorkload::gray_scott(n);
-    p.set_metric("model_spmv_traffic_bytes",
-                 static_cast<double>(wl.traffic_bytes(
-                     use_sell ? perf::ModelFormat::kSell
-                              : perf::ModelFormat::kCsrBaseline)));
+    for (const perf::ModelFormat f :
+         {perf::ModelFormat::kCsr, perf::ModelFormat::kCsrPerm,
+          perf::ModelFormat::kSell, perf::ModelFormat::kTalon}) {
+      if (mat_type == perf::model_format_name(f)) {
+        p.set_metric("model_spmv_traffic_bytes",
+                     static_cast<double>(wl.traffic_bytes(f)));
+      }
+    }
     // The measured average spans every SpMV of that format, including the
     // smaller MG coarse-level operators, so it sits below the fine-level
     // model; the strict fine-grid-only comparison is tests/prof_test.cpp.
-    const int ev = prof::registered_event(use_sell ? "MatMult(sell)"
-                                                   : "MatMult(csr)");
+    const int ev = prof::registered_event("MatMult(" + mat_type + ")");
     if (p.calls(ev) > 0) {
       p.set_metric("measured_spmv_bytes_per_call_all_levels",
                    static_cast<double>(p.bytes(ev)) /

@@ -3,7 +3,8 @@
 // u = sin(pi x) sin(pi y), demonstrating h-independent MG convergence and
 // discretization-order error decay.
 //
-//   ./poisson_multigrid [-n 63] [-pc_mg_levels 4] [-mat_type sell|csr]
+//   ./poisson_multigrid [-n 63] [-pc_mg_levels 4]
+//                       [-mat_type sell|csr|csrperm|bcsr|talon]
 //                       [-mat_scalar fp64|fp32]
 
 #include <cmath>
@@ -12,8 +13,8 @@
 #include "app/laplacian.hpp"
 #include "base/options.hpp"
 #include "ksp/context.hpp"
+#include "mat/convert.hpp"
 #include "mat/coo.hpp"
-#include "mat/sell.hpp"
 #include "mat/slim.hpp"
 #include "pc/mg.hpp"
 
@@ -50,12 +51,12 @@ int main(int argc, char** argv) {
   Options::global().parse(argc, argv);
   const Index n = Options::global().get_index("n", 63);
   const int levels = Options::global().get_index("pc_mg_levels", 4);
-  const bool use_sell =
-      Options::global().get_string("mat_type", "sell") == "sell";
+  const std::string mat_type(mat::canonical_format(
+      Options::global().get_string("mat_type", "sell")));
 
   std::printf("Poisson on %dx%d interior grid, %d-level multigrid, "
               "operators in %s\n",
-              n, n, levels, use_sell ? "SELL" : "CSR");
+              n, n, levels, mat_type.c_str());
 
   const mat::Csr a = app::laplacian_dirichlet(n, n);
   std::vector<mat::Csr> interps;
@@ -68,20 +69,17 @@ int main(int argc, char** argv) {
   // in fp32; CG keeps multiplying the double operator `a`.
   const mat::SlimOptions slim = mat::slim_options_from(Options::global());
   pc::Multigrid::Options mg_opts;
+  // One unknown per grid point: bcsr uses 1x1 blocks.
   const pc::Multigrid::FormatFactory factory =
-      [use_sell, slim](const mat::Csr& lvl) -> mat::MatrixPtr {
-    std::shared_ptr<mat::Matrix> op;
-    if (use_sell) {
-      op = std::make_shared<mat::Sell>(lvl);
-    } else {
-      op = std::make_shared<mat::Csr>(lvl);
-    }
+      [&mat_type, slim](const mat::Csr& lvl) -> mat::MatrixPtr {
+    const std::shared_ptr<mat::Matrix> op = mat::convert(lvl, mat_type, 1);
     op->set_slim(slim);
     return op;
   };
   const pc::Multigrid mg(a, std::move(interps), mg_opts, factory);
   std::printf("hierarchy: %d levels, coarsest %d unknowns\n",
-              mg.num_levels(), mg.level_csr(mg.num_levels() - 1).rows());
+              mg.num_levels(),
+              mg.level_operator(mg.num_levels() - 1).rows());
 
   // manufactured solution and right-hand side f = 2 pi^2 sin(pi x) sin(pi y)
   const Scalar h = 1.0 / (n + 1);

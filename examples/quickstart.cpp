@@ -1,14 +1,15 @@
 // Quickstart: assemble a sparse matrix, convert it to the SELL format, do
 // a vectorized SpMV, and solve a linear system with preconditioned CG.
 //
-//   ./quickstart [-n 64] [-mat_type sell|csr] [-spmv_isa avx512|avx2|avx|scalar]
+//   ./quickstart [-n 64] [-mat_type sell|csr|csrperm|bcsr|talon]
+//                [-spmv_isa avx512|avx2|avx|scalar]
 
 #include <cstdio>
 
 #include "app/laplacian.hpp"
 #include "base/options.hpp"
 #include "ksp/context.hpp"
-#include "mat/sell.hpp"
+#include "mat/convert.hpp"
 #include "pc/jacobi.hpp"
 #include "simd/isa.hpp"
 
@@ -28,16 +29,8 @@ int main(int argc, char** argv) {
 
   // 2. Pick the compute format. SELL is the paper's vectorization-friendly
   //    sliced-ELLPACK format; the ISA tier is auto-detected (override with
-  //    -spmv_isa).
-  std::shared_ptr<mat::Matrix> a;
-  if (mat_type == "sell") {
-    auto sell = std::make_shared<mat::Sell>(csr);
-    std::printf("SELL: slice height %d, fill ratio %.3f\n",
-                sell->slice_height(), sell->fill_ratio());
-    a = sell;
-  } else {
-    a = std::make_shared<mat::Csr>(csr);
-  }
+  //    -spmv_isa). One unknown per grid point: bcsr uses 1x1 blocks.
+  const std::shared_ptr<mat::Matrix> a = mat::convert(csr, mat_type, 1);
   std::printf("format: %s, ISA tier: %s\n", a->format_name().c_str(),
               simd::tier_name(a->tier()));
 

@@ -5,7 +5,7 @@
 // AVX-512 builds hang/misbehave on KNL; 64-byte (cache line) alignment fixed
 // it and performs better because vector loads never straddle a line and no
 // peel loop is needed.  Kestrel allocates all matrix/vector payloads through
-// this allocator.  The alignment is a template parameter so the alignment
+// AlignedBuffer.  The alignment is a template parameter so the alignment
 // ablation bench can build deliberately under-aligned (16-byte) buffers.
 
 #include <cstddef>
@@ -38,37 +38,6 @@ inline void* aligned_malloc(std::size_t bytes, std::size_t alignment) {
 }
 
 inline void aligned_free(void* p) noexcept { std::free(p); }
-
-/// Minimal std::allocator-compatible aligned allocator.
-template <class T, std::size_t Alignment = kCacheLine>
-struct AlignedAllocator {
-  using value_type = T;
-  static constexpr std::size_t alignment = Alignment;
-  static_assert(Alignment >= alignof(T), "alignment below natural alignment");
-
-  // Explicit rebind: allocator_traits cannot synthesize it because of the
-  // non-type Alignment parameter.
-  template <class U>
-  struct rebind {
-    using other = AlignedAllocator<U, Alignment>;
-  };
-
-  AlignedAllocator() noexcept = default;
-  template <class U>
-  AlignedAllocator(const AlignedAllocator<U, Alignment>&) noexcept {}
-
-  T* allocate(std::size_t n) {
-    KESTREL_CHECK(n <= std::numeric_limits<std::size_t>::max() / sizeof(T),
-                  "allocation size overflow");
-    return static_cast<T*>(aligned_malloc(n * sizeof(T), Alignment));
-  }
-  void deallocate(T* p, std::size_t) noexcept { aligned_free(p); }
-
-  template <class U>
-  bool operator==(const AlignedAllocator<U, Alignment>&) const noexcept {
-    return true;
-  }
-};
 
 /// Owning, cache-line-aligned, fixed-capacity buffer of trivially copyable
 /// elements. This is the storage primitive behind Vector and every matrix

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <type_traits>
 
 #include "base/error.hpp"
@@ -21,6 +22,13 @@ bool looks_like_number(const std::string& s) {
 
 bool is_key_token(const std::string& s) {
   return s.size() >= 2 && s[0] == '-' && !looks_like_number(s);
+}
+
+/// 1|true|yes -> true, 0|false|no -> false, anything else -> nullopt.
+std::optional<bool> parse_bool(const std::string& v) {
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -70,9 +78,12 @@ Index Options::get_index(const std::string& key, Index fallback) const {
   auto v = raw(key);
   if (!v) return fallback;
   char* end = nullptr;
-  const long parsed = std::strtol(v->c_str(), &end, 10);
-  if (v->empty() || end != v->c_str() + v->size()) {
-    throw OptionsError(key, *v, "an integer", __FILE__, __LINE__);
+  // strtoll saturates, so the bound check rejects its overflows too.
+  const long long parsed = std::strtoll(v->c_str(), &end, 10);
+  if (v->empty() || end != v->c_str() + v->size() ||
+      parsed < std::numeric_limits<Index>::min() ||
+      parsed > std::numeric_limits<Index>::max()) {
+    throw OptionsError(key, *v, "a 32-bit integer", __FILE__, __LINE__);
   }
   return static_cast<Index>(parsed);
 }
@@ -91,8 +102,8 @@ Scalar Options::get_scalar(const std::string& key, Scalar fallback) const {
 bool Options::get_bool(const std::string& key, bool fallback) const {
   auto v = raw(key);
   if (!v) return fallback;
-  if (v->empty() || *v == "true" || *v == "1" || *v == "yes") return true;
-  if (*v == "false" || *v == "0" || *v == "no") return false;
+  if (v->empty()) return true;  // a bare -flag
+  if (const auto b = parse_bool(*v)) return *b;
   throw OptionsError(key, *v, "a boolean", __FILE__, __LINE__);
 }
 
@@ -141,5 +152,13 @@ T env_number(const char* name, T fallback) {
 
 template std::int64_t env_number(const char*, std::int64_t);
 template double env_number(const char*, double);
+
+bool env_bool(const char* name, bool fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return fallback;
+  if (const auto b = parse_bool(v)) return *b;
+  KESTREL_FAIL(std::string(name) +
+               " must be 1|true|yes or 0|false|no, got '" + v + "'");
+}
 
 }  // namespace kestrel

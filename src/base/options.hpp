@@ -85,4 +85,10 @@ class Options {
 template <class T>
 T env_number(const char* name, T fallback);
 
+/// The value of environment variable `name` read as a boolean, or
+/// `fallback` when it is unset: 1|true|yes and 0|false|no, as
+/// Options::get_bool reads them. Anything else, an empty value included,
+/// throws an Error naming the variable, so `=false` never reads as on.
+bool env_bool(const char* name, bool fallback);
+
 }  // namespace kestrel

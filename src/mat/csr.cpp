@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/error.hpp"
-#include "mat/coo.hpp"
 #include "par/pool.hpp"
 #include "prof/profiler.hpp"
 #include "simd/dispatch.hpp"
@@ -68,10 +67,6 @@ void Csr::validate() const {
                     "column index out of range");
     }
   }
-}
-
-Csr Csr::from_coo(const Coo& coo, bool drop_zeros) {
-  return coo.to_csr(drop_zeros);
 }
 
 void Csr::spmv(const Scalar* x, Scalar* y) const {
@@ -169,17 +164,6 @@ std::size_t Csr::fp32_spmv_traffic_bytes() const {
 
 std::size_t Csr::spmv_traffic_bytes() const {
   return slim_.fp32() ? fp32_spmv_traffic_bytes() : fat_spmv_traffic_bytes();
-}
-
-void Csr::spmv_transpose(const Scalar* x, Scalar* y) const {
-  for (Index j = 0; j < n_; ++j) y[j] = 0.0;
-  for (Index i = 0; i < m_; ++i) {
-    const Scalar xi = x[i];
-    if (xi == 0.0) continue;
-    for (Index k = rowptr_[i]; k < rowptr_[i + 1]; ++k) {
-      y[colidx_[k]] += val_[k] * xi;
-    }
-  }
 }
 
 void Csr::copy_values_from(const Csr& other) {

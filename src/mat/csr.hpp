@@ -15,8 +15,6 @@
 
 namespace kestrel::mat {
 
-class Coo;
-
 class Csr final : public Matrix {
  public:
   Csr() = default;
@@ -32,8 +30,6 @@ class Csr final : public Matrix {
   /// these buffers directly.
   static Csr adopt(Index m, Index n, AlignedBuffer<Index> rowptr,
                    AlignedBuffer<Index> colidx, AlignedBuffer<Scalar> val);
-
-  static Csr from_coo(const Coo& coo, bool drop_zeros = false);
 
   // Matrix interface -------------------------------------------------------
   Index rows() const override { return m_; }
@@ -70,9 +66,6 @@ class Csr final : public Matrix {
   Scalar at(Index i, Index j) const;
 
   Csr transpose() const;
-
-  /// y = A^T * x without forming the transpose (column-scatter pass).
-  void spmv_transpose(const Scalar* x, Scalar* y) const;
 
   /// Refreshes values in place from a same-pattern CSR (structure reuse).
   void copy_values_from(const Csr& other);

@@ -87,7 +87,7 @@ void CsrPerm::repartition(int nparts) {
 }
 
 void CsrPerm::spmv(const Scalar* x, Scalar* y) const {
-  KESTREL_PROF_SPMV("MatMult(csr_perm)", 2 * nnz(), spmv_traffic_bytes());
+  KESTREL_PROF_SPMV("MatMult(csrperm)", 2 * nnz(), spmv_traffic_bytes());
   auto fn = simd::lookup_as<simd::CsrPermSpmvFn>(
       slim_active() ? simd::Op::kCsrPermSpmvFp32 : simd::Op::kCsrPermSpmv,
       tier_);

@@ -73,9 +73,8 @@ Csr spgemm(const Csr& a, const Csr& b) {
                     std::move(val));
 }
 
-Csr galerkin(const Csr& a, const Csr& p) {
-  const Csr pt = p.transpose();
-  return spgemm(spgemm(pt, a), p);
+Csr galerkin(const Csr& a, const Csr& p, const Csr& pt) {
+  return spgemm(pt, spgemm(a, p));
 }
 
 Csr add(Scalar alpha, const Csr& a, Scalar beta, const Csr& b) {

@@ -10,8 +10,9 @@ namespace kestrel::mat {
 /// C = A * B.
 Csr spgemm(const Csr& a, const Csr& b);
 
-/// Galerkin triple product: P^T * A * P.
-Csr galerkin(const Csr& a, const Csr& p);
+/// Galerkin triple product P^T * (A * P), given P and its stored
+/// transpose `pt` (the multigrid restriction).
+Csr galerkin(const Csr& a, const Csr& p, const Csr& pt);
 
 /// C = alpha*A + beta*B (same dimensions; sparsity is the union).
 Csr add(Scalar alpha, const Csr& a, Scalar beta, const Csr& b);

@@ -85,12 +85,6 @@ class FabricAborted final : public RankFailure {
   using RankFailure::RankFailure;
 };
 
-bool env_flag(const char* name, bool fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return !(v[0] == '0' && v[1] == '\0');
-}
-
 }  // namespace
 
 /// One persistent SPSC channel (Kestrel Slipstream). The receiver owns
@@ -138,7 +132,7 @@ FabricOptions::FabricOptions() {
 #else
   constexpr bool kBuildDefault = true;
 #endif
-  check = env_flag("KESTREL_FABRIC_CHECK", kBuildDefault);
+  check = env_bool("KESTREL_FABRIC_CHECK", kBuildDefault);
   hang_timeout_s = env_number("KESTREL_FABRIC_HANG_TIMEOUT", 30.0);
   faults = aegis::FaultPlan::from_env();
 }

@@ -6,6 +6,7 @@
 #include "aegis/abft.hpp"
 #include "aegis/fault.hpp"
 #include "base/error.hpp"
+#include "mat/convert.hpp"
 #include "par/pool.hpp"
 #include "prof/profiler.hpp"
 #include "simd/dispatch.hpp"
@@ -96,13 +97,13 @@ void pooled_sum_abs(const Scalar* y, Index n, Scalar* s, Scalar* abs_s) {
 }
 
 DiagFormat parse_diag_format(const std::string& name) {
-  if (name == "csr" || name == "aij") return DiagFormat::kCsr;
-  if (name == "csrperm" || name == "aijperm") return DiagFormat::kCsrPerm;
-  if (name == "sell") return DiagFormat::kSell;
-  if (name == "bcsr" || name == "baij") return DiagFormat::kBcsr;
-  if (name == "talon" || name == "spc5") return DiagFormat::kTalon;
-  KESTREL_FAIL("unknown matrix format '" + name +
-               "' (expected csr|csrperm|sell|bcsr|talon)");
+  const std::string_view format = mat::canonical_format(name);
+  for (const DiagFormat f : {DiagFormat::kCsr, DiagFormat::kCsrPerm,
+                             DiagFormat::kSell, DiagFormat::kBcsr,
+                             DiagFormat::kTalon}) {
+    if (format == diag_format_name(f)) return f;
+  }
+  KESTREL_FAIL("no diagonal-block format for '" + name + "'");
 }
 
 const char* diag_format_name(DiagFormat fmt) {
@@ -188,23 +189,8 @@ ParMatrix::ParMatrix(const mat::Csr& local_rows, LayoutPtr layout,
   ghost_.resize(nghost_);
 
   // ---- Compute format for the diagonal block --------------------------
-  switch (opts.diag_format) {
-    case DiagFormat::kCsr:
-      diag_ = std::make_shared<mat::Csr>(std::move(diag_csr));
-      break;
-    case DiagFormat::kCsrPerm:
-      diag_ = std::make_shared<mat::CsrPerm>(std::move(diag_csr));
-      break;
-    case DiagFormat::kSell:
-      diag_ = std::make_shared<mat::Sell>(diag_csr, opts.sell);
-      break;
-    case DiagFormat::kBcsr:
-      diag_ = std::make_shared<mat::Bcsr>(diag_csr, opts.block_size);
-      break;
-    case DiagFormat::kTalon:
-      diag_ = std::make_shared<mat::Talon>(diag_csr, opts.talon);
-      break;
-  }
+  diag_ = mat::convert(std::move(diag_csr),
+                       diag_format_name(opts.diag_format), opts.block_size);
   diag_->set_tier(opts.tier);
 
   // Kestrel Flock: construction planned every block's partition from

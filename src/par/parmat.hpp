@@ -23,19 +23,18 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "mat/bcsr.hpp"
 #include "mat/csr.hpp"
-#include "mat/csr_perm.hpp"
-#include "mat/sell.hpp"
-#include "mat/talon.hpp"
 #include "par/comm.hpp"
 #include "par/parvec.hpp"
 #include "simd/dispatch.hpp"
 
 namespace kestrel::par {
 
+/// The diagonal block's format: an entry of mat::convert's table, built
+/// with its default options. parse_diag_format accepts the table's aliases.
 enum class DiagFormat { kCsr, kCsrPerm, kSell, kBcsr, kTalon };
 
 DiagFormat parse_diag_format(const std::string& name);
@@ -50,9 +49,7 @@ struct ParMatrixOptions {
   /// Has one value and is never read. Kept only while
   /// perfbench/src/wl_dist_cg.cpp assigns it.
   OffdiagFormat offdiag_format = OffdiagFormat::kCompressedCsr;
-  mat::SellOptions sell;    ///< used when diag_format == kSell
-  mat::TalonOptions talon;  ///< used when diag_format == kTalon
-  Index block_size = 2;     ///< used when diag_format == kBcsr
+  Index block_size = 2;  ///< used when diag_format == kBcsr
   simd::IsaTier tier = simd::default_tier();
   /// Must be true: the persistent channels are the only ghost transport,
   /// and the constructor rejects false. Kept only while

@@ -19,30 +19,29 @@ Multigrid::Multigrid(const mat::Csr& fine, std::vector<mat::Csr> interps,
   }
   levels_.resize(interps.size() + 1);
 
-  levels_[0].a = fine;
-  for (std::size_t l = 0; l < interps.size(); ++l) {
-    KESTREL_CHECK(interps[l].rows() == levels_[l].a.rows(),
-                  "interpolation row count must match the finer level");
-    levels_[l].interp = std::move(interps[l]);
-    levels_[l].restrict_ = levels_[l].interp.transpose();
-    levels_[l + 1].a =
-        mat::spgemm(levels_[l].restrict_,
-                    mat::spgemm(levels_[l].a, levels_[l].interp));
-  }
-
-  for (auto& level : levels_) {
-    level.op = factory(level.a);
-    level.a.get_diagonal(level.inv_diag);
+  // Level l's CSR: `fine`, then each Galerkin product, freed by the next.
+  mat::Csr coarser;
+  const mat::Csr* a = &fine;
+  for (std::size_t l = 0; l < levels_.size(); ++l) {
+    Level& level = levels_[l];
+    level.op = factory(*a);
+    a->get_diagonal(level.inv_diag);
     for (Index i = 0; i < level.inv_diag.size(); ++i) {
       KESTREL_CHECK(level.inv_diag[i] != 0.0, "mg: zero diagonal");
       level.inv_diag[i] = 1.0 / level.inv_diag[i];
     }
+    if (l == interps.size()) break;
+    KESTREL_CHECK(interps[l].rows() == a->rows(),
+                  "interpolation row count must match the finer level");
+    level.interp = std::move(interps[l]);
+    level.restrict_ = level.interp.transpose();
+    coarser = mat::galerkin(*a, level.interp, level.restrict_);
+    a = &coarser;
   }
 
-  const mat::Csr& coarse = levels_.back().a;
-  use_direct_coarse_ = coarse.rows() <= opts_.direct_coarse_limit;
+  use_direct_coarse_ = a->rows() <= opts_.direct_coarse_limit;
   if (use_direct_coarse_) {
-    coarse_lu_ = mat::Dense::from_csr(coarse);
+    coarse_lu_ = mat::Dense::from_csr(*a);
     coarse_lu_.lu_factor();
   }
 }
@@ -60,7 +59,7 @@ void Multigrid::smooth(const Level& level, const Vector& rhs, Vector& x,
 
 void Multigrid::cycle(int l, const Vector& rhs, Vector& x) const {
   const Level& level = levels_[static_cast<std::size_t>(l)];
-  const Index n = level.a.rows();
+  const Index n = level.op->rows();
   level.tmp.resize(n);
 
   if (l == static_cast<int>(levels_.size()) - 1) {
@@ -96,7 +95,7 @@ void Multigrid::cycle(int l, const Vector& rhs, Vector& x) const {
 }
 
 void Multigrid::apply(const Vector& r, Vector& z) const {
-  KESTREL_CHECK(r.size() == levels_[0].a.rows(), "mg: size mismatch");
+  KESTREL_CHECK(r.size() == levels_[0].op->rows(), "mg: size mismatch");
   static const int event = prof::registered_event("PCApply(MG)");
   prof::ScopedEvent timer(event);
   z.resize(r.size());

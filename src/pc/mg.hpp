@@ -51,17 +51,17 @@ class Multigrid final : public Pc {
 
   int num_levels() const { return static_cast<int>(levels_.size()); }
   const mat::Matrix& level_operator(int l) const { return *levels_[l].op; }
-  const mat::Csr& level_csr(int l) const { return levels_[l].a; }
 
  private:
+  /// A level keeps no CSR of its operator: each CSR lives only while the
+  /// constructor builds `op`, `inv_diag` and the next Galerkin product.
   struct Level {
-    mat::Csr a;                              ///< CSR form (Galerkin, diag)
     std::shared_ptr<const mat::Matrix> op;   ///< compute-format operator
     mat::Csr interp;                         ///< P to the next-coarser level
     mat::Csr restrict_;                      ///< P^T
     Vector inv_diag;                         ///< Jacobi smoother data
     // V-cycle scratch (mutable via the cycle being non-const on copies)
-    mutable Vector x, r, tmp, rc, xc;
+    mutable Vector r, tmp, rc, xc;
   };
 
   /// `sweeps` damped-Jacobi sweeps: x += omega * D^{-1} (rhs - A x).

@@ -16,6 +16,8 @@
 #include <unistd.h>
 #endif
 
+#include "base/options.hpp"
+
 namespace kestrel::prof::hwc {
 
 // ---- pure counter math ----------------------------------------------------
@@ -330,18 +332,13 @@ Source source() {
 
 namespace {
 
-bool software_debug_requested() {
-  const char* v = std::getenv("KESTREL_HWC_SOFTWARE");
-  return v != nullptr && *v != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 std::once_flag g_warned_once;
 
 }  // namespace
 
 bool enable_if_capable() {
   const Capability& cap = capability();
-  if (software_debug_requested() && cap.sw_counters) {
+  if (env_bool("KESTREL_HWC_SOFTWARE", false) && cap.sw_counters) {
     g_source.store(static_cast<int>(Source::kSoftwareDebug),
                    std::memory_order_relaxed);
     g_enabled.store(true, std::memory_order_relaxed);

@@ -102,22 +102,18 @@ void set_tracing(bool on) { g_tracing.store(on, std::memory_order_relaxed); }
 
 LogConfig configure(const Options& opts) {
   LogConfig cfg;
-  cfg.view = opts.get_bool("log_view", false);
+  // The environment supplies the defaults; an option given on the command
+  // line wins.
+  cfg.view = opts.get_bool("log_view", env_bool("KESTREL_LOG_VIEW", false));
   cfg.trace_path = opts.get_string("log_trace", "");
   cfg.json_path = opts.get_string("log_json", "");
-  if (const char* v = std::getenv("KESTREL_LOG_VIEW")) {
-    if (*v != '\0' && !(v[0] == '0' && v[1] == '\0')) cfg.view = true;
-  }
   if (const char* v = std::getenv("KESTREL_LOG_TRACE")) {
     if (cfg.trace_path.empty() && *v != '\0') cfg.trace_path = v;
   }
   if (const char* v = std::getenv("KESTREL_LOG_JSON")) {
     if (cfg.json_path.empty() && *v != '\0') cfg.json_path = v;
   }
-  cfg.hwc = opts.get_bool("log_hwc", false);
-  if (const char* v = std::getenv("KESTREL_LOG_HWC")) {
-    if (*v != '\0' && !(v[0] == '0' && v[1] == '\0')) cfg.hwc = true;
-  }
+  cfg.hwc = opts.get_bool("log_hwc", env_bool("KESTREL_LOG_HWC", false));
   if (cfg.any()) set_enabled(true);
   if (!cfg.trace_path.empty()) set_tracing(true);
   // Kestrel Pulse: turn counter sampling on only if the host can deliver it;

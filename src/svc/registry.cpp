@@ -3,29 +3,9 @@
 #include <utility>
 
 #include "base/error.hpp"
-#include "mat/bcsr.hpp"
-#include "mat/csr_perm.hpp"
-#include "mat/sell.hpp"
-#include "mat/talon.hpp"
+#include "mat/convert.hpp"
 
 namespace kestrel::svc {
-
-namespace {
-
-mat::MatrixPtr build_format(const mat::Csr& csr, const HandleOptions& opts) {
-  const std::string& f = opts.format;
-  if (f == "csr") return std::make_shared<const mat::Csr>(csr);
-  if (f == "csrperm") return std::make_shared<const mat::CsrPerm>(csr);
-  if (f == "sell") return std::make_shared<const mat::Sell>(csr);
-  if (f == "bcsr") {
-    return std::make_shared<const mat::Bcsr>(csr, opts.block_size);
-  }
-  if (f == "talon") return std::make_shared<const mat::Talon>(csr);
-  KESTREL_FAIL("svc: unknown handle format '" + f +
-               "' (expected csr|csrperm|sell|bcsr|talon)");
-}
-
-}  // namespace
 
 MatrixRegistry::~MatrixRegistry() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -38,7 +18,7 @@ MatrixRegistry::~MatrixRegistry() {
 MatrixRegistry::HandlePtr MatrixRegistry::add(const std::string& name,
                                               const mat::Csr& csr,
                                               HandleOptions opts) {
-  return insert(name, build_format(csr, opts), opts);
+  return insert(name, mat::convert(csr, opts.format, opts.block_size), opts);
 }
 
 MatrixRegistry::HandlePtr MatrixRegistry::add_matrix(const std::string& name,

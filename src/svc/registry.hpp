@@ -35,7 +35,7 @@
 namespace kestrel::svc {
 
 struct HandleOptions {
-  /// Compute format built from the CSR: csr | csrperm | sell | bcsr | talon.
+  /// Compute format: a name or alias of mat::convert's table (csr, aij...).
   std::string format = "csr";
   /// Block size for bcsr (ignored otherwise).
   Index block_size = 4;

@@ -75,13 +75,6 @@ void Vector::scale(Scalar alpha) {
   for (Index i = 0; i < size(); ++i) d[i] *= alpha;
 }
 
-void Vector::pointwise_mult(const Vector& x) {
-  KESTREL_CHECK(x.size() == size(), "pointwise_mult size mismatch");
-  const Scalar* xs = x.data();
-  Scalar* d = data();
-  for (Index i = 0; i < size(); ++i) d[i] *= xs[i];
-}
-
 Scalar Vector::dot(const Vector& other) const {
   KESTREL_CHECK(other.size() == size(), "dot size mismatch");
   const Scalar* a = data();

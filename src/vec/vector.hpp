@@ -54,8 +54,6 @@ class Vector {
   void maxpy(std::size_t count, const Scalar* alphas,
              const Vector* const* xs);
   void scale(Scalar alpha);
-  /// this[i] *= x[i]
-  void pointwise_mult(const Vector& x);
 
   /// Sums the products a[i]*b[i] in one fixed order. Over the floor(n/16)
   /// full blocks of 16, lane j (0-15) sums the products with i = j mod 16

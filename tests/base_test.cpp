@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -99,12 +100,6 @@ TEST(Aligned, RejectsSizeOverflow) {
   EXPECT_DOUBLE_EQ(a[3], 1.0);
 }
 
-TEST(Aligned, AllocatorWorksWithStdVector) {
-  std::vector<double, AlignedAllocator<double>> v(100, 3.0);
-  EXPECT_TRUE(is_aligned(v.data(), kCacheLine));
-  EXPECT_DOUBLE_EQ(v[99], 3.0);
-}
-
 TEST(Options, ParsesKeyValuePairs) {
   const char* argv[] = {"prog", "-mat_type", "sell", "-n", "2048",
                         "-rtol", "1e-6", "-flag"};
@@ -170,6 +165,58 @@ TEST(Options, StructuredParseErrorsCarryKeyValueExpected) {
   }
   opts.set("aegis_abft", "maybe");
   EXPECT_THROW(opts.get_bool("aegis_abft", false), OptionsError);
+}
+
+TEST(Options, IndexOutOfRangeThrowsInsteadOfWrapping) {
+  Options opts;
+  // Narrowed to Index, the first three would read as 1, INT_MIN and 2.
+  for (const char* bad : {"4294967297", "2147483648", "4294967298",
+                          "-2147483649", "99999999999999999999"}) {
+    opts.set("threads", bad);
+    try {
+      (void)opts.get_index("threads", 0);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const OptionsError& e) {
+      EXPECT_EQ(e.key(), "threads");
+      EXPECT_EQ(e.value(), bad);
+    }
+  }
+  opts.set("threads", "2147483647");
+  EXPECT_EQ(opts.get_index("threads", 0), 2147483647);
+  opts.set("threads", "-2147483648");
+  EXPECT_EQ(opts.get_index("threads", 0), -2147483647 - 1);
+}
+
+/// Sets environment variable `name` for one scope.
+struct ScopedEnv {
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() { ::unsetenv(name_); }
+  const char* name_;
+};
+
+TEST(EnvBool, ReadsFalseAsOffAndRejectsOtherWords) {
+  EXPECT_TRUE(env_bool("KESTREL_TEST_BOOL", true));  // unset: the fallback
+  for (const char* off : {"0", "false", "no"}) {
+    const ScopedEnv env("KESTREL_TEST_BOOL", off);
+    EXPECT_FALSE(env_bool("KESTREL_TEST_BOOL", true)) << off;
+  }
+  for (const char* on : {"1", "true", "yes"}) {
+    const ScopedEnv env("KESTREL_TEST_BOOL", on);
+    EXPECT_TRUE(env_bool("KESTREL_TEST_BOOL", false)) << on;
+  }
+  for (const char* bad : {"maybe", "", "2", "True", "1 "}) {
+    const ScopedEnv env("KESTREL_TEST_BOOL", bad);
+    try {
+      (void)env_bool("KESTREL_TEST_BOOL", false);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("KESTREL_TEST_BOOL"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Options, OptionsNobodyReadWarnAndReadOnesDoNot) {

@@ -1,5 +1,5 @@
 // Tests for the extension features: flexible GMRES, pattern-reuse value
-// refresh (CSR and SELL), transpose SpMV, and the blocked AVX2 BAIJ kernel.
+// refresh (CSR and SELL), and the blocked AVX2 BAIJ kernel.
 
 #include <gtest/gtest.h>
 
@@ -113,25 +113,6 @@ TEST(ValueRefresh, CsrCopyValuesFrom) {
       EXPECT_DOUBLE_EQ(b.at(i, j), a2.at(i, j));
     }
   }
-}
-
-// ---- transpose SpMV ------------------------------------------------------
-
-TEST(TransposeSpmv, MatchesExplicitTranspose) {
-  const mat::Csr a = testing::uniform_random(22, 17, 4, 31);
-  const mat::Csr at = a.transpose();
-  const auto x = testing::random_x(22, 3);
-  Vector y1(17), y2(17);
-  a.spmv_transpose(x.data(), y1.data());
-  at.spmv(x.data(), y2.data());
-  for (Index j = 0; j < 17; ++j) EXPECT_NEAR(y1[j], y2[j], 1e-12);
-}
-
-TEST(TransposeSpmv, ZeroInputShortCircuits) {
-  const mat::Csr a = testing::banded(10, {-1, 1});
-  Vector x(10, 0.0), y(10, 99.0);
-  a.spmv_transpose(x.data(), y.data());
-  for (Index j = 0; j < 10; ++j) EXPECT_DOUBLE_EQ(y[j], 0.0);
 }
 
 // ---- blocked BAIJ AVX2 kernel --------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +35,23 @@ std::string run_and_capture_error(int nranks,
     return e.what();
   }
   return {};
+}
+
+TEST(FabricChecker, CheckEnvironmentVariableReadsFalseAsOff) {
+  ::setenv("KESTREL_FABRIC_CHECK", "false", 1);
+  EXPECT_FALSE(FabricOptions().check);
+  ::setenv("KESTREL_FABRIC_CHECK", "yes", 1);
+  EXPECT_TRUE(FabricOptions().check);
+  ::setenv("KESTREL_FABRIC_CHECK", "maybe", 1);
+  try {
+    (void)FabricOptions();
+    ADD_FAILURE() << "accepted KESTREL_FABRIC_CHECK=maybe";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("KESTREL_FABRIC_CHECK"),
+              std::string::npos)
+        << e.what();
+  }
+  ::unsetenv("KESTREL_FABRIC_CHECK");
 }
 
 TEST(FabricChecker, CleanProgramStaysSilent) {

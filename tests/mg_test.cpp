@@ -111,14 +111,30 @@ TEST(Multigrid, HIndependentIterationCounts) {
 
 TEST(Multigrid, GalerkinCoarseOperatorsShrink) {
   Multigrid mg = make_mg(31, 3);
-  EXPECT_GT(mg.level_csr(0).rows(), mg.level_csr(1).rows());
-  EXPECT_GT(mg.level_csr(1).rows(), mg.level_csr(2).rows());
+  EXPECT_GT(mg.level_operator(0).rows(), mg.level_operator(1).rows());
+  EXPECT_GT(mg.level_operator(1).rows(), mg.level_operator(2).rows());
+  // Under the default factory every level operator is the level's CSR.
+  const auto* ac = dynamic_cast<const mat::Csr*>(&mg.level_operator(2));
+  ASSERT_NE(ac, nullptr);
   // Galerkin coarse Laplacian stays symmetric
-  const mat::Csr& ac = mg.level_csr(2);
-  for (Index i = 0; i < ac.rows(); ++i) {
-    for (Index j : ac.row_cols(i)) {
-      EXPECT_NEAR(ac.at(i, j), ac.at(j, i), 1e-12);
+  for (Index i = 0; i < ac->rows(); ++i) {
+    for (Index j : ac->row_cols(i)) {
+      EXPECT_NEAR(ac->at(i, j), ac->at(j, i), 1e-12);
     }
+  }
+  // ... and holds the bits of P1^T (P0^T (A P0) P1) formed level by level.
+  const mat::Csr p0 = dirichlet_interpolation(31);
+  const mat::Csr p1 = dirichlet_interpolation(15);
+  const mat::Csr a1 =
+      mat::galerkin(app::laplacian_dirichlet(31, 31), p0, p0.transpose());
+  const mat::Csr a2 = mat::galerkin(a1, p1, p1.transpose());
+  ASSERT_EQ(ac->nnz(), a2.nnz());
+  for (Index i = 0; i <= a2.rows(); ++i) {
+    ASSERT_EQ(ac->rowptr()[i], a2.rowptr()[i]);
+  }
+  for (std::int64_t k = 0; k < a2.nnz(); ++k) {
+    EXPECT_EQ(ac->colidx()[k], a2.colidx()[k]);
+    EXPECT_EQ(ac->val()[k], a2.val()[k]);
   }
 }
 
@@ -131,7 +147,7 @@ TEST(Multigrid, SellLevelsMatchCsrLevels) {
   });
   EXPECT_EQ(mg_sell.level_operator(0).format_name(), "sell");
 
-  Vector r(mg_csr.level_csr(0).rows());
+  Vector r(mg_csr.level_operator(0).rows());
   for (Index i = 0; i < r.size(); ++i) r[i] = std::cos(0.1 * i);
   Vector z1, z2;
   mg_csr.apply(r, z1);

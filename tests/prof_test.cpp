@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -177,6 +178,24 @@ TEST(ProfConfigure, ReadsLogOptions) {
   }
   prof::set_enabled(was_enabled);
   prof::set_tracing(was_tracing);
+}
+
+TEST(ProfConfigure, LogViewEnvironmentReadsFalseAsOff) {
+  const bool was_enabled = prof::enabled();
+  const Options opts;
+  ::setenv("KESTREL_LOG_VIEW", "false", 1);
+  EXPECT_FALSE(prof::configure(opts).view);
+  ::setenv("KESTREL_LOG_VIEW", "maybe", 1);
+  try {
+    (void)prof::configure(opts);
+    ADD_FAILURE() << "accepted KESTREL_LOG_VIEW=maybe";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("KESTREL_LOG_VIEW"),
+              std::string::npos)
+        << e.what();
+  }
+  ::unsetenv("KESTREL_LOG_VIEW");
+  prof::set_enabled(was_enabled);
 }
 
 TEST(ProfJson, ParsesDocumentsAndRejectsGarbage) {

@@ -89,7 +89,7 @@ TEST(Spgemm, GalerkinPreservesSymmetry) {
   Coo pc(8, 4);
   for (Index i = 0; i < 8; ++i) pc.add(i, i / 2, 1.0);
   const Csr p = pc.to_csr();
-  const Csr ac = galerkin(a, p);
+  const Csr ac = galerkin(a, p, p.transpose());
   ASSERT_EQ(ac.rows(), 4);
   for (Index i = 0; i < 4; ++i) {
     for (Index j = 0; j < 4; ++j) {

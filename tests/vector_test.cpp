@@ -71,14 +71,11 @@ TEST(Vector, NormInfUsesAbsoluteValue) {
   EXPECT_DOUBLE_EQ(a.norm_inf(), 9.0);
 }
 
-TEST(Vector, ScaleAndPointwise) {
+TEST(Vector, Scale) {
   Vector a{2.0, 4.0};
   a.scale(0.5);
   EXPECT_DOUBLE_EQ(a[0], 1.0);
-  Vector b{3.0, 5.0};
-  a.pointwise_mult(b);
-  EXPECT_DOUBLE_EQ(a[0], 3.0);
-  EXPECT_DOUBLE_EQ(a[1], 10.0);
+  EXPECT_DOUBLE_EQ(a[1], 2.0);
 }
 
 TEST(Vector, CopyFromResizes) {
@@ -128,7 +125,6 @@ TEST(Vector, SizeMismatchThrows) {
   Vector a(3), b(4);
   EXPECT_THROW(a.axpy(1.0, b), Error);
   EXPECT_THROW(a.dot(b), Error);
-  EXPECT_THROW(a.pointwise_mult(b), Error);
 }
 
 TEST(Vector, EmptyVectorOpsAreSafe) {
