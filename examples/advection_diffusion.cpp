@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "app/advection_diffusion.hpp"
+#include "base/error.hpp"
 #include "base/options.hpp"
 #include "ksp/context.hpp"
 #include "mat/convert.hpp"
@@ -19,7 +20,7 @@
 
 using namespace kestrel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options& opts = Options::global();
   opts.parse(argc, argv);
   const Index n = opts.get_index("n", 96);
@@ -38,12 +39,12 @@ int main(int argc, char** argv) {
               std::abs(params.bx) * h / params.eps);
 
   const mat::Csr csr = app::advection_diffusion(n, params);
-  // One unknown per grid point: bcsr uses 1x1 blocks.
+  // One unknown per grid point: bcsr and bjacobi use 1x1 blocks.
   const std::shared_ptr<mat::Matrix> a = mat::convert(csr, mat_type, 1);
   std::printf("operator: %s, %lld nonzeros\n", a->format_name().c_str(),
               static_cast<long long>(a->nnz()));
 
-  const std::unique_ptr<pc::Pc> prec = pc::make_pc(pc_type, csr);
+  const std::unique_ptr<pc::Pc> prec = pc::make_pc(pc_type, csr, 1);
 
   const Vector b = app::advection_diffusion_rhs(n);
   Vector u(csr.rows());
@@ -64,4 +65,7 @@ int main(int argc, char** argv) {
   for (Index i = 0; i < u.size(); ++i) umax = std::max(umax, u[i]);
   std::printf("max(u) = %.4f (positive, bounded)\n", umax);
   return res.converged ? 0 : 1;
+} catch (const Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -16,6 +16,7 @@
 #include <sstream>
 
 #include "app/gray_scott.hpp"
+#include "base/error.hpp"
 #include "base/options.hpp"
 #include "mat/convert.hpp"
 #include "mat/slim.hpp"
@@ -27,7 +28,7 @@
 
 using namespace kestrel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options& opts = Options::global();
   opts.parse(argc, argv);
   const prof::LogConfig logcfg = prof::configure(opts);
@@ -138,4 +139,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", w.c_str());
   }
   return res.completed ? 0 : 1;
+} catch (const Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -25,6 +25,7 @@
 
 #include "aegis/fault.hpp"
 #include "app/laplacian.hpp"
+#include "base/error.hpp"
 #include "base/options.hpp"
 #include "ksp/context.hpp"
 #include "par/parmat.hpp"
@@ -34,7 +35,7 @@
 
 using namespace kestrel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options::global().parse(argc, argv);
   const prof::LogConfig logcfg = prof::configure(Options::global());
   if (logcfg.hwc) {
@@ -138,4 +139,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", w.c_str());
   }
   return 0;
+} catch (const Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

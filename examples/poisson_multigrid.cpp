@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "app/laplacian.hpp"
+#include "base/error.hpp"
 #include "base/options.hpp"
 #include "ksp/context.hpp"
 #include "mat/convert.hpp"
@@ -47,7 +48,7 @@ mat::Csr interpolation(Index nf) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options::global().parse(argc, argv);
   const Index n = Options::global().get_index("n", 63);
   const int levels = Options::global().get_index("pc_mg_levels", 4);
@@ -112,4 +113,7 @@ int main(int argc, char** argv) {
               "(expect O(h^2) = %.3e)\n",
               err.norm_inf(), h * h);
   return res.converged ? 0 : 1;
+} catch (const Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "app/laplacian.hpp"
+#include "base/error.hpp"
 #include "base/options.hpp"
 #include "ksp/context.hpp"
 #include "mat/convert.hpp"
@@ -15,7 +16,7 @@
 
 using namespace kestrel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options::global().parse(argc, argv);
   const Index n = Options::global().get_index("n", 64);
   const std::string mat_type =
@@ -55,4 +56,7 @@ int main(int argc, char** argv) {
               res.converged ? "converged" : "FAILED", res.iterations,
               res.residual_norm, ksp::reason_name(res.reason));
   return res.converged ? 0 : 1;
+} catch (const Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

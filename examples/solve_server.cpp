@@ -17,6 +17,7 @@
 
 #include "app/laplacian.hpp"
 #include "base/budget.hpp"
+#include "base/error.hpp"
 #include "base/options.hpp"
 #include "prof/profiler.hpp"
 #include "svc/registry.hpp"
@@ -24,7 +25,7 @@
 
 using namespace kestrel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options::global().parse(argc, argv);
   const Index n = Options::global().get_index("n", 64);
   const svc::ServiceOptions opts =
@@ -166,4 +167,7 @@ int main(int argc, char** argv) {
               metrics.metrics().at("svc/ewma_solve_s"),
               metrics.metrics().at("svc/resident_bytes"));
   return 0;
+} catch (const Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

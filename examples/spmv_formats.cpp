@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "app/gray_scott.hpp"
+#include "base/error.hpp"
 #include "prof/profiler.hpp"
 #include "base/options.hpp"
 #include "mat/bcsr.hpp"
@@ -47,7 +48,7 @@ void report(const char* label, const mat::Matrix& a) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options::global().parse(argc, argv);
   const std::string file = Options::global().get_string("file", "");
   mat::Csr csr = [&] {
@@ -105,4 +106,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(talon.num_blocks()), talon.block_fill(),
               talon.spmv_traffic_bytes());
   return 0;
+} catch (const Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/error.hpp"
+#include "mat/walk.hpp"
 #include "par/pool.hpp"
 #include "prof/profiler.hpp"
 #include "simd/dispatch.hpp"
@@ -19,6 +20,16 @@ AlignedBuffer<T> to_aligned(const std::vector<T>& v) {
 }
 
 }  // namespace
+
+template <class Self, class F>
+void Csr::walk(Self& self, F f) {
+  for (Index i = 0; i < self.m_; ++i) {
+    const Index begin = self.rowptr_[i];
+    for (Index k = begin; k < self.rowptr_[i + 1]; ++k) {
+      f(i, self.colidx_[k], k - begin, self.val_[k]);
+    }
+  }
+}
 
 Csr::Csr(Index m, Index n, std::vector<Index> rowptr,
          std::vector<Index> colidx, std::vector<Scalar> val)
@@ -104,13 +115,7 @@ void Csr::get_diagonal(Vector& d) const {
   for (Index i = 0; i < m_; ++i) d[i] = at(i, i);
 }
 
-void Csr::abft_col_checksum(Vector& c) const {
-  c.resize(n_);
-  c.set(0.0);
-  const std::size_t nz =
-      m_ == 0 ? 0 : static_cast<std::size_t>(rowptr_[static_cast<std::size_t>(m_)]);
-  for (std::size_t k = 0; k < nz; ++k) c[colidx_[k]] += val_[k];
-}
+void Csr::abft_col_checksum(Vector& c) const { Walk::col_sums(*this, c); }
 
 Scalar Csr::at(Index i, Index j) const {
   KESTREL_CHECK(i >= 0 && i < m_ && j >= 0 && j < n_, "index out of range");
@@ -167,17 +172,7 @@ std::size_t Csr::spmv_traffic_bytes() const {
 }
 
 void Csr::copy_values_from(const Csr& other) {
-  KESTREL_CHECK(other.m_ == m_ && other.n_ == n_ && other.nnz() == nnz(),
-                "copy_values_from: shape mismatch");
-  for (Index i = 0; i < m_; ++i) {
-    KESTREL_CHECK(other.rowptr_[i + 1] == rowptr_[i + 1],
-                  "copy_values_from: pattern changed");
-  }
-  for (Index k = 0; k < static_cast<Index>(nnz()); ++k) {
-    KESTREL_CHECK(other.colidx_[k] == colidx_[k],
-                  "copy_values_from: pattern changed");
-    val_[k] = other.val_[k];
-  }
+  Walk::copy_values(*this, other);
   slim_.refresh_values(val_.data(), val_.size());
 }
 

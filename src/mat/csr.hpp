@@ -99,6 +99,11 @@ class Csr final : public Matrix {
   const FlockPartition& partition() const { return part_; }
 
  private:
+  friend struct Walk;
+  /// The one walk of the stored nonzeros (mat/walk.hpp): row i, then k from
+  /// rowptr[i] to rowptr[i+1], at position k - rowptr[i].
+  template <class Self, class F>
+  static void walk(Self& self, F f);
   void validate() const;
 
   Index m_ = 0, n_ = 0;

@@ -6,11 +6,26 @@
 
 #include "base/error.hpp"
 #include "mat/csr.hpp"
+#include "mat/walk.hpp"
 #include "par/pool.hpp"
 #include "prof/profiler.hpp"
 #include "simd/dispatch.hpp"
 
 namespace kestrel::mat {
+
+template <class Self, class F>
+void Sell::walk(Self& self, F f) {
+  const Index c = self.c_;
+  for (Index p = 0; p < self.m_; ++p) {
+    const Index row = self.perm(p);
+    const Index base = self.sliceptr_[p / c];
+    const Index lane = p % c;
+    for (Index j = 0; j < self.rlen_[p]; ++j) {
+      const Index k = base + j * c + lane;
+      f(row, self.colidx_[k], j, self.val_[k]);
+    }
+  }
+}
 
 Sell::Sell(const Csr& csr, SellOptions opts) { build(csr, opts); }
 
@@ -165,18 +180,34 @@ simd::IsaTier Sell::vector_tier() const {
   return want;
 }
 
-void Sell::spmv(const Scalar* x, Scalar* y) const {
-  KESTREL_PROF_SPMV("MatMult(sell)", 2 * nnz(), spmv_traffic_bytes());
-  auto fn = simd::lookup_as<simd::SellSpmvFn>(
-      slim_.fp32() ? simd::Op::kSellSpmvFp32 : simd::Op::kSellSpmv,
-      vector_tier());
+void Sell::spmv_with(simd::Op op, simd::IsaTier tier, const Scalar* x,
+                     Scalar* y) const {
+  const auto fn = simd::lookup_as<simd::SellSpmvFn>(op, tier);
   if (perm_.empty()) {
     run_partitioned(fn, x, y);
     return;
   }
   sorted_tmp_.resize(m_);
   run_partitioned(fn, x, sorted_tmp_.data());
-  spmv_sorted_fixup(y);
+  // Scatter back to logical row order. perm_ is a permutation, so the
+  // partition's row ranges write disjoint y entries; the same slice bounds
+  // as the multiply keep the pool's part->thread mapping aligned.
+  const auto scatter = [&](Index p0, Index p1) {
+    for (Index p = p0; p < p1; ++p) y[perm_[p]] = sorted_tmp_[p];
+  };
+  if (part_.nparts() <= 1) {
+    scatter(0, m_);
+    return;
+  }
+  par::ThreadPool::rank_pool().run(part_.nparts(), [&](int part, int) {
+    scatter(part_.begin(part) * c_, std::min(part_.end(part) * c_, m_));
+  });
+}
+
+void Sell::spmv(const Scalar* x, Scalar* y) const {
+  KESTREL_PROF_SPMV("MatMult(sell)", 2 * nnz(), spmv_traffic_bytes());
+  spmv_with(slim_.fp32() ? simd::Op::kSellSpmvFp32 : simd::Op::kSellSpmv,
+            vector_tier(), x, y);
 }
 
 bool Sell::set_slim(const SlimOptions& opts) {
@@ -184,91 +215,22 @@ bool Sell::set_slim(const SlimOptions& opts) {
   return true;
 }
 
+// The masked and prefetch variants exist only as scalar and AVX-512
+// kernels; below AVX-512 dispatch falls back to scalar (a tier is a
+// ceiling).
 void Sell::spmv_bitmask(const Scalar* x, Scalar* y) const {
   KESTREL_CHECK(has_bitmask(), "bitmask kernel requires build_bitmask");
-  simd::IsaTier want = tier_;
-  if (want != simd::IsaTier::kScalar) {
-    // only scalar and AVX-512 masked variants exist
-    want = (c_ % 8 == 0) ? simd::IsaTier::kAvx512 : simd::IsaTier::kScalar;
-  }
-  auto fn =
-      simd::lookup_as<simd::SellSpmvFn>(simd::Op::kSellSpmvBitmask, want);
-  if (perm_.empty()) {
-    run_partitioned(fn, x, y);
-    return;
-  }
-  sorted_tmp_.resize(m_);
-  run_partitioned(fn, x, sorted_tmp_.data());
-  spmv_sorted_fixup(y);
+  spmv_with(simd::Op::kSellSpmvBitmask, vector_tier(), x, y);
 }
 
 void Sell::spmv_prefetch(const Scalar* x, Scalar* y) const {
-  simd::IsaTier want =
-      (c_ == 8) ? tier_ : simd::IsaTier::kScalar;
-  auto fn = simd::lookup_as<simd::SellSpmvFn>(simd::Op::kSellSpmvPrefetch,
-                                              want);
-  if (perm_.empty()) {
-    fn(view(), x, y);
-    return;
-  }
-  sorted_tmp_.resize(m_);
-  fn(view(), x, sorted_tmp_.data());
-  spmv_sorted_fixup(y);
+  spmv_with(simd::Op::kSellSpmvPrefetch,
+            c_ == 8 ? vector_tier() : simd::IsaTier::kScalar, x, y);
 }
 
-void Sell::spmv_sorted_fixup(Scalar* y) const {
-  // Scatter back to logical row order. perm_ is a permutation, so the
-  // partition's row ranges write disjoint y entries; the same slice bounds
-  // as the multiply keep the pool's part->thread mapping aligned.
-  if (part_.nparts() <= 1) {
-    for (Index p = 0; p < m_; ++p) {
-      y[perm_[static_cast<std::size_t>(p)]] = sorted_tmp_[p];
-    }
-    return;
-  }
-  par::ThreadPool::rank_pool().run(part_.nparts(), [&](int part, int) {
-    const Index p0 = part_.begin(part) * c_;
-    const Index p1 = std::min(part_.end(part) * c_, m_);
-    for (Index p = p0; p < p1; ++p) {
-      y[perm_[static_cast<std::size_t>(p)]] = sorted_tmp_[p];
-    }
-  });
-}
+void Sell::abft_col_checksum(Vector& c) const { Walk::col_sums(*this, c); }
 
-void Sell::abft_col_checksum(Vector& c) const {
-  c.resize(n_);
-  c.set(0.0);
-  // rlen bounds the walk to real entries, so padding (whatever column index
-  // it carries) never contributes.
-  for (Index p = 0; p < m_; ++p) {
-    const Index s = p / c_;
-    const Index lane = p % c_;
-    const Index base = sliceptr_[static_cast<std::size_t>(s)];
-    for (Index j = 0; j < rlen_[static_cast<std::size_t>(p)]; ++j) {
-      const std::size_t k = static_cast<std::size_t>(base + j * c_ + lane);
-      c[colidx_[k]] += val_[k];
-    }
-  }
-}
-
-void Sell::get_diagonal(Vector& d) const {
-  KESTREL_CHECK(m_ == n_, "get_diagonal requires a square matrix");
-  d.resize(m_);
-  d.set(0.0);
-  for (Index p = 0; p < m_; ++p) {
-    const Index r = perm(p);
-    const Index s = p / c_;
-    const Index lane = p % c_;
-    const Index base = sliceptr_[static_cast<std::size_t>(s)];
-    for (Index j = 0; j < rlen_[static_cast<std::size_t>(p)]; ++j) {
-      const Index k = base + j * c_ + lane;
-      if (colidx_[static_cast<std::size_t>(k)] == r) {
-        d[r] = val_[static_cast<std::size_t>(k)];
-        break;
-      }
-    }
-  }
-}
+void Sell::get_diagonal(Vector& d) const { Walk::diagonal(*this, d); }
 
 std::size_t Sell::storage_bytes() const {
   return sliceptr_.size() * sizeof(Index) + colidx_.size() * sizeof(Index) +
@@ -318,56 +280,10 @@ std::size_t Sell::spmv_traffic_bytes() const {
 }
 
 void Sell::copy_values_from(const Csr& csr) {
-  KESTREL_CHECK(csr.rows() == m_ && csr.cols() == n_ && csr.nnz() == nnz_,
-                "copy_values_from: shape mismatch");
-  for (Index p = 0; p < m_; ++p) {
-    const Index r = perm(p);
-    KESTREL_CHECK(csr.row_nnz(r) == rlen_[static_cast<std::size_t>(p)],
-                  "copy_values_from: row length changed");
-    const auto cols = csr.row_cols(r);
-    const auto vals = csr.row_vals(r);
-    const Index s = p / c_;
-    const Index lane = p % c_;
-    const Index base = sliceptr_[static_cast<std::size_t>(s)];
-    for (Index j = 0; j < rlen_[static_cast<std::size_t>(p)]; ++j) {
-      const Index k = base + j * c_ + lane;
-      KESTREL_CHECK(colidx_[static_cast<std::size_t>(k)] ==
-                        cols[static_cast<std::size_t>(j)],
-                    "copy_values_from: sparsity pattern changed");
-      val_[static_cast<std::size_t>(k)] = vals[static_cast<std::size_t>(j)];
-    }
-  }
+  Walk::copy_values(*this, csr);
   slim_.refresh_values(val_.data(), val_.size());
 }
 
-Csr Sell::to_csr() const {
-  std::vector<Index> rowptr(static_cast<std::size_t>(m_) + 1, 0);
-  for (Index p = 0; p < m_; ++p) {
-    rowptr[static_cast<std::size_t>(perm(p)) + 1] =
-        rlen_[static_cast<std::size_t>(p)];
-  }
-  for (Index i = 0; i < m_; ++i) {
-    rowptr[static_cast<std::size_t>(i) + 1] +=
-        rowptr[static_cast<std::size_t>(i)];
-  }
-  const std::size_t total = static_cast<std::size_t>(
-      m_ == 0 ? 0 : rowptr[static_cast<std::size_t>(m_)]);
-  std::vector<Index> colidx(total);
-  std::vector<Scalar> val(total);
-  for (Index p = 0; p < m_; ++p) {
-    const Index r = perm(p);
-    const Index s = p / c_;
-    const Index lane = p % c_;
-    const Index base = sliceptr_[static_cast<std::size_t>(s)];
-    Index dst = rowptr[static_cast<std::size_t>(r)];
-    for (Index j = 0; j < rlen_[static_cast<std::size_t>(p)]; ++j, ++dst) {
-      const Index k = base + j * c_ + lane;
-      colidx[static_cast<std::size_t>(dst)] =
-          colidx_[static_cast<std::size_t>(k)];
-      val[static_cast<std::size_t>(dst)] = val_[static_cast<std::size_t>(k)];
-    }
-  }
-  return Csr(m_, n_, std::move(rowptr), std::move(colidx), std::move(val));
-}
+Csr Sell::to_csr() const { return Walk::to_csr(*this); }
 
 }  // namespace kestrel::mat

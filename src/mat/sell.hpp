@@ -124,8 +124,18 @@ class Sell final : public Matrix {
   const FlockPartition& partition() const { return part_; }
 
  private:
+  friend struct Walk;
+  /// The one walk of the stored nonzeros (mat/walk.hpp): storage rows
+  /// p = 0..m-1 and j < rlen[p], logical row perm(p), position j; padding
+  /// is never visited.
+  template <class Self, class F>
+  static void walk(Self& self, F f);
   void build(const Csr& csr, const SellOptions& opts);
-  void spmv_sorted_fixup(Scalar* y) const;
+  /// The one SpMV dispatch: `op`'s kernel at `tier` over the slice
+  /// partition, into y, or into the sorted scratch and then back to
+  /// logical row order.
+  void spmv_with(simd::Op op, simd::IsaTier tier, const Scalar* x,
+                 Scalar* y) const;
   /// Dispatches `fn` over the slice partition through offset sub-views
   /// (sliceptr values are absolute into colidx/val, so only the sliceptr
   /// pointer, m and the output shift); serial when the partition is.

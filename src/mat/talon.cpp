@@ -8,6 +8,7 @@
 
 #include "base/error.hpp"
 #include "mat/csr.hpp"
+#include "mat/walk.hpp"
 #include "par/pool.hpp"
 #include "prof/profiler.hpp"
 #include "simd/dispatch.hpp"
@@ -70,6 +71,29 @@ Index walk_panel(const Csr& csr, Index row0, Index r, const PanelSink& out) {
 }
 
 }  // namespace
+
+template <class Self, class F>
+void Talon::walk(Self& self, F f) {
+  Index v = 0;
+  for (Index p = 0; p < self.npanels_; ++p) {
+    const Index row0 = self.panel_row_[p];
+    const Index r = self.panel_row_[p + 1] - row0;
+    // Blocks ascend in start column and bits ascend within a block, so each
+    // panel row's entries come in CSR order.
+    Index pos[4] = {0, 0, 0, 0};
+    for (Index b = self.panel_blockptr_[p]; b < self.panel_blockptr_[p + 1];
+         ++b) {
+      const Index c0 = self.block_col_[b];
+      const std::uint32_t mask = self.block_mask_[b];
+      for (Index j = 0; j < r; ++j) {
+        std::uint32_t bits = (mask >> (8u * static_cast<unsigned>(j))) & 0xFFu;
+        for (; bits != 0; bits &= bits - 1) {
+          f(row0 + j, c0 + std::countr_zero(bits), pos[j]++, self.val_[v++]);
+        }
+      }
+    }
+  }
+}
 
 Talon::Talon(const Csr& csr, TalonOptions opts) { build(csr, opts); }
 
@@ -216,54 +240,9 @@ Index Talon::panels_with_r(Index r) const {
   return count;
 }
 
-void Talon::get_diagonal(Vector& d) const {
-  KESTREL_CHECK(m_ == n_, "get_diagonal requires a square matrix");
-  d.resize(m_);
-  d.set(0.0);
-  for (Index p = 0; p < npanels_; ++p) {
-    const Index row0 = panel_row_[static_cast<std::size_t>(p)];
-    const Index r = panel_row_[static_cast<std::size_t>(p) + 1] - row0;
-    Index v = panel_valptr_[static_cast<std::size_t>(p)];
-    for (Index b = panel_blockptr_[static_cast<std::size_t>(p)];
-         b < panel_blockptr_[static_cast<std::size_t>(p) + 1]; ++b) {
-      const Index c0 = block_col_[static_cast<std::size_t>(b)];
-      const std::uint32_t mask = block_mask_[static_cast<std::size_t>(b)];
-      for (Index j = 0; j < r; ++j) {
-        std::uint32_t bits = (mask >> (8u * static_cast<unsigned>(j))) & 0xFFu;
-        while (bits != 0) {
-          const int k = std::countr_zero(bits);
-          if (c0 + k == row0 + j) d[row0 + j] = val_[static_cast<std::size_t>(v)];
-          ++v;
-          bits &= bits - 1;
-        }
-      }
-    }
-  }
-}
+void Talon::get_diagonal(Vector& d) const { Walk::diagonal(*this, d); }
 
-void Talon::abft_col_checksum(Vector& c) const {
-  c.resize(n_);
-  c.set(0.0);
-  for (Index p = 0; p < npanels_; ++p) {
-    const Index row0 = panel_row_[static_cast<std::size_t>(p)];
-    const Index r = panel_row_[static_cast<std::size_t>(p) + 1] - row0;
-    Index v = panel_valptr_[static_cast<std::size_t>(p)];
-    for (Index b = panel_blockptr_[static_cast<std::size_t>(p)];
-         b < panel_blockptr_[static_cast<std::size_t>(p) + 1]; ++b) {
-      const Index c0 = block_col_[static_cast<std::size_t>(b)];
-      const std::uint32_t mask = block_mask_[static_cast<std::size_t>(b)];
-      for (Index j = 0; j < r; ++j) {
-        std::uint32_t bits = (mask >> (8u * static_cast<unsigned>(j))) & 0xFFu;
-        while (bits != 0) {
-          const int k = std::countr_zero(bits);
-          c[c0 + k] += val_[static_cast<std::size_t>(v)];
-          ++v;
-          bits &= bits - 1;
-        }
-      }
-    }
-  }
-}
+void Talon::abft_col_checksum(Vector& c) const { Walk::col_sums(*this, c); }
 
 std::size_t Talon::storage_bytes() const {
   return (panel_row_.size() + panel_blockptr_.size() + panel_valptr_.size() +
@@ -329,92 +308,10 @@ std::size_t Talon::spmv_traffic_bytes() const {
 }
 
 void Talon::copy_values_from(const Csr& csr) {
-  KESTREL_CHECK(csr.rows() == m_ && csr.cols() == n_ && csr.nnz() == nnz_,
-                "copy_values_from: shape mismatch");
-  std::vector<Index> cursor(static_cast<std::size_t>(m_), 0);
-  Index v = 0;
-  for (Index p = 0; p < npanels_; ++p) {
-    const Index row0 = panel_row_[static_cast<std::size_t>(p)];
-    const Index r = panel_row_[static_cast<std::size_t>(p) + 1] - row0;
-    for (Index b = panel_blockptr_[static_cast<std::size_t>(p)];
-         b < panel_blockptr_[static_cast<std::size_t>(p) + 1]; ++b) {
-      const Index c0 = block_col_[static_cast<std::size_t>(b)];
-      const std::uint32_t mask = block_mask_[static_cast<std::size_t>(b)];
-      for (Index j = 0; j < r; ++j) {
-        std::uint32_t bits = (mask >> (8u * static_cast<unsigned>(j))) & 0xFFu;
-        const Index row = row0 + j;
-        const auto cols = csr.row_cols(row);
-        const auto vals = csr.row_vals(row);
-        while (bits != 0) {
-          const int k = std::countr_zero(bits);
-          auto& cur = cursor[static_cast<std::size_t>(row)];
-          KESTREL_CHECK(cur < static_cast<Index>(cols.size()) &&
-                            cols[static_cast<std::size_t>(cur)] == c0 + k,
-                        "copy_values_from: sparsity pattern changed");
-          val_[static_cast<std::size_t>(v)] =
-              vals[static_cast<std::size_t>(cur)];
-          ++cur;
-          ++v;
-          bits &= bits - 1;
-        }
-      }
-    }
-  }
-  for (Index i = 0; i < m_; ++i) {
-    KESTREL_CHECK(cursor[static_cast<std::size_t>(i)] == csr.row_nnz(i),
-                  "copy_values_from: sparsity pattern changed");
-  }
+  Walk::copy_values(*this, csr);
   slim_.refresh_values(val_.data(), val_.size());
 }
 
-Csr Talon::to_csr() const {
-  std::vector<Index> rowptr(static_cast<std::size_t>(m_) + 1, 0);
-  for (Index p = 0; p < npanels_; ++p) {
-    const Index row0 = panel_row_[static_cast<std::size_t>(p)];
-    const Index r = panel_row_[static_cast<std::size_t>(p) + 1] - row0;
-    for (Index b = panel_blockptr_[static_cast<std::size_t>(p)];
-         b < panel_blockptr_[static_cast<std::size_t>(p) + 1]; ++b) {
-      const std::uint32_t mask = block_mask_[static_cast<std::size_t>(b)];
-      for (Index j = 0; j < r; ++j) {
-        rowptr[static_cast<std::size_t>(row0 + j) + 1] += std::popcount(
-            (mask >> (8u * static_cast<unsigned>(j))) & 0xFFu);
-      }
-    }
-  }
-  for (Index i = 0; i < m_; ++i) {
-    rowptr[static_cast<std::size_t>(i) + 1] +=
-        rowptr[static_cast<std::size_t>(i)];
-  }
-  const std::size_t total =
-      m_ == 0 ? 0 : static_cast<std::size_t>(rowptr[static_cast<std::size_t>(m_)]);
-  std::vector<Index> colidx(total);
-  std::vector<Scalar> val(total);
-  std::vector<Index> cursor(rowptr.begin(), rowptr.end() - 1);
-  Index v = 0;
-  // Blocks ascend in start column and bits ascend within a block, so each
-  // row's entries come out column-sorted.
-  for (Index p = 0; p < npanels_; ++p) {
-    const Index row0 = panel_row_[static_cast<std::size_t>(p)];
-    const Index r = panel_row_[static_cast<std::size_t>(p) + 1] - row0;
-    for (Index b = panel_blockptr_[static_cast<std::size_t>(p)];
-         b < panel_blockptr_[static_cast<std::size_t>(p) + 1]; ++b) {
-      const Index c0 = block_col_[static_cast<std::size_t>(b)];
-      const std::uint32_t mask = block_mask_[static_cast<std::size_t>(b)];
-      for (Index j = 0; j < r; ++j) {
-        std::uint32_t bits = (mask >> (8u * static_cast<unsigned>(j))) & 0xFFu;
-        while (bits != 0) {
-          const int k = std::countr_zero(bits);
-          auto& cur = cursor[static_cast<std::size_t>(row0 + j)];
-          colidx[static_cast<std::size_t>(cur)] = c0 + k;
-          val[static_cast<std::size_t>(cur)] = val_[static_cast<std::size_t>(v)];
-          ++cur;
-          ++v;
-          bits &= bits - 1;
-        }
-      }
-    }
-  }
-  return Csr(m_, n_, std::move(rowptr), std::move(colidx), std::move(val));
-}
+Csr Talon::to_csr() const { return Walk::to_csr(*this); }
 
 }  // namespace kestrel::mat

@@ -108,6 +108,11 @@ class Talon final : public Matrix {
   const FlockPartition& partition() const { return part_; }
 
  private:
+  friend struct Walk;
+  /// The one walk of the stored nonzeros (mat/walk.hpp): panel, block,
+  /// panel row, then mask bit, the order the values are packed in.
+  template <class Self, class F>
+  static void walk(Self& self, F f);
   void build(const Csr& csr, const TalonOptions& opts);
   void run_partitioned(simd::TalonSpmvFn fn, const Scalar* x,
                        Scalar* y) const;

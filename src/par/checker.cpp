@@ -125,19 +125,16 @@ void FabricChecker::on_collective(int rank, FabricEventKind kind) {
   record(kind, rank, -1, -1);
   RankState& rs = ranks_[static_cast<std::size_t>(rank)];
   const std::uint64_t round = rs.collective_round++;
-  if (round >= collective_kind_.size()) {
-    collective_kind_.push_back(kind);
-    collective_first_rank_.push_back(rank);
+  CollectiveSlot& slot = collectives_[round % 2];
+  if (slot.round != round) {
+    slot = CollectiveSlot{round, kind, rank};
     return;
   }
-  const FabricEventKind expected =
-      collective_kind_[static_cast<std::size_t>(round)];
-  if (expected != kind) {
+  if (slot.kind != kind) {
     std::ostringstream os;
     os << "mismatched collectives at round " << round << ": rank "
-       << collective_first_rank_[static_cast<std::size_t>(round)]
-       << " entered " << fabric_event_name(expected) << " while rank "
-       << rank << " entered " << fabric_event_name(kind);
+       << slot.first_rank << " entered " << fabric_event_name(slot.kind)
+       << " while rank " << rank << " entered " << fabric_event_name(kind);
     fail(os.str());
   }
 }

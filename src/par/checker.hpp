@@ -103,11 +103,21 @@ class FabricChecker {
   std::string trace_locked(std::size_t max_events) const;
   [[noreturn]] void fail(const std::string& msg) const;
 
+  /// One collective round's kind, established by the first rank to reach
+  /// it.
+  struct CollectiveSlot {
+    std::uint64_t round = ~std::uint64_t{0};  ///< none yet
+    FabricEventKind kind = FabricEventKind::kBarrier;
+    int first_rank = -1;
+  };
+
   mutable std::mutex mu_;
   std::vector<RankState> ranks_;
-  /// Kind of collective round i, established by the first rank to reach it.
-  std::vector<FabricEventKind> collective_kind_;
-  std::vector<int> collective_first_rank_;
+  /// Round k lives in slot k % 2. Each rank records a round before it
+  /// arrives, and a round completes only after every arrival, so no rank
+  /// records round k+1 before every rank has recorded round k: two slots
+  /// are exact, and the checker's memory does not grow with the run.
+  CollectiveSlot collectives_[2];
   std::deque<FabricEvent> events_;  ///< bounded global trace
 };
 

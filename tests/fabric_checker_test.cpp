@@ -102,6 +102,36 @@ TEST(FabricChecker, MismatchedCollectiveLaterRound) {
       << what;
 }
 
+TEST(FabricChecker, MismatchAfterTenThousandMatchedRoundsNamesFirstRank) {
+  // The checker keeps two collective slots, not a history of every round:
+  // after 10,000 matched rounds of mixed kinds, round 10,000 must still
+  // report its own kinds and the rank that reached it first (a stale slot
+  // would name round 9,998's allgatherv).
+  const std::string what = run_and_capture_error(2, [](Comm& comm) {
+    for (int k = 0; k < 10000; ++k) {
+      if (k % 3 == 0) {
+        comm.barrier();
+      } else if (k % 3 == 1) {
+        (void)comm.allreduce(1.0);
+      } else {
+        (void)comm.allgatherv(std::vector<Index>{k});
+      }
+    }
+    if (comm.rank() == 0) {
+      comm.barrier();
+    } else {
+      (void)comm.allreduce(1.0);
+    }
+  });
+  const bool first0 =
+      what.find("at round 10000: rank 0 entered barrier while rank 1 "
+                "entered allreduce") != std::string::npos;
+  const bool first1 =
+      what.find("at round 10000: rank 1 entered allreduce while rank 0 "
+                "entered barrier") != std::string::npos;
+  EXPECT_TRUE(first0 || first1) << what;
+}
+
 TEST(FabricChecker, HangReportedAsLostWakeup) {
   const std::string what = run_and_capture_error(
       2,

@@ -492,6 +492,29 @@ TEST(FlockDifferential, ThreadedResultStillMatchesDenseReference) {
   }
 }
 
+TEST(FlockDifferential, SellPrefetchRunsOnThePartitionBitwise) {
+  // The prefetch variant goes through the same slice partition as spmv.
+  const mat::Csr csr = testing::power_law(301);
+  const std::vector<Scalar> x = testing::random_x(301, 5);
+  const std::size_t bytes = 301 * sizeof(Scalar);
+  for (Index sigma : {1, 24}) {
+    mat::SellOptions opts;
+    opts.sigma = sigma;
+    mat::Sell sell(csr, opts);
+    std::vector<Scalar> y1(301, -7.0), y4(301, -9.0);
+    {
+      ThreadsGuard g(1);
+      sell.repartition(1);
+      sell.spmv_prefetch(x.data(), y1.data());
+    }
+    ThreadsGuard g(4);
+    sell.repartition(4);
+    sell.spmv_prefetch(x.data(), y4.data());
+    EXPECT_EQ(std::memcmp(y1.data(), y4.data(), bytes), 0)
+        << "sigma=" << sigma;
+  }
+}
+
 TEST(FlockDifferential, AbftMatrixOverThreadedFormatRecoversBitwise) {
   // The pooled verify reductions (fixed part order, fixed chunking) must
   // leave ABFT detection and bitwise recovery intact.

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "base/error.hpp"
 #include "mat/sell.hpp"
+#include "simd/isa.hpp"
 #include "test_matrices.hpp"
 
 namespace kestrel::mat {
@@ -151,6 +154,33 @@ TEST(Sell, BitmaskMarksExactlyRealEntries) {
     }
   }
   EXPECT_EQ(bits, sell.nnz());
+}
+
+TEST(Sell, BitmaskKernelTreatsTheTierAsACeiling) {
+  // Only scalar and AVX-512 masked kernels exist. The AVX-512 one fuses
+  // multiply and add and the scalar one does not, so a matrix set below
+  // AVX-512 must multiply like the scalar tier, bit for bit.
+  const Csr csr = testing::power_law(200);
+  const std::vector<Scalar> x = testing::random_x(csr.cols());
+  for (Index c : {8, 16}) {
+    SellOptions opts;
+    opts.slice_height = c;
+    opts.build_bitmask = true;
+    Sell scalar(csr, opts);
+    scalar.set_tier(simd::IsaTier::kScalar);
+    std::vector<Scalar> want(static_cast<std::size_t>(csr.rows()));
+    scalar.spmv_bitmask(x.data(), want.data());
+    for (simd::IsaTier tier : {simd::IsaTier::kAvx, simd::IsaTier::kAvx2}) {
+      Sell sell(csr, opts);
+      sell.set_tier(tier);
+      std::vector<Scalar> got(want.size(), -1.0);
+      sell.spmv_bitmask(x.data(), got.data());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            want.size() * sizeof(Scalar)),
+                0)
+          << "c=" << c << " tier " << simd::tier_name(tier);
+    }
+  }
 }
 
 TEST(Sell, SliceHeightVariants) {
