@@ -228,6 +228,14 @@ void sum_abs(const Scalar* y, Index n, Scalar* s, Scalar* abs_s) {
   fn(y, n, s, abs_s);
 }
 
+bool checksum_holds(Scalar cx, Scalar cx_abs, Scalar ysum, Scalar ysum_abs,
+                    Scalar tol, Scalar* drift_out) {
+  const Scalar drift = std::abs(cx - ysum);
+  if (drift_out != nullptr) *drift_out = drift;
+  if (std::isnan(drift)) return false;
+  return drift <= tol * (cx_abs + ysum_abs + 1.0);
+}
+
 AbftMatrix::AbftMatrix(mat::MatrixPtr inner, AbftOptions opts)
     : inner_(std::move(inner)), opts_(opts) {
   KESTREL_CHECK(inner_ != nullptr, "abft: null inner matrix");
@@ -254,11 +262,7 @@ bool AbftMatrix::verify(const Vector& colsum, const Scalar* x,
   dot_abs(colsum.data(), x, colsum.size(), &cx, &cx_abs);
   Scalar ysum = 0.0, ysum_abs = 0.0;
   sum_abs(y, ylen, &ysum, &ysum_abs);
-  const Scalar drift = std::abs(cx - ysum);
-  if (drift_out != nullptr) *drift_out = drift;
-  if (std::isnan(drift)) return false;
-  const Scalar scale = cx_abs + ysum_abs + 1.0;
-  return drift <= tol * scale;
+  return checksum_holds(cx, cx_abs, ysum, ysum_abs, tol, drift_out);
 }
 
 Scalar AbftMatrix::effective_tol() const {

@@ -39,6 +39,13 @@ void dot_abs(const Scalar* c, const Scalar* x, Index n, Scalar* s,
              Scalar* abs_s);
 void sum_abs(const Scalar* y, Index n, Scalar* s, Scalar* abs_s);
 
+/// The one drift test over the reductions above: writes the drift
+/// |cx − ysum| to drift_out (when non-null) and returns whether it is a
+/// number within tol·(cx_abs + ysum_abs + 1). AbftMatrix::verify and the
+/// ParMatrix ABFT path both decide through it.
+bool checksum_holds(Scalar cx, Scalar cx_abs, Scalar ysum, Scalar ysum_abs,
+                    Scalar tol, Scalar* drift_out);
+
 struct AbftOptions {
   Scalar tol = 1e-8;  ///< relative detection threshold (see header comment)
   int max_retries = 1;  ///< recompute attempts before escalating
@@ -85,7 +92,7 @@ class AbftMatrix final : public mat::Matrix {
   }
 
   /// One verification pass: returns the drift |c·x − Σy| and whether it is
-  /// within tolerance. Exposed for tests and the ParMatrix ABFT path.
+  /// within tolerance (checksum_holds). Exposed for tests.
   static bool verify(const Vector& colsum, const Scalar* x, const Scalar* y,
                      Index ylen, Scalar tol, Scalar* drift_out);
 

@@ -77,17 +77,10 @@ void Bcsr::spmv(const Scalar* x, Scalar* y) const {
   auto fn = simd::lookup_as<simd::BcsrSpmvFn>(
       slim_.fp32() ? simd::Op::kBcsrSpmvFp32 : simd::Op::kBcsrSpmv, tier_);
   const BcsrView v = view();
-  if (part_.nparts() <= 1) {
-    fn(v, x, y);
-    return;
-  }
   // Flock: contiguous block-row ranges through offset sub-views. rowptr
   // values are absolute block indices into colidx/val/val32, so only the
   // rowptr pointer and y (by whole blocks) shift.
-  par::ThreadPool::rank_pool().run(part_.nparts(), [&](int p, int) {
-    const Index b0 = part_.begin(p);
-    const Index b1 = part_.end(p);
-    if (b0 == b1) return;
+  par::for_each_part(part_, [&](int, Index b0, Index b1) {
     BcsrView sub = v;
     sub.mb = b1 - b0;
     sub.rowptr = v.rowptr + b0;

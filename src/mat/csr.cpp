@@ -85,18 +85,11 @@ void Csr::spmv(const Scalar* x, Scalar* y) const {
   auto fn = simd::lookup_as<simd::CsrSpmvFn>(
       slim_.fp32() ? simd::Op::kCsrSpmvFp32 : simd::Op::kCsrSpmv, tier_);
   const CsrView v = view();
-  if (part_.nparts() <= 1) {
-    fn(v, x, y);
-    return;
-  }
   // Flock: each part multiplies a contiguous row range through an offset
   // sub-view. rowptr values are absolute into colidx/val/val32, so only the
   // rowptr pointer and y shift; per-row accumulation order is untouched
   // and the result is bitwise-identical to the serial multiply.
-  par::ThreadPool::rank_pool().run(part_.nparts(), [&](int p, int) {
-    const Index r0 = part_.begin(p);
-    const Index r1 = part_.end(p);
-    if (r0 == r1) return;
+  par::for_each_part(part_, [&](int, Index r0, Index r1) {
     CsrView sub = v;
     sub.m = r1 - r0;
     sub.rowptr = v.rowptr + r0;

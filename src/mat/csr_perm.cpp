@@ -91,16 +91,12 @@ void CsrPerm::spmv(const Scalar* x, Scalar* y) const {
   auto fn = simd::lookup_as<simd::CsrPermSpmvFn>(
       slim_active() ? simd::Op::kCsrPermSpmvFp32 : simd::Op::kCsrPermSpmv,
       tier_);
-  if (part_.nparts() <= 1) {
-    fn(view(), x, y);
-    return;
-  }
   // Flock: each part runs the unmodified kernel over its synthesized group
   // table. Positions, perm, rowptr/colidx/val and the y scatter are all
-  // absolute, so only the group arrays differ from the serial view.
-  par::ThreadPool::rank_pool().run(part_.nparts(), [&](int p, int) {
+  // absolute, so only the group arrays differ from view(); a one-part
+  // table holds view()'s groups.
+  par::for_each_part(part_, [&](int p, Index, Index) {
     const PartGroups& pg = part_groups_[static_cast<std::size_t>(p)];
-    if (pg.rlen.empty()) return;
     const CsrPermView sub{csr_.view(), static_cast<Index>(pg.rlen.size()),
                           pg.begin.data(), perm_.data(), pg.rlen.data()};
     fn(sub, x, y);

@@ -5,7 +5,8 @@
 // CSR rows, SELL slices, BCSR block rows, Talon panels, CSR-perm vector
 // chunks — and the partition is computed ONCE at inspection time from the
 // format's own prefix-sum of stored work (rowptr, sliceptr, ...), then
-// stored on the matrix. Balancing on nonzeros rather than rows is what
+// stored on the matrix. par::for_each_part (par/pool.hpp) runs it: inline
+// when it has one part, else each non-empty part on the rank's pool. Balancing on nonzeros rather than rows is what
 // keeps power-law matrices from serializing: with row-balanced splits one
 // dense row drags its whole partition, while the nnz target puts the split
 // right after it.

@@ -141,31 +141,6 @@ void Sell::repartition(int nparts) {
   part_ = nnz_balance(sliceptr_.data(), nslices_, nparts);
 }
 
-void Sell::run_partitioned(simd::SellSpmvFn fn, const Scalar* x,
-                           Scalar* out) const {
-  const SellView v = view();
-  if (part_.nparts() <= 1) {
-    fn(v, x, out);
-    return;
-  }
-  par::ThreadPool::rank_pool().run(part_.nparts(), [&](int p, int) {
-    const Index s0 = part_.begin(p);
-    const Index s1 = part_.end(p);
-    if (s0 == s1) return;
-    // Slice s0+s' becomes local slice s': the kernel derives row0 = s'*c, so
-    // output shifts by s0*c and the local m clips the final partial slice.
-    // sliceptr values stay absolute into colidx/val/val32 (and the bitmask,
-    // which kernels index by absolute element position), so those pointers
-    // do not move.
-    const Index row0 = s0 * c_;
-    SellView sub = v;
-    sub.m = std::min(m_ - row0, (s1 - s0) * c_);
-    sub.nslices = s1 - s0;
-    sub.sliceptr = v.sliceptr + s0;
-    fn(sub, x, out + row0);
-  });
-}
-
 simd::IsaTier Sell::vector_tier() const {
   // Kernel tier constraints: the AVX-512 kernels need c % 8 == 0, the
   // AVX/AVX2 kernels need c % 4 == 0; anything else runs scalar.
@@ -183,24 +158,32 @@ simd::IsaTier Sell::vector_tier() const {
 void Sell::spmv_with(simd::Op op, simd::IsaTier tier, const Scalar* x,
                      Scalar* y) const {
   const auto fn = simd::lookup_as<simd::SellSpmvFn>(op, tier);
-  if (perm_.empty()) {
-    run_partitioned(fn, x, y);
-    return;
+  Scalar* out = y;
+  if (!perm_.empty()) {
+    sorted_tmp_.resize(m_);
+    out = sorted_tmp_.data();
   }
-  sorted_tmp_.resize(m_);
-  run_partitioned(fn, x, sorted_tmp_.data());
+  const SellView v = view();
+  par::for_each_part(part_, [&](int, Index s0, Index s1) {
+    // Slice s0+s' becomes local slice s': the kernel derives row0 = s'*c, so
+    // output shifts by s0*c and the local m clips the final partial slice.
+    // sliceptr values stay absolute into colidx/val/val32 (and the bitmask,
+    // which kernels index by absolute element position), so those pointers
+    // do not move.
+    const Index row0 = s0 * c_;
+    SellView sub = v;
+    sub.m = std::min(m_ - row0, (s1 - s0) * c_);
+    sub.nslices = s1 - s0;
+    sub.sliceptr = v.sliceptr + s0;
+    fn(sub, x, out + row0);
+  });
+  if (perm_.empty()) return;
   // Scatter back to logical row order. perm_ is a permutation, so the
   // partition's row ranges write disjoint y entries; the same slice bounds
   // as the multiply keep the pool's part->thread mapping aligned.
-  const auto scatter = [&](Index p0, Index p1) {
-    for (Index p = p0; p < p1; ++p) y[perm_[p]] = sorted_tmp_[p];
-  };
-  if (part_.nparts() <= 1) {
-    scatter(0, m_);
-    return;
-  }
-  par::ThreadPool::rank_pool().run(part_.nparts(), [&](int part, int) {
-    scatter(part_.begin(part) * c_, std::min(part_.end(part) * c_, m_));
+  par::for_each_part(part_, [&](int, Index s0, Index s1) {
+    const Index p1 = std::min(s1 * c_, m_);
+    for (Index p = s0 * c_; p < p1; ++p) y[perm_[p]] = sorted_tmp_[p];
   });
 }
 

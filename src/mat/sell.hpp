@@ -132,14 +132,10 @@ class Sell final : public Matrix {
   static void walk(Self& self, F f);
   void build(const Csr& csr, const SellOptions& opts);
   /// The one SpMV dispatch: `op`'s kernel at `tier` over the slice
-  /// partition, into y, or into the sorted scratch and then back to
-  /// logical row order.
+  /// partition through offset sub-views, into y, or into the sorted
+  /// scratch and then back to logical row order.
   void spmv_with(simd::Op op, simd::IsaTier tier, const Scalar* x,
                  Scalar* y) const;
-  /// Dispatches `fn` over the slice partition through offset sub-views
-  /// (sliceptr values are absolute into colidx/val, so only the sliceptr
-  /// pointer, m and the output shift); serial when the partition is.
-  void run_partitioned(simd::SellSpmvFn fn, const Scalar* x, Scalar* out) const;
   Index m_ = 0, n_ = 0;
   Index c_ = kZmmDoubles;
   Index nslices_ = 0;

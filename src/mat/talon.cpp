@@ -174,22 +174,19 @@ void Talon::repartition(int nparts) {
   part_ = nnz_balance(panel_valptr_.data(), npanels_, nparts);
 }
 
-void Talon::run_partitioned(simd::TalonSpmvFn fn, const Scalar* x,
-                            Scalar* y) const {
+void Talon::spmv(const Scalar* x, Scalar* y) const {
+  KESTREL_PROF_SPMV("MatMult(talon)", 2 * nnz(), spmv_traffic_bytes());
+  // No tier constraints: every kernel handles all panel heights, and the
+  // missing AVX tier falls back to scalar through dispatch.
+  auto fn = simd::lookup_as<simd::TalonSpmvFn>(
+      slim_.fp32() ? simd::Op::kTalonSpmvFp32 : simd::Op::kTalonSpmv, tier_);
   const TalonView v = view();
-  if (part_.nparts() <= 1) {
-    fn(v, x, y);
-    return;
-  }
   // Flock: contiguous panel ranges through offset sub-views. All three
   // panel arrays hold absolute positions (rows, blocks, values), so only
   // their pointers shift; the kernels write y[panel_row[p] + j] absolutely,
   // so y does not move and panels' disjoint row ranges keep writes
   // race-free.
-  par::ThreadPool::rank_pool().run(part_.nparts(), [&](int p, int) {
-    const Index p0 = part_.begin(p);
-    const Index p1 = part_.end(p);
-    if (p0 == p1) return;
+  par::for_each_part(part_, [&](int, Index p0, Index p1) {
     TalonView sub = v;
     sub.npanels = p1 - p0;
     sub.panel_row = v.panel_row + p0;
@@ -197,15 +194,6 @@ void Talon::run_partitioned(simd::TalonSpmvFn fn, const Scalar* x,
     sub.panel_valptr = v.panel_valptr + p0;
     fn(sub, x, y);
   });
-}
-
-void Talon::spmv(const Scalar* x, Scalar* y) const {
-  KESTREL_PROF_SPMV("MatMult(talon)", 2 * nnz(), spmv_traffic_bytes());
-  // No tier constraints: every kernel handles all panel heights, and the
-  // missing AVX tier falls back to scalar through dispatch.
-  auto fn = simd::lookup_as<simd::TalonSpmvFn>(
-      slim_.fp32() ? simd::Op::kTalonSpmvFp32 : simd::Op::kTalonSpmv, tier_);
-  run_partitioned(fn, x, y);
 }
 
 bool Talon::set_slim(const SlimOptions& opts) {

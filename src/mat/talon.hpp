@@ -29,7 +29,6 @@
 #include "mat/kernels/views.hpp"
 #include "mat/matrix.hpp"
 #include "mat/partition.hpp"
-#include "simd/dispatch.hpp"
 
 namespace kestrel::mat {
 
@@ -114,8 +113,6 @@ class Talon final : public Matrix {
   template <class Self, class F>
   static void walk(Self& self, F f);
   void build(const Csr& csr, const TalonOptions& opts);
-  void run_partitioned(simd::TalonSpmvFn fn, const Scalar* x,
-                       Scalar* y) const;
 
   Index m_ = 0, n_ = 0;
   Index npanels_ = 0;

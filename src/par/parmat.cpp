@@ -1,7 +1,6 @@
 #include "par/parmat.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "aegis/abft.hpp"
 #include "aegis/fault.hpp"
@@ -14,87 +13,27 @@
 namespace kestrel::par {
 
 namespace {
-// Kestrel Flock: elementwise pool splitting for the gather-pack and ABFT
-// reduction passes. Chunks are a fixed multiple of kZmmDoubles derived only
-// from (n, nthreads), so part boundaries — and therefore each part's
-// partial result — are deterministic for a given thread count no matter
-// which worker runs which part. Short arrays stay serial: the barrier
-// costs more than the scan.
-constexpr Index kPoolElemCutoff = 4096;
-
-Index pool_chunk(Index n, int nthreads) {
-  const Index per = (n + nthreads - 1) / nthreads;
-  return (per + kZmmDoubles - 1) / kZmmDoubles * kZmmDoubles;
-}
-
-void pooled_gather_pack(simd::GatherPackFn fn, const Scalar* x,
-                        const Index* idx, Index n, Scalar* out) {
-  ThreadPool& pool = ThreadPool::rank_pool();
-  if (pool.nthreads() == 1 || n < kPoolElemCutoff) {
-    fn(x, idx, n, out);
-    return;
-  }
-  const Index chunk = pool_chunk(n, pool.nthreads());
-  const int nparts = static_cast<int>((n + chunk - 1) / chunk);
-  pool.run(nparts, [&](int p, int) {
-    const Index i0 = static_cast<Index>(p) * chunk;
-    const Index i1 = std::min(n, i0 + chunk);
-    if (i0 < i1) fn(x, idx + i0, i1 - i0, out + i0);
-  });
-}
-
-// chunk >= ceil(n / nthreads) makes nparts <= nthreads <= kMaxPoolThreads,
-// so the per-part partials fit in stack scratch; the final sums run in
-// part-index order on the caller.
-void pooled_dot_abs(const Scalar* c, const Scalar* x, Index n, Scalar* s,
-                    Scalar* abs_s) {
-  ThreadPool& pool = ThreadPool::rank_pool();
-  if (pool.nthreads() == 1 || n < kPoolElemCutoff) {
-    aegis::dot_abs(c, x, n, s, abs_s);
-    return;
-  }
-  const Index chunk = pool_chunk(n, pool.nthreads());
-  const int nparts = static_cast<int>((n + chunk - 1) / chunk);
+/// Kestrel Flock's ABFT reduction: runs the Aegis pass (aegis::dot_abs or
+/// aegis::sum_abs) on each element chunk of its n-long arrays and sums the
+/// per-chunk partials in chunk order on the caller, so the result is
+/// deterministic for a thread count.
+template <class Pass, class... Arrays>
+void pooled_sum(Pass pass, Index n, Scalar* s, Scalar* abs_s,
+                const Arrays*... arrays) {
   Scalar ps[kMaxPoolThreads] = {};
   Scalar pa[kMaxPoolThreads] = {};
-  pool.run(nparts, [&](int p, int) {
-    const Index i0 = static_cast<Index>(p) * chunk;
-    const Index i1 = std::min(n, i0 + chunk);
-    if (i0 < i1) aegis::dot_abs(c + i0, x + i0, i1 - i0, &ps[p], &pa[p]);
+  const int nchunks = for_each_chunk(n, [&](int p, Index i0, Index i1) {
+    pass((arrays + i0)..., i1 - i0, &ps[p], &pa[p]);
   });
   Scalar sum = 0.0, abs_sum = 0.0;
-  for (int p = 0; p < nparts; ++p) {
+  for (int p = 0; p < nchunks; ++p) {
     sum += ps[p];
     abs_sum += pa[p];
   }
   *s = sum;
   *abs_s = abs_sum;
 }
-
-void pooled_sum_abs(const Scalar* y, Index n, Scalar* s, Scalar* abs_s) {
-  ThreadPool& pool = ThreadPool::rank_pool();
-  if (pool.nthreads() == 1 || n < kPoolElemCutoff) {
-    aegis::sum_abs(y, n, s, abs_s);
-    return;
-  }
-  const Index chunk = pool_chunk(n, pool.nthreads());
-  const int nparts = static_cast<int>((n + chunk - 1) / chunk);
-  Scalar ps[kMaxPoolThreads] = {};
-  Scalar pa[kMaxPoolThreads] = {};
-  pool.run(nparts, [&](int p, int) {
-    const Index i0 = static_cast<Index>(p) * chunk;
-    const Index i1 = std::min(n, i0 + chunk);
-    if (i0 < i1) aegis::sum_abs(y + i0, i1 - i0, &ps[p], &pa[p]);
-  });
-  Scalar sum = 0.0, abs_sum = 0.0;
-  for (int p = 0; p < nparts; ++p) {
-    sum += ps[p];
-    abs_sum += pa[p];
-  }
-  *s = sum;
-  *abs_s = abs_sum;
-}
-}
+}  // namespace
 
 DiagFormat parse_diag_format(const std::string& name) {
   const std::string_view format = mat::canonical_format(name);
@@ -365,8 +304,10 @@ void ParMatrix::spmv_local(const Scalar* x_local, Vector& y_local,
     Scalar* packed = packbuf_.data() + send_offsets_[si];
     {
       prof::ScopedEvent pack(ev_pack);
-      pooled_gather_pack(gather_fn_, x_local, plan.local_indices.data(),
-                         count, packed);
+      const Index* idx = plan.local_indices.data();
+      for_each_chunk(count, [&](int, Index i0, Index i1) {
+        gather_fn_(x_local, idx + i0, i1 - i0, packed + i0);
+      });
     }
     prof::ScopedEvent send(ev_send);
     exchange->send(static_cast<int>(si), packed, count);
@@ -382,21 +323,12 @@ void ParMatrix::spmv_local(const Scalar* x_local, Vector& y_local,
     if (offdiag_rows_.empty()) return;
     auto fn = simd::lookup_as<simd::CsrSpmvAddRowsFn>(
         simd::Op::kCsrSpmvAddRows, offdiag_.tier());
-    const mat::FlockPartition& part = offdiag_.partition();
-    if (part.nparts() <= 1) {
-      fn(offdiag_.view(), offdiag_rows_.data(), ghost_.data(),
-         y_local.data());
-      return;
-    }
     // Flock over the compressed rows: rowptr values are absolute, the
     // row-id list shifts with the range, and y stays unshifted because
     // the kernel scatters through rows[] — compressed rows are distinct
     // local rows, so parts never touch the same y entry.
     const mat::CsrView v = offdiag_.view();
-    ThreadPool::rank_pool().run(part.nparts(), [&](int p, int) {
-      const Index r0 = part.begin(p);
-      const Index r1 = part.end(p);
-      if (r0 == r1) return;
+    for_each_part(offdiag_.partition(), [&](int, Index r0, Index r1) {
       const mat::CsrView sub{r1 - r0, v.n, v.rowptr + r0, v.colidx, v.val};
       fn(sub, offdiag_rows_.data() + r0, ghost_.data(), y_local.data());
     });
@@ -434,15 +366,15 @@ void ParMatrix::spmv_local(const Scalar* x_local, Vector& y_local,
       // either term is pooled into one drift and one scale. The reductions
       // are the tier-dispatched Aegis passes (aegis/abft.hpp).
       Scalar cxd = 0.0, cxd_abs = 0.0, cxo = 0.0, cxo_abs = 0.0;
-      pooled_dot_abs(abft_cdiag_.data(), x_local, abft_cdiag_.size(), &cxd,
-                     &cxd_abs);
-      pooled_dot_abs(abft_coff_.data(), ghost_.data(), abft_coff_.size(),
-                     &cxo, &cxo_abs);
       Scalar ysum = 0.0, ysum_abs = 0.0;
-      pooled_sum_abs(y_local.data(), y_local.size(), &ysum, &ysum_abs);
-      *drift = std::abs((cxd + cxo) - ysum);
-      if (std::isnan(*drift)) return false;
-      return *drift <= abft_tol_ * (cxd_abs + cxo_abs + ysum_abs + 1.0);
+      pooled_sum(aegis::dot_abs, abft_cdiag_.size(), &cxd, &cxd_abs,
+                 abft_cdiag_.data(), x_local);
+      pooled_sum(aegis::dot_abs, abft_coff_.size(), &cxo, &cxo_abs,
+                 abft_coff_.data(), ghost_.data());
+      pooled_sum(aegis::sum_abs, y_local.size(), &ysum, &ysum_abs,
+                 y_local.data());
+      return aegis::checksum_holds(cxd + cxo, cxd_abs + cxo_abs, ysum,
+                                   ysum_abs, abft_tol_, drift);
     };
     Scalar drift = 0.0;
     bool ok;

@@ -22,13 +22,24 @@
 // rank_pool() hands them a serial (1-thread) pool, so library code that
 // reaches a threaded spmv from inside a part degrades to inline execution
 // instead of deadlocking or oversubscribing.
+//
+// Library code reaches the pool only through the two runners at the end of
+// this header: for_each_part runs a format's planned FlockPartition, and
+// for_each_chunk splits an element loop. Both run inline on the caller when
+// there is nothing to split, so a 1-thread MatMult never looks the pool up
+// (lint rule flock-pool-safety keeps every other rank_pool() call out of
+// src/).
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <thread>
 #include <type_traits>
 #include <vector>
+
+#include "base/types.hpp"
+#include "mat/partition.hpp"
 
 namespace kestrel::prof {
 class Profiler;
@@ -106,5 +117,58 @@ class ThreadPool {
 
   bool in_job_ = false;  ///< caller-thread reentrancy guard
 };
+
+/// Runs body(p, begin, end) for every non-empty part p of a planned
+/// partition. A partition of at most one part runs inline on the caller
+/// without looking the pool up; otherwise part p runs on thread
+/// p % nthreads of rank_pool().
+template <class F>
+void for_each_part(const mat::FlockPartition& part, F&& body) {
+  if (part.serial()) {
+    if (part.nparts() == 1 && part.begin(0) < part.end(0)) {
+      body(0, part.begin(0), part.end(0));
+    }
+    return;
+  }
+  ThreadPool::rank_pool().run(part.nparts(), [&](int p, int) {
+    const Index begin = part.begin(p);
+    const Index end = part.end(p);
+    if (begin < end) body(p, begin, end);
+  });
+}
+
+/// Below this many elements for_each_chunk stays serial: the pool's
+/// barrier costs more than the scan.
+inline constexpr Index kPoolElemCutoff = 4096;
+
+/// Splits [0, n) into chunks and runs body(p, begin, end) on chunk p,
+/// returning the chunk count. One chunk, run inline, when n is below
+/// kPoolElemCutoff (tested before the pool lookup) or the pool is serial.
+/// Otherwise chunks are a multiple of kZmmDoubles taken only from
+/// (n, nthreads), so each chunk's bounds, and any partial result kept per
+/// chunk, are deterministic for a thread count whichever worker runs it;
+/// at most nthreads <= kMaxPoolThreads chunks, none empty. Allocates
+/// nothing.
+template <class F>
+int for_each_chunk(Index n, F&& body) {
+  if (n < kPoolElemCutoff) {
+    body(0, Index{0}, n);
+    return 1;
+  }
+  ThreadPool& pool = ThreadPool::rank_pool();
+  const int nthreads = pool.nthreads();
+  if (nthreads == 1) {
+    body(0, Index{0}, n);
+    return 1;
+  }
+  const Index per = (n + nthreads - 1) / nthreads;
+  const Index chunk = (per + kZmmDoubles - 1) / kZmmDoubles * kZmmDoubles;
+  const int nchunks = static_cast<int>((n + chunk - 1) / chunk);
+  pool.run(nchunks, [&](int p, int) {
+    const Index begin = static_cast<Index>(p) * chunk;
+    body(p, begin, std::min(n, begin + chunk));
+  });
+  return nchunks;
+}
 
 }  // namespace kestrel::par

@@ -31,9 +31,10 @@ class Identity final : public Pc {
 };
 
 /// Factory for the simple matrix-based preconditioners: "none", "jacobi",
-/// "bjacobi" (block size from opts), "sor", "ilu". Multigrid has its own
+/// "bjacobi" (blocks of block_size unknowns, the problem's dofs per grid
+/// point; the others ignore it), "sor", "ilu". Multigrid has its own
 /// builder in pc/mg.hpp because it needs a grid hierarchy.
 std::unique_ptr<Pc> make_pc(const std::string& type, const mat::Csr& a,
-                            Index block_size = 2);
+                            Index block_size);
 
 }  // namespace kestrel::pc

@@ -617,6 +617,27 @@ TEST(FlockStress, RanksTimesThreadsExceedingCoresStillBitwise) {
   expect_histories_bitwise_equal(serial, threaded, "oversubscribed");
 }
 
+TEST(FlockStress, LargeBlocksPoolThePackAndAbftPassesBitwise) {
+  // The 96-row cases above stay below kPoolElemCutoff, so their gather-pack
+  // and ABFT reductions run serially. Here each of the 2 ranks packs 4100
+  // ghosts per send and reduces over 8192 (c_diag·x, Σy) and 4100
+  // (c_off·ghost) entries, so at 4 threads all four element loops are
+  // split into chunks. Two iterations: the second multiplies the first's
+  // normalized iterate, so a one-ulp slip compounds.
+  ASSERT_GE(Index{4100}, par::kPoolElemCutoff);
+  const mat::Csr global = testing::banded(16384, {-4100, -1, 1, 4100});
+  const int nranks = 2;
+  const int iters = 2;
+  aegis::stats().reset();
+  const auto serial = run_history_threaded(global, nranks, iters, 1);
+  const auto threaded = run_history_threaded(global, nranks, iters, 4);
+  expect_histories_bitwise_equal(serial, threaded, "large blocks");
+  EXPECT_EQ(aegis::stats().abft_failures.load(), 0u);
+  EXPECT_EQ(aegis::stats().abft_verifications.load(),
+            2u * static_cast<unsigned>(nranks * iters));
+  aegis::stats().reset();
+}
+
 std::vector<std::vector<Scalar>> flock_cg(
     const mat::Csr& a, const Vector& b, int nranks, int threads,
     std::shared_ptr<const aegis::FaultPlan> plan) {

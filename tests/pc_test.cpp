@@ -190,13 +190,13 @@ TEST(Ilu0, MissingDiagonalRejected) {
 
 TEST(Factory, MakesAllSimpleTypes) {
   const mat::Csr a = app::laplacian_dirichlet(6, 6);
-  EXPECT_EQ(make_pc("none", a)->name(), "none");
-  EXPECT_EQ(make_pc("jacobi", a)->name(), "jacobi");
+  EXPECT_EQ(make_pc("none", a, 1)->name(), "none");
+  EXPECT_EQ(make_pc("jacobi", a, 1)->name(), "jacobi");
   EXPECT_EQ(make_pc("bjacobi", a, 1)->name(), "bjacobi");
-  EXPECT_EQ(make_pc("sor", a)->name(), "sor");
-  EXPECT_EQ(make_pc("ilu", a)->name(), "ilu");
-  EXPECT_THROW(make_pc("ilu-level", a), Error);  // Ilu0 is the one ILU(0)
-  EXPECT_THROW(make_pc("voodoo", a), Error);
+  EXPECT_EQ(make_pc("sor", a, 1)->name(), "sor");
+  EXPECT_EQ(make_pc("ilu", a, 1)->name(), "ilu");
+  EXPECT_THROW(make_pc("ilu-level", a, 1), Error);  // Ilu0 is the one ILU(0)
+  EXPECT_THROW(make_pc("voodoo", a, 1), Error);
 }
 
 }  // namespace

@@ -86,6 +86,11 @@ flock-pool-safety
     the FMA path and the scalar remainder and change rounding). A new
     table entry without the declaration has never been audited for
     threaded execution and must not silently inherit pool dispatch.
+    Code in src/ reaches the pool only through the runners in
+    src/par/pool.hpp (par::for_each_part, par::for_each_chunk): a
+    rank_pool() call anywhere else in src/ is a hand-written dispatch,
+    which would copy the serial-branch and sub-range rules the runners
+    keep in one place.
 
 kernel-op-scalar
     Every simd::Op registered from a kernel TU at a vector tier
@@ -523,17 +528,33 @@ def check_abft_hook(repo: str) -> list[Violation]:
 FLOCK_ANNOTATION_RE = re.compile(r"flock-pool-safe:\s*(\w+)")
 FLOCK_GRANULARITIES = {"row", "slice", "blockrow", "panel", "group8",
                        "element"}
+POOL_LOOKUP_RE = re.compile(r"\brank_pool\s*\(")
+POOL_HOME = {os.path.join("src", "par", "pool.hpp"),
+             os.path.join("src", "par", "pool.cpp")}
 
 
 def check_flock_pool_safety(repo: str) -> list[Violation]:
     """Every kernel-table family must declare the partition granularity the
     Kestrel Flock pool may use (// flock-pool-safe: <granularity>). Matrix
     formats declare it in src/mat/<fmt>.{cpp,hpp}; utility families in one
-    of their src/mat/kernels/<fmt>_*.cpp TUs."""
+    of their src/mat/kernels/<fmt>_*.cpp TUs. Outside src/par/pool.{hpp,cpp}
+    no code in src/ calls rank_pool(): the runners are the one way on."""
+    violations = []
+    for path in iter_source_files(os.path.join(repo, "src")):
+        rel = os.path.relpath(path, repo)
+        if rel in POOL_HOME:
+            continue
+        code = strip_comments_and_strings(read_text(path))
+        for lineno, line in enumerate(code.splitlines(), start=1):
+            if POOL_LOOKUP_RE.search(line):
+                violations.append(Violation(
+                    "flock-pool-safety", rel, lineno,
+                    "rank_pool() outside src/par/pool.{hpp,cpp} — run a "
+                    "partition with par::for_each_part or an element loop "
+                    "with par::for_each_chunk (src/par/pool.hpp)"))
     cells, _ = parse_kernel_table(repo)
     if not cells:
-        return []
-    violations = []
+        return violations
     kernels_dir = os.path.join(repo, KERNELS_DIR)
     for fmt in sorted({fmt for fmt, isa in cells if isa in ISA_TIER_TOKEN}):
         if fmt in UTILITY_FORMATS:
@@ -1097,6 +1118,33 @@ def self_test() -> int:
         expect("bad_flock_granularity", {v.rule for v in lint(fx)},
                "flock-pool-safety", True)
 
+        # 20b. A format that looks the pool up itself instead of running
+        # its partition through par::for_each_part.
+        fx = os.path.join(tmp, "hand_written_dispatch")
+        _make_clean_fixture(fx)
+        _write(fx, os.path.join("src", "mat", "foo.cpp"),
+               CLEAN_FORMAT_TU +
+               "void Foo_run(int n) {\n"
+               "  par::ThreadPool::rank_pool().run(n, [](int, int) {});\n"
+               "}\n")
+        expect("hand_written_dispatch", {v.rule for v in lint(fx)},
+               "flock-pool-safety", True)
+
+        # 20c. The pool's own files may call it, and a comment naming it
+        # elsewhere is not a call.
+        fx = os.path.join(tmp, "pool_lookup_at_home")
+        _make_clean_fixture(fx)
+        _write(fx, os.path.join("src", "par", "pool.hpp"),
+               "#pragma once\n"
+               "inline void run_all() { ThreadPool::rank_pool(); }\n")
+        _write(fx, os.path.join("src", "par", "pool.cpp"),
+               "ThreadPool& ThreadPool::rank_pool() { return pool(); }\n")
+        _write(fx, os.path.join("src", "mat", "foo.hpp"),
+               "#pragma once\n"
+               "// Runs on rank_pool() through par::for_each_part.\n")
+        expect("pool_lookup_at_home", {v.rule for v in lint(fx)},
+               "flock-pool-safety", False)
+
         # 21. A utility family (no format TU) whose kernel TUs never carry
         # the declaration: the gather-clean scaffolding minus the
         # annotation in the avx512 TU.
@@ -1169,7 +1217,7 @@ def self_test() -> int:
         for f in failures:
             print("  " + f, file=sys.stderr)
         return 1
-    print("kestrel_lint self-test passed (28 fixtures).")
+    print("kestrel_lint self-test passed (30 fixtures).")
     return 0
 
 
