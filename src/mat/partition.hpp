@@ -6,10 +6,10 @@
 // chunks — and the partition is computed ONCE at inspection time from the
 // format's own prefix-sum of stored work (rowptr, sliceptr, ...), then
 // stored on the matrix. par::for_each_part (par/pool.hpp) runs it: inline
-// when it has one part, else each non-empty part on the rank's pool. Balancing on nonzeros rather than rows is what
-// keeps power-law matrices from serializing: with row-balanced splits one
-// dense row drags its whole partition, while the nnz target puts the split
-// right after it.
+// when it has one part, else each non-empty part on the rank's pool.
+// Balancing on nonzeros rather than rows is what keeps power-law matrices
+// from serializing: with row-balanced splits one dense row drags its whole
+// partition, while the nnz target puts the split right after it.
 //
 // The boundary rule is a lower_bound per target: part k starts at the first
 // unit whose prefix weight reaches k·T/P (T = total weight, P = parts).

@@ -124,17 +124,14 @@ class ThreadPool {
 /// p % nthreads of rank_pool().
 template <class F>
 void for_each_part(const mat::FlockPartition& part, F&& body) {
-  if (part.serial()) {
-    if (part.nparts() == 1 && part.begin(0) < part.end(0)) {
-      body(0, part.begin(0), part.end(0));
-    }
-    return;
+  auto run_part = [&](int p, int) {
+    if (part.begin(p) < part.end(p)) body(p, part.begin(p), part.end(p));
+  };
+  if (!part.serial()) {
+    ThreadPool::rank_pool().run(part.nparts(), run_part);
+  } else if (part.nparts() == 1) {
+    run_part(0, 0);
   }
-  ThreadPool::rank_pool().run(part.nparts(), [&](int p, int) {
-    const Index begin = part.begin(p);
-    const Index end = part.end(p);
-    if (begin < end) body(p, begin, end);
-  });
 }
 
 /// Below this many elements for_each_chunk stays serial: the pool's
@@ -151,20 +148,16 @@ inline constexpr Index kPoolElemCutoff = 4096;
 /// nothing.
 template <class F>
 int for_each_chunk(Index n, F&& body) {
-  if (n < kPoolElemCutoff) {
+  ThreadPool* pool = n < kPoolElemCutoff ? nullptr : &ThreadPool::rank_pool();
+  if (pool == nullptr || pool->nthreads() == 1) {
     body(0, Index{0}, n);
     return 1;
   }
-  ThreadPool& pool = ThreadPool::rank_pool();
-  const int nthreads = pool.nthreads();
-  if (nthreads == 1) {
-    body(0, Index{0}, n);
-    return 1;
-  }
+  const int nthreads = pool->nthreads();
   const Index per = (n + nthreads - 1) / nthreads;
   const Index chunk = (per + kZmmDoubles - 1) / kZmmDoubles * kZmmDoubles;
   const int nchunks = static_cast<int>((n + chunk - 1) / chunk);
-  pool.run(nchunks, [&](int p, int) {
+  pool->run(nchunks, [&](int p, int) {
     const Index begin = static_cast<Index>(p) * chunk;
     body(p, begin, std::min(n, begin + chunk));
   });
