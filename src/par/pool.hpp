@@ -124,14 +124,15 @@ class ThreadPool {
 /// p % nthreads of rank_pool().
 template <class F>
 void for_each_part(const mat::FlockPartition& part, F&& body) {
-  auto run_part = [&](int p, int) {
-    if (part.begin(p) < part.end(p)) body(p, part.begin(p), part.end(p));
-  };
-  if (!part.serial()) {
-    ThreadPool::rank_pool().run(part.nparts(), run_part);
-  } else if (part.nparts() == 1) {
-    run_part(0, 0);
+  if (part.serial()) {
+    if (part.nparts() == 1 && part.begin(0) < part.end(0)) {
+      body(0, part.begin(0), part.end(0));
+    }
+    return;
   }
+  ThreadPool::rank_pool().run(part.nparts(), [&](int p, int) {
+    if (part.begin(p) < part.end(p)) body(p, part.begin(p), part.end(p));
+  });
 }
 
 /// Below this many elements for_each_chunk stays serial: the pool's
