@@ -1,10 +1,12 @@
 #include "aegis/abft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
 #include "aegis/fault.hpp"
 #include "base/error.hpp"
+#include "par/pool.hpp"
 #include "prof/profiler.hpp"
 #include "simd/isa.hpp"
 
@@ -236,87 +238,121 @@ bool checksum_holds(Scalar cx, Scalar cx_abs, Scalar ysum, Scalar ysum_abs,
   return drift <= tol * (cx_abs + ysum_abs + 1.0);
 }
 
+namespace {
+
+/// Runs an Aegis pass (dot_abs or sum_abs) on each element chunk of its
+/// n-long arrays and sums the per-chunk partials in chunk order on the
+/// caller, so the result is deterministic for a thread count.
+template <class Pass, class... Arrays>
+void pooled(Pass pass, Index n, Scalar* s, Scalar* abs_s,
+            const Arrays*... arrays) {
+  Scalar ps[par::kMaxPoolThreads] = {};
+  Scalar pa[par::kMaxPoolThreads] = {};
+  const int nchunks = par::for_each_chunk(n, [&](int p, Index i0, Index i1) {
+    pass((arrays + i0)..., i1 - i0, &ps[p], &pa[p]);
+  });
+  Scalar sum = 0.0, abs_sum = 0.0;
+  for (int p = 0; p < nchunks; ++p) {
+    sum += ps[p];
+    abs_sum += pa[p];
+  }
+  *s = sum;
+  *abs_s = abs_sum;
+}
+
+const mat::Matrix& non_null(const mat::MatrixPtr& inner) {
+  KESTREL_CHECK(inner != nullptr, "abft: null inner matrix");
+  return *inner;
+}
+
+}  // namespace
+
+AbftCheck::AbftCheck(std::initializer_list<const mat::Matrix*> blocks,
+                     Scalar tol, std::string format, std::string where)
+    : tol_(tol), format_(std::move(format)), where_(std::move(where)) {
+  KESTREL_CHECK(tol_ > 0.0, "abft: tolerance must be positive");
+  for (const mat::Matrix* b : blocks) {
+    b->abft_col_checksum(segments_.emplace_back());
+  }
+}
+
+bool AbftCheck::holds(std::initializer_list<const Scalar*> xs,
+                      const Scalar* y, Index m, Scalar tol,
+                      Scalar* drift) const {
+  // One fused pass per operand: c·x with a running absolute sum for the
+  // rounding scale, likewise for Σy. All segments pool into one drift and
+  // one scale, so rounding in any of them is judged together.
+  KESTREL_CHECK(xs.size() == segments_.size(), "abft: one x per segment");
+  Scalar cx = 0.0, cx_abs = 0.0;
+  const Scalar* const* x = xs.begin();
+  for (const Vector& c : segments_) {
+    Scalar s = 0.0, abs_s = 0.0;
+    pooled(dot_abs, c.size(), &s, &abs_s, c.data(), *x++);
+    cx += s;
+    cx_abs += abs_s;
+  }
+  Scalar ysum = 0.0, ysum_abs = 0.0;
+  pooled(sum_abs, m, &ysum, &ysum_abs, y);
+  return checksum_holds(cx, cx_abs, ysum, ysum_abs, tol, drift);
+}
+
+void AbftCheck::run_check(std::initializer_list<const Scalar*> xs,
+                          const Scalar* y, Index m, Scalar tol_floor,
+                          void (*recompute)(void*), void* ctx) const {
+  AegisStats& st = stats();
+  const Scalar tol = std::max(tol_, tol_floor);
+  Scalar drift = 0.0;
+  bool ok = false;
+  {
+    Index ncols = 0;
+    for (const Vector& c : segments_) ncols += c.size();
+    KESTREL_PROF_SPMV("AbftVerify", 2 * (ncols + m),
+                      sizeof(Scalar) * static_cast<std::size_t>(2 * ncols + m));
+    st.abft_verifications++;
+    ok = holds(xs, y, m, tol, &drift);
+  }
+  if (ok) return;
+  st.abft_failures++;
+  st.abft_retries++;
+  recompute(ctx);
+  st.abft_verifications++;
+  if (holds(xs, y, m, tol, &drift)) {
+    st.recoveries++;
+    return;
+  }
+  throw AbftError(format_, drift,
+                  "checksum invariant c.x == sum(y) still violated after "
+                  "one recompute" + where_ +
+                      " (persistent corruption in the matrix values, x, or y)",
+                  __FILE__, __LINE__);
+}
+
 AbftMatrix::AbftMatrix(mat::MatrixPtr inner, AbftOptions opts)
-    : inner_(std::move(inner)), opts_(opts) {
-  KESTREL_CHECK(inner_ != nullptr, "abft: null inner matrix");
-  KESTREL_CHECK(opts_.tol > 0.0, "abft: tolerance must be positive");
-  KESTREL_CHECK(opts_.max_retries >= 0, "abft: negative retry budget");
-  KESTREL_CHECK(opts_.verify_every >= 1, "abft: verify_every must be >= 1");
-  inner_->abft_col_checksum(colsum_);
+    : inner_(std::move(inner)),
+      verify_every_(opts.verify_every),
+      check_({inner_.get()}, opts.tol, non_null(inner_).format_name()) {
+  KESTREL_CHECK(verify_every_ >= 1, "abft: verify_every must be >= 1");
   tier_ = inner_->tier();
 }
 
 std::size_t AbftMatrix::storage_bytes() const {
   return inner_->storage_bytes() +
-         static_cast<std::size_t>(colsum_.size()) * sizeof(Scalar);
-}
-
-bool AbftMatrix::verify(const Vector& colsum, const Scalar* x,
-                        const Scalar* y, Index ylen, Scalar tol,
-                        Scalar* drift_out) {
-  // One fused pass per operand: cx = c·x with a running absolute sum for
-  // the rounding scale, likewise for Σy. The reductions are tier-dispatched
-  // (see above) — an O(n) scalar pass next to a vectorized O(nnz) multiply
-  // is what would blow the <10% overhead budget.
-  Scalar cx = 0.0, cx_abs = 0.0;
-  dot_abs(colsum.data(), x, colsum.size(), &cx, &cx_abs);
-  Scalar ysum = 0.0, ysum_abs = 0.0;
-  sum_abs(y, ylen, &ysum, &ysum_abs);
-  return checksum_holds(cx, cx_abs, ysum, ysum_abs, tol, drift_out);
-}
-
-Scalar AbftMatrix::effective_tol() const {
-  // fp32 rounding (eps ~ 1.2e-7) accumulated over a row sits well above
-  // the default 1e-8 double band; 4e-5 keeps exponent/high-mantissa flips
-  // detectable while never tripping on healthy slim multiplies.
-  return inner_->slim_active() ? std::max(opts_.tol, Scalar{4e-5})
-                               : opts_.tol;
+         static_cast<std::size_t>(check_.segment(0).size()) * sizeof(Scalar);
 }
 
 void AbftMatrix::spmv(const Scalar* x, Scalar* y) const {
-  AegisStats& st = stats();
   inner_->spmv(x, y);
-  // verify_every sampling: unchecked multiplies return immediately (a
-  // pending injected fault still forces verification so tests never race
-  // the sample phase).
-  if (opts_.verify_every > 1 && !inject_once_ &&
-      (calls_++ % static_cast<std::uint64_t>(opts_.verify_every)) != 0) {
+  if (verify_every_ > 1 &&
+      calls_++ % static_cast<std::uint64_t>(verify_every_) != 0) {
     return;
   }
-  if (inject_once_) {
-    // Transient-fault injection point: fires once, between the multiply
-    // and its verification, exactly where a soft error would land.
-    auto f = std::move(inject_once_);
-    inject_once_ = nullptr;
-    f(y, rows());
-  }
-  Scalar drift = 0.0;
-  bool ok;
-  {
-    KESTREL_PROF_SPMV("AbftVerify",
-                      2 * (cols() + rows()),
-                      sizeof(Scalar) *
-                          static_cast<std::size_t>(2 * cols() + rows()));
-    st.abft_verifications++;
-    ok = verify(colsum_, x, y, rows(), effective_tol(), &drift);
-  }
-  if (ok) return;
-  st.abft_failures++;
-  for (int attempt = 0; attempt < opts_.max_retries; ++attempt) {
-    st.abft_retries++;
-    inner_->spmv(x, y);
-    st.abft_verifications++;
-    if (verify(colsum_, x, y, rows(), effective_tol(), &drift)) {
-      st.recoveries++;
-      return;
-    }
-  }
-  throw AbftError(inner_->format_name(), drift,
-                  "checksum invariant c.x == sum(y) still violated after " +
-                      std::to_string(opts_.max_retries) +
-                      " recompute retries (persistent corruption in the "
-                      "matrix values, x, or y)",
-                  __FILE__, __LINE__);
+  // When the wrapped matrix streams fp32 values (Kestrel Slim), the
+  // checksum c (built from the fat double values) and the fp32 multiply
+  // legitimately disagree at single-precision rounding (eps ~ 1.2e-7,
+  // accumulated over a row). A 4e-5 floor keeps exponent/high-mantissa
+  // flips detectable while never tripping on healthy slim multiplies.
+  check_.check({x}, y, rows(), [&] { inner_->spmv(x, y); },
+               inner_->slim_active() ? Scalar{4e-5} : Scalar{0});
 }
 
 }  // namespace kestrel::aegis

@@ -5,17 +5,19 @@
 // c = Aᵀ·1 precomputed at assembly (from the format's own storage, via
 // Matrix::abft_col_checksum), every fault-free multiply y = A·x satisfies
 //   c·x == Σᵢ yᵢ
-// up to rounding. AbftMatrix wraps any registered format and verifies that
-// invariant after each spmv: a silent bit flip in the value stream, in x,
-// or in y throws the two sums apart by (roughly) the flipped magnitude,
-// far outside the rounding band. On a mismatch the multiply is recomputed
-// once — a transient fault (corrupted x/y read, soft error during the
-// kernel) heals; a persistent one (corrupted matrix values) fails again
-// and escalates to a structured AbftError.
+// up to rounding: a silent bit flip in the value stream, in x, or in y
+// throws the two sums apart by (roughly) the flipped magnitude, far
+// outside the rounding band. AbftCheck is the one check, run by AbftMatrix
+// (any registered format, one checksum segment) and ParMatrix (its local
+// columns, then its packed ghosts). On a mismatch the multiply is
+// recomputed once — a transient fault (corrupted x/y read, soft error
+// during the kernel) heals; a persistent one (corrupted matrix values)
+// fails again and escalates to a structured AbftError.
 //
-// The verification is two O(n) dot/sum passes per multiply, reported
-// through KESTREL_PROF_SPMV as AbftVerify so -log_view / BENCH_spmv.json
-// expose the overhead (target <10% of the SpMV itself on the fig08 set).
+// The verification is O(n) dot/sum passes, pooled like every Flock loop
+// (par::for_each_chunk) and reported through KESTREL_PROF_SPMV as
+// AbftVerify so -log_view / BENCH_spmv.json expose the overhead (target
+// <10% of the SpMV itself on the fig08 set).
 //
 // Detection threshold: |c·x − Σy| ≤ tol·scale, where scale accumulates the
 // absolute sums of both reductions. The default tol (1e-8) sits ~6 orders
@@ -24,7 +26,12 @@
 // the lowest few mantissa bits perturb the result by less than the
 // tolerance band and are indistinguishable from rounding by design.
 
-#include <functional>
+#include <atomic>
+#include <cstdint>
+#include <initializer_list>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "mat/matrix.hpp"
 #include "vec/vector.hpp"
@@ -33,22 +40,62 @@ namespace kestrel::aegis {
 
 /// Tier-dispatched verification reductions (scalar / AVX2 / AVX-512,
 /// selected at runtime): s = Σ cᵢxᵢ resp. Σ yᵢ, plus the absolute sum that
-/// sets the rounding scale. Exposed so the ParMatrix ABFT path shares the
-/// vectorized passes.
+/// sets the rounding scale. AbftCheck runs them on each element chunk.
 void dot_abs(const Scalar* c, const Scalar* x, Index n, Scalar* s,
              Scalar* abs_s);
 void sum_abs(const Scalar* y, Index n, Scalar* s, Scalar* abs_s);
 
 /// The one drift test over the reductions above: writes the drift
 /// |cx − ysum| to drift_out (when non-null) and returns whether it is a
-/// number within tol·(cx_abs + ysum_abs + 1). AbftMatrix::verify and the
-/// ParMatrix ABFT path both decide through it.
+/// number within tol·(cx_abs + ysum_abs + 1). AbftCheck decides through it.
 bool checksum_holds(Scalar cx, Scalar cx_abs, Scalar ysum, Scalar ysum_abs,
                     Scalar tol, Scalar* drift_out);
 
+/// An operator's column checksums, one segment per block, and the one ABFT
+/// check every guarded multiply runs.
+class AbftCheck {
+ public:
+  /// Segment s is blocks[s]->abft_col_checksum(). `format` names the
+  /// operator in an AbftError, and `where` (e.g. " on rank 1") is appended
+  /// to its message.
+  AbftCheck(std::initializer_list<const mat::Matrix*> blocks, Scalar tol,
+            std::string format, std::string where = {});
+
+  const Vector& segment(std::size_t s) const { return segments_[s]; }
+
+  /// One verification of y = A·x (m rows), xs[s] being the x that segment
+  /// s multiplies: writes the drift and returns checksum_holds over
+  /// Σₛ cₛ·xₛ and Σy. Each pass folds its chunk partials in chunk order and
+  /// the segments add left to right, so the drift is deterministic for a
+  /// thread count.
+  bool holds(std::initializer_list<const Scalar*> xs, const Scalar* y,
+             Index m, Scalar tol, Scalar* drift) const;
+
+  /// One verification (the AbftVerify event) at max(tol, tol_floor); on a
+  /// mismatch recompute() redoes the multiply into y and one more
+  /// verification runs, and AbftError is thrown if it fails too. Every
+  /// step is counted in aegis::stats().
+  template <class F>
+  void check(std::initializer_list<const Scalar*> xs, const Scalar* y,
+             Index m, F&& recompute, Scalar tol_floor = 0.0) const {
+    using Fn = std::remove_reference_t<F>;
+    run_check(xs, y, m, tol_floor,
+              [](void* f) { (*static_cast<Fn*>(f))(); }, &recompute);
+  }
+
+ private:
+  void run_check(std::initializer_list<const Scalar*> xs, const Scalar* y,
+                 Index m, Scalar tol_floor, void (*recompute)(void*),
+                 void* ctx) const;
+
+  std::vector<Vector> segments_;
+  Scalar tol_;
+  std::string format_;
+  std::string where_;
+};
+
 struct AbftOptions {
   Scalar tol = 1e-8;  ///< relative detection threshold (see header comment)
-  int max_retries = 1;  ///< recompute attempts before escalating
   /// Verify every k-th multiply (default: every one). The verification
   /// passes stream 3 vectors against the multiply's ~nnz/row·1.5 — a hard
   /// memory-traffic floor of ~24/(12·nnz/row + 16) — so on fast formats
@@ -72,7 +119,9 @@ class AbftMatrix final : public mat::Matrix {
   /// slimmed before wrapping — MatrixPtr is const, so set_slim declines).
   bool slim_active() const override { return inner_->slim_active(); }
   void get_diagonal(Vector& d) const override { inner_->get_diagonal(d); }
-  void abft_col_checksum(Vector& c) const override { c.copy_from(colsum_); }
+  void abft_col_checksum(Vector& c) const override {
+    c.copy_from(check_.segment(0));
+  }
   std::string format_name() const override {
     return "abft(" + inner_->format_name() + ")";
   }
@@ -82,33 +131,14 @@ class AbftMatrix final : public mat::Matrix {
   }
 
   const mat::Matrix& inner() const { return *inner_; }
-  const Vector& col_checksum() const { return colsum_; }
-
-  /// Test / fault-injection hook: the callback corrupts (y, rows) once,
-  /// right after the next inner multiply — modeling a transient soft error
-  /// that the recompute-retry recovers from.
-  void inject_fault_once(std::function<void(Scalar*, Index)> f) const {
-    inject_once_ = std::move(f);
-  }
-
-  /// One verification pass: returns the drift |c·x − Σy| and whether it is
-  /// within tolerance (checksum_holds). Exposed for tests.
-  static bool verify(const Vector& colsum, const Scalar* x, const Scalar* y,
-                     Index ylen, Scalar tol, Scalar* drift_out);
 
  private:
-  /// Detection threshold actually used: when the wrapped matrix streams
-  /// fp32 values (Kestrel Slim), the checksum c (built from the fat double
-  /// values) and the fp32 multiply legitimately disagree at single-precision
-  /// rounding, so the band widens to keep fault detection meaningful
-  /// instead of tripping on every multiply.
-  Scalar effective_tol() const;
-
   mat::MatrixPtr inner_;
-  AbftOptions opts_;
-  Vector colsum_;  ///< c = Aᵀ·1, fixed at construction
-  mutable std::uint64_t calls_ = 0;  ///< for verify_every sampling
-  mutable std::function<void(Scalar*, Index)> inject_once_;
+  int verify_every_;
+  AbftCheck check_;  ///< c = Aᵀ·1, fixed at construction
+  /// verify_every sampling. Atomic: svc workers share one degraded twin,
+  /// and each multiply takes its own count.
+  mutable std::atomic<std::uint64_t> calls_{0};
 };
 
 }  // namespace kestrel::aegis

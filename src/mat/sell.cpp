@@ -158,32 +158,35 @@ simd::IsaTier Sell::vector_tier() const {
 void Sell::spmv_with(simd::Op op, simd::IsaTier tier, const Scalar* x,
                      Scalar* y) const {
   const auto fn = simd::lookup_as<simd::SellSpmvFn>(op, tier);
-  Scalar* out = y;
-  if (!perm_.empty()) {
-    sorted_tmp_.resize(m_);
-    out = sorted_tmp_.data();
-  }
   const SellView v = view();
-  par::for_each_part(part_, [&](int, Index s0, Index s1) {
-    // Slice s0+s' becomes local slice s': the kernel derives row0 = s'*c, so
-    // output shifts by s0*c and the local m clips the final partial slice.
-    // sliceptr values stay absolute into colidx/val/val32 (and the bitmask,
-    // which kernels index by absolute element position), so those pointers
-    // do not move.
-    const Index row0 = s0 * c_;
+  // Slice s0+s' becomes local slice s': the kernel derives row0 = s'*c, so
+  // output shifts by s0*c and the local m clips the final partial slice.
+  // sliceptr values stay absolute into colidx/val/val32 (and the bitmask,
+  // which kernels index by absolute element position), so those pointers
+  // do not move.
+  const auto part_view = [&](Index s0, Index s1) {
     SellView sub = v;
-    sub.m = std::min(m_ - row0, (s1 - s0) * c_);
+    sub.m = std::min(m_ - s0 * c_, (s1 - s0) * c_);
     sub.nslices = s1 - s0;
     sub.sliceptr = v.sliceptr + s0;
-    fn(sub, x, out + row0);
-  });
-  if (perm_.empty()) return;
-  // Scatter back to logical row order. perm_ is a permutation, so the
-  // partition's row ranges write disjoint y entries; the same slice bounds
-  // as the multiply keep the pool's part->thread mapping aligned.
+    return sub;
+  };
+  if (perm_.empty()) {
+    par::for_each_part(part_, [&](int, Index s0, Index s1) {
+      fn(part_view(s0, s1), x, y + s0 * c_);
+    });
+    return;
+  }
+  // Sorted: each part multiplies into its thread's own scratch, then
+  // scatters its rows back to logical order. perm_ is a permutation, so
+  // parts write disjoint y entries, and no two callers share a scratch. A
+  // thread's scratch only grows, so once sized a multiply allocates nothing.
   par::for_each_part(part_, [&](int, Index s0, Index s1) {
-    const Index p1 = std::min(s1 * c_, m_);
-    for (Index p = s0 * c_; p < p1; ++p) y[perm_[p]] = sorted_tmp_[p];
+    const SellView sub = part_view(s0, s1);
+    thread_local AlignedBuffer<Scalar> sorted;
+    if (sorted.size() < static_cast<std::size_t>(sub.m)) sorted.resize(sub.m);
+    fn(sub, x, sorted.data());
+    for (Index p = 0; p < sub.m; ++p) y[perm_[s0 * c_ + p]] = sorted[p];
   });
 }
 

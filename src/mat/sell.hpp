@@ -132,8 +132,8 @@ class Sell final : public Matrix {
   static void walk(Self& self, F f);
   void build(const Csr& csr, const SellOptions& opts);
   /// The one SpMV dispatch: `op`'s kernel at `tier` over the slice
-  /// partition through offset sub-views, into y, or into the sorted
-  /// scratch and then back to logical row order.
+  /// partition through offset sub-views, into y, or, when sigma-sorted,
+  /// into a per-thread scratch and then back to logical row order.
   void spmv_with(simd::Op op, simd::IsaTier tier, const Scalar* x,
                  Scalar* y) const;
   Index m_ = 0, n_ = 0;
@@ -147,7 +147,6 @@ class Sell final : public Matrix {
   AlignedBuffer<Index> rlen_;
   std::vector<Index> perm_;           ///< storage row -> logical row
   AlignedBuffer<std::uint64_t> bitmask_;
-  mutable Vector sorted_tmp_;  ///< scratch for sigma-sorted SpMV output
   FlockPartition part_;        ///< Flock slice partition
   SlimStore slim_;             ///< Kestrel Slim fp32 value stream
 };

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "aegis/abft.hpp"
-#include "aegis/fault.hpp"
 #include "base/error.hpp"
 #include "mat/convert.hpp"
 #include "par/pool.hpp"
@@ -11,29 +9,6 @@
 #include "simd/dispatch.hpp"
 
 namespace kestrel::par {
-
-namespace {
-/// Kestrel Flock's ABFT reduction: runs the Aegis pass (aegis::dot_abs or
-/// aegis::sum_abs) on each element chunk of its n-long arrays and sums the
-/// per-chunk partials in chunk order on the caller, so the result is
-/// deterministic for a thread count.
-template <class Pass, class... Arrays>
-void pooled_sum(Pass pass, Index n, Scalar* s, Scalar* abs_s,
-                const Arrays*... arrays) {
-  Scalar ps[kMaxPoolThreads] = {};
-  Scalar pa[kMaxPoolThreads] = {};
-  const int nchunks = for_each_chunk(n, [&](int p, Index i0, Index i1) {
-    pass((arrays + i0)..., i1 - i0, &ps[p], &pa[p]);
-  });
-  Scalar sum = 0.0, abs_sum = 0.0;
-  for (int p = 0; p < nchunks; ++p) {
-    sum += ps[p];
-    abs_sum += pa[p];
-  }
-  *s = sum;
-  *abs_s = abs_sum;
-}
-}  // namespace
 
 DiagFormat parse_diag_format(const std::string& name) {
   const std::string_view format = mat::canonical_format(name);
@@ -220,12 +195,11 @@ ParMatrix::ParMatrix(const mat::Csr& local_rows, LayoutPtr layout,
   // Column checksums at assembly, per block: the distributed invariant is
   // c_diag·x_local + c_off·ghost == Σ y_local on every rank (no extra
   // communication — each rank verifies its own row block independently).
-  abft_ = opts.abft;
-  abft_tol_ = opts.abft_tol;
-  if (abft_) {
-    diag_->abft_col_checksum(abft_cdiag_);
-    // The compressed CSR's column space is already the packed ghost space.
-    offdiag_.abft_col_checksum(abft_coff_);
+  // The compressed CSR's column space is already the packed ghost space.
+  if (opts.abft) {
+    abft_ = aegis::AbftCheck({diag_.get(), &offdiag_}, opts.abft_tol,
+                             "parmat(" + diag_->format_name() + ")",
+                             " on rank " + std::to_string(rank_));
   }
 }
 
@@ -360,51 +334,10 @@ void ParMatrix::spmv_local(const Scalar* x_local, Vector& y_local,
   // heals with one local recompute (the ghost values are already in
   // place — no re-communication), a persistent one throws AbftError.
   if (abft_) {
-    aegis::AegisStats& ast = aegis::stats();
-    const auto verify_local = [&](Scalar* drift) {
-      // Combined check c_diag·x + c_off·ghost − Σy = 0, so rounding in
-      // either term is pooled into one drift and one scale. The reductions
-      // are the tier-dispatched Aegis passes (aegis/abft.hpp).
-      Scalar cxd = 0.0, cxd_abs = 0.0, cxo = 0.0, cxo_abs = 0.0;
-      Scalar ysum = 0.0, ysum_abs = 0.0;
-      pooled_sum(aegis::dot_abs, abft_cdiag_.size(), &cxd, &cxd_abs,
-                 abft_cdiag_.data(), x_local);
-      pooled_sum(aegis::dot_abs, abft_coff_.size(), &cxo, &cxo_abs,
-                 abft_coff_.data(), ghost_.data());
-      pooled_sum(aegis::sum_abs, y_local.size(), &ysum, &ysum_abs,
-                 y_local.data());
-      return aegis::checksum_holds(cxd + cxo, cxd_abs + cxo_abs, ysum,
-                                   ysum_abs, abft_tol_, drift);
-    };
-    Scalar drift = 0.0;
-    bool ok;
-    {
-      KESTREL_PROF_SPMV(
-          "AbftVerify",
-          2 * (local_rows() + abft_cdiag_.size() + abft_coff_.size()),
-          sizeof(Scalar) *
-              static_cast<std::size_t>(2 * (abft_cdiag_.size() +
-                                            abft_coff_.size()) +
-                                       local_rows()));
-      ast.abft_verifications++;
-      ok = verify_local(&drift);
-    }
-    if (!ok) {
-      ast.abft_failures++;
-      ast.abft_retries++;
+    abft_->check({x_local, ghost_.data()}, y_local.data(), local_rows(), [&] {
       diag_multiply();
       offdiag_multiply();
-      ast.abft_verifications++;
-      if (verify_local(&drift)) {
-        ast.recoveries++;
-      } else {
-        throw AbftError(
-            "parmat(" + diag_->format_name() + ")", drift,
-            "distributed checksum invariant still violated after local "
-            "recompute on rank " + std::to_string(rank_),
-            __FILE__, __LINE__);
-      }
-    }
+    });
   }
 }
 

@@ -23,9 +23,11 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "aegis/abft.hpp"
 #include "mat/csr.hpp"
 #include "par/comm.hpp"
 #include "par/parvec.hpp"
@@ -91,10 +93,8 @@ class ParMatrix {
   void get_diagonal(Vector& d) const { diag_->get_diagonal(d); }
 
   Index local_rows() const { return layout_->local_size(rank_); }
-  Index global_rows() const { return layout_->global_size(); }
   int rank() const { return rank_; }
   const Layout& layout() const { return *layout_; }
-  LayoutPtr layout_ptr() const { return layout_; }
 
   const mat::Matrix& diag_block() const { return *diag_; }
   const mat::Csr& offdiag_block() const { return offdiag_; }
@@ -127,11 +127,10 @@ class ParMatrix {
 
   simd::GatherPackFn gather_fn_ = nullptr;  ///< resolved pack kernel
 
-  // Kestrel Aegis ABFT state (empty unless ParMatrixOptions::abft).
-  bool abft_ = false;
-  Scalar abft_tol_ = 1e-8;
-  Vector abft_cdiag_;  ///< diag blockᵀ·1 over the local column space
-  Vector abft_coff_;   ///< offdiag blockᵀ·1 over the packed ghost space
+  /// Kestrel Aegis ABFT (empty unless ParMatrixOptions::abft): diag
+  /// blockᵀ·1 over the local column space, then offdiag blockᵀ·1 over the
+  /// packed ghost space.
+  std::optional<aegis::AbftCheck> abft_;
 
   mutable Vector ghost_;                 ///< packed ghost values
   /// One pre-sized pack buffer for all peers: plan i packs into

@@ -55,7 +55,6 @@ class ParVector {
         local_(layout_->local_size(rank)) {}
 
   const Layout& layout() const { return *layout_; }
-  LayoutPtr layout_ptr() const { return layout_; }
   int rank() const { return rank_; }
   Index global_size() const { return layout_->global_size(); }
   Index local_size() const { return local_.size(); }

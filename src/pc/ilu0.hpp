@@ -18,12 +18,8 @@ class Ilu0 final : public Pc {
   void apply(const Vector& r, Vector& z) const override;
   std::string name() const override { return "ilu"; }
 
-  /// Combined LU factors on A's sparsity (L unit-diagonal, strictly below;
-  /// U on and above the diagonal).
-  const mat::Csr& factors() const { return lu_; }
-
  private:
-  mat::Csr lu_;
+  mat::Csr lu_;  ///< L (unit diagonal, strictly below) and U on A's pattern
   std::vector<Index> diag_pos_;  ///< position of the diagonal in each row
 };
 

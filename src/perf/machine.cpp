@@ -5,18 +5,6 @@
 
 namespace kestrel::perf {
 
-const char* memory_mode_name(MemoryMode mode) {
-  switch (mode) {
-    case MemoryMode::kFlatMcdram:
-      return "flat:mcdram";
-    case MemoryMode::kFlatDram:
-      return "flat:dram";
-    case MemoryMode::kCache:
-      return "cache";
-  }
-  return "?";
-}
-
 double MachineProfile::peak_gflops() const {
   const int lanes = (max_tier == simd::IsaTier::kAvx512) ? 8 : 4;
   // 2 FMA pipes * 2 flops per FMA * lanes doubles

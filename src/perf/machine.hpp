@@ -24,8 +24,6 @@ enum class MemoryMode {
   kCache,       ///< MCDRAM as direct-mapped last-level cache
 };
 
-const char* memory_mode_name(MemoryMode mode);
-
 struct MachineProfile {
   std::string name;
   int cores = 1;

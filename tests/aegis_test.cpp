@@ -246,32 +246,30 @@ TEST(Abft, VerifyReductionsMatchScalarReference) {
 
 TEST(Abft, StaticVerifyFlagsPerturbedResult) {
   const mat::Csr csr = testing::banded(64, {-3, -1, 1, 3});
-  Vector colsum;
-  csr.abft_col_checksum(colsum);
+  const aegis::AbftCheck check({&csr}, 1e-8, csr.format_name());
   const Vector x = random_x_vec(64, 5);
   Vector y;
   csr.spmv(x, y);
   Scalar drift = 0.0;
-  EXPECT_TRUE(aegis::AbftMatrix::verify(colsum, x.data(), y.data(), y.size(),
-                                        1e-8, &drift));
+  EXPECT_TRUE(check.holds({x.data()}, y.data(), y.size(), 1e-8, &drift));
   EXPECT_LT(drift, 1e-8);
   y[3] += 1.0;
-  EXPECT_FALSE(aegis::AbftMatrix::verify(colsum, x.data(), y.data(), y.size(),
-                                         1e-8, &drift));
+  EXPECT_FALSE(check.holds({x.data()}, y.data(), y.size(), 1e-8, &drift));
   EXPECT_GT(drift, 0.5);
 }
 
 TEST(Abft, TransientHighBitFlipDetectedAndRecovered) {
   aegis::stats().reset();
-  const aegis::AbftMatrix a(
+  const auto faulty = std::make_shared<testing::FaultOnce>(
       std::make_shared<mat::Csr>(testing::banded(80, {-2, -1, 1, 2})));
+  const aegis::AbftMatrix a(faulty);
   const Vector x = random_x_vec(80, 9);
   Vector y_clean;
   a.inner().spmv(x, y_clean);
 
   // Soft error model: flip an exponent-region bit of one entry right after
   // the multiply. The recompute-retry must restore the clean result.
-  a.inject_fault_once([](Scalar* y, Index n) {
+  faulty->arm([](Scalar* y, Index n) {
     std::uint64_t bits;
     std::memcpy(&bits, &y[n / 2], sizeof(bits));
     bits ^= 1ull << 62;
@@ -290,9 +288,10 @@ TEST(Abft, LowMantissaFlipIsBelowThresholdByDesign) {
   // sum by less than the tolerance band and is indistinguishable from
   // rounding — verification passes and no retry fires.
   aegis::stats().reset();
-  const aegis::AbftMatrix a(
+  const auto faulty = std::make_shared<testing::FaultOnce>(
       std::make_shared<mat::Csr>(testing::banded(80, {-2, -1, 1, 2})));
-  a.inject_fault_once([](Scalar* y, Index) {
+  const aegis::AbftMatrix a(faulty);
+  faulty->arm([](Scalar* y, Index) {
     std::uint64_t bits;
     std::memcpy(&bits, &y[0], sizeof(bits));
     bits ^= 1ull;
@@ -337,7 +336,7 @@ TEST(Abft, VerifyEverySamplesAlternateMultiplies) {
   EXPECT_EQ(aegis::stats().abft_verifications.load(), 2u);
   EXPECT_THROW(aegis::AbftMatrix(
                    std::make_shared<mat::Csr>(testing::banded(8, {1})),
-                   aegis::AbftOptions{1e-8, 1, 0}),
+                   aegis::AbftOptions{1e-8, 0}),
                Error);
 }
 

@@ -516,19 +516,21 @@ TEST(FlockDifferential, SellPrefetchRunsOnThePartitionBitwise) {
 }
 
 TEST(FlockDifferential, AbftMatrixOverThreadedFormatRecoversBitwise) {
-  // The pooled verify reductions (fixed part order, fixed chunking) must
-  // leave ABFT detection and bitwise recovery intact.
+  // A 4-part threaded multiply must leave ABFT detection and bitwise
+  // recovery intact. At 80 rows, below par::kPoolElemCutoff, the pooled
+  // verify reductions run as one chunk.
   aegis::stats().reset();
   ThreadsGuard g(4);
   auto inner = std::make_shared<mat::Sell>(testing::banded(80, {-2, -1, 1, 2}));
   inner->repartition(4);
-  const aegis::AbftMatrix a(inner);
+  const auto faulty = std::make_shared<testing::FaultOnce>(inner);
+  const aegis::AbftMatrix a(faulty);
   const std::vector<Scalar> xs = testing::random_x(80, 9);
   Vector x(80);
   std::memcpy(x.data(), xs.data(), 80 * sizeof(Scalar));
   Vector y_clean;
   a.inner().spmv(x, y_clean);
-  a.inject_fault_once([](Scalar* y, Index n) {
+  faulty->arm([](Scalar* y, Index n) {
     std::uint64_t bits;
     std::memcpy(&bits, &y[n / 2], sizeof(bits));
     bits ^= 1ull << 62;
@@ -539,6 +541,35 @@ TEST(FlockDifferential, AbftMatrixOverThreadedFormatRecoversBitwise) {
   for (Index i = 0; i < y.size(); ++i) EXPECT_EQ(y[i], y_clean[i]);
   EXPECT_EQ(aegis::stats().abft_failures.load(), 1u);
   EXPECT_EQ(aegis::stats().abft_retries.load(), 1u);
+  aegis::stats().reset();
+}
+
+TEST(FlockDifferential, AbftMatrixPoolsItsCheckAboveTheCutoff) {
+  // 4096 rows reach par::kPoolElemCutoff, so at 4 threads both reductions
+  // of AbftMatrix's check run in chunks: a clean multiply passes, and a
+  // transient flip is caught and recomputed to the clean bits.
+  const mat::Csr csr = app::laplacian_dirichlet(64, 64);
+  ASSERT_GE(csr.rows(), par::kPoolElemCutoff);
+  aegis::stats().reset();
+  ThreadsGuard g(4);
+  auto inner = std::make_shared<mat::Sell>(csr);
+  inner->repartition(4);
+  const auto faulty = std::make_shared<testing::FaultOnce>(inner);
+  const aegis::AbftMatrix a(faulty);
+  const std::vector<Scalar> xs = testing::random_x(csr.cols(), 4);
+  Vector x(csr.cols());
+  std::memcpy(x.data(), xs.data(), xs.size() * sizeof(Scalar));
+  Vector y_clean, y;
+  a.spmv(x, y_clean);
+  EXPECT_EQ(aegis::stats().abft_failures.load(), 0u);
+  faulty->arm([](Scalar* out, Index n) { out[n - 1] += 1.0e3; });
+  a.spmv(x, y);
+  EXPECT_EQ(std::memcmp(y.data(), y_clean.data(),
+                        xs.size() * sizeof(Scalar)),
+            0);
+  EXPECT_EQ(aegis::stats().abft_verifications.load(), 3u);
+  EXPECT_EQ(aegis::stats().abft_failures.load(), 1u);
+  EXPECT_EQ(aegis::stats().recoveries.load(), 1u);
   aegis::stats().reset();
 }
 
@@ -699,6 +730,42 @@ TEST(FlockStress, FaultSweepStaysCleanWithPoolActive) {
     }
   }
   aegis::stats().reset();
+}
+
+TEST(FlockStress, TwoThreadsShareOneSigmaSortedSellBitwise) {
+  // Solver threads share one const operator (svc handles, a rank's MatMult
+  // beside its pool workers). Two threads multiply one sigma-sorted Sell
+  // with different x; each product must equal a private copy's bit for
+  // bit, so the sorted-order scratch may not be shared between callers.
+  const mat::Csr csr = app::laplacian_dirichlet(64, 64);
+  const mat::SellOptions opts{8, 4, false};
+  const mat::Sell shared(csr, opts);
+  ASSERT_TRUE(shared.is_sorted());
+  const std::size_t n = static_cast<std::size_t>(csr.rows());
+  const int products = 200;
+  std::atomic<int> wrong[2] = {0, 0};
+  const auto multiply = [&](int t) {
+    const mat::Sell own(csr, opts);
+    std::vector<Scalar> x(n), y(n), want(n);
+    for (int k = 0; k < products; ++k) {
+      for (std::size_t i = 0; i < n; ++i) {
+        x[i] = 1.0 + static_cast<Scalar>((i * 7 + static_cast<std::size_t>(
+                                                   k * 13 + t * 101)) %
+                                         17);
+      }
+      shared.spmv(x.data(), y.data());
+      own.spmv(x.data(), want.data());
+      if (std::memcmp(y.data(), want.data(), n * sizeof(Scalar)) != 0) {
+        ++wrong[t];
+      }
+    }
+  };
+  std::thread first(multiply, 0);
+  std::thread second(multiply, 1);
+  first.join();
+  second.join();
+  EXPECT_EQ(wrong[0].load(), 0);
+  EXPECT_EQ(wrong[1].load(), 0);
 }
 
 }  // namespace

@@ -5,8 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <exception>
+#include <string>
 
+#include "aegis/fault.hpp"
 #include "app/gray_scott.hpp"
+#include "base/error.hpp"
+#include "base/options.hpp"
 #include "par/parmat.hpp"
 #include "test_matrices.hpp"
 
@@ -206,6 +212,62 @@ TEST(ParMatrix, RepeatedSpmvIsStable) {
       EXPECT_DOUBLE_EQ(first[i], last[i]);
     }
   });
+}
+
+TEST(ParMatrix, AbftRecomputesOnceThenEscalatesOnACorruptedBlock) {
+  // Rank 1's diagonal block is corrupted after its column checksums were
+  // fixed: its check fails, its one local recompute fails again, and its
+  // AbftError reaches Fabric::run, while rank 0's check passes. Each rank
+  // holds 8192 rows and 4100 ghosts, above par::kPoolElemCutoff, so at 4
+  // threads every reduction of the check runs in chunks. The drift bits
+  // are recorded as test properties (--gtest_output=xml).
+  const mat::Csr global = testing::banded(16384, {-4100, -1, 1, 4100});
+  auto layout = std::make_shared<Layout>(Layout::even(16384, 2));
+  for (const int threads : {1, 4}) {
+    const std::string saved = Options::global().get_string("threads", "");
+    Options::global().set("threads", std::to_string(threads));
+    aegis::stats().reset();
+    try {
+      Fabric::run(2, [&](Comm& comm) {
+        ParMatrixOptions opts;
+        opts.abft = true;
+        opts.threads = threads;
+        const ParMatrix a = ParMatrix::from_global(global, layout, comm, opts);
+        if (comm.rank() == 1) {
+          // The block is built non-const; only its accessor is const.
+          auto& diag = const_cast<mat::Csr&>(
+              dynamic_cast<const mat::Csr&>(a.diag_block()));
+          diag.mutable_val()[0] += 1000.0;
+        }
+        ParVector x(layout, comm.rank()), y(layout, comm.rank());
+        for (Index i = 0; i < x.local_size(); ++i) {
+          x.local()[i] = 1.0 + 1e-3 * static_cast<Scalar>(x.own_begin() + i);
+        }
+        std::exception_ptr error;
+        try {
+          a.spmv(x, y, comm);
+        } catch (...) {
+          error = std::current_exception();
+        }
+        // Rank 0's check has finished before rank 1's error ends the run.
+        comm.barrier();
+        if (error) std::rethrow_exception(error);
+      });
+      ADD_FAILURE() << "expected AbftError at " << threads << " threads";
+    } catch (const AbftError& e) {
+      EXPECT_EQ(e.format(), "parmat(csr)");
+      EXPECT_GT(e.drift(), 1.0);
+      char bits[40];
+      std::snprintf(bits, sizeof(bits), "%a", e.drift());
+      RecordProperty("drift_threads" + std::to_string(threads), bits);
+    }
+    Options::global().set("threads", saved.empty() ? "1" : saved);
+    EXPECT_EQ(aegis::stats().abft_failures.load(), 1u) << threads;
+    EXPECT_EQ(aegis::stats().abft_retries.load(), 1u) << threads;
+    EXPECT_EQ(aegis::stats().abft_verifications.load(), 3u) << threads;
+    EXPECT_EQ(aegis::stats().recoveries.load(), 0u) << threads;
+  }
+  aegis::stats().reset();
 }
 
 }  // namespace

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "aegis/abft.hpp"
+#include "aegis/fault.hpp"
 #include "app/laplacian.hpp"
 #include "base/budget.hpp"
 #include "base/deadline.hpp"
@@ -306,6 +307,48 @@ TEST(BastionRegistry, AbftHandleCarriesFullAndDegradedTwins) {
   bad.abft_opts.verify_every = 4;
   bad.degraded_verify_every = 2;
   EXPECT_THROW(reg.add("bad", a, bad), Error);
+}
+
+TEST(BastionRegistry, DegradedTwinSamplesExactlyUnderTwoWorkers) {
+  // Every service worker multiplies one handle's degraded twin in degraded
+  // mode. Two threads x 400 multiplies at degraded_verify_every = 4 must
+  // verify exactly 200 times, and every product must be the inner
+  // matrix's, bit for bit.
+  const mat::Csr a = app::laplacian_dirichlet(8, 8);
+  MemoryBudget budget;
+  MatrixRegistry reg(budget);
+  HandleOptions opts;
+  opts.abft = true;
+  ASSERT_EQ(opts.degraded_verify_every, 4);
+  const auto h = reg.add("guarded", a, opts);
+  const mat::Matrix& inner =
+      dynamic_cast<const aegis::AbftMatrix&>(*h->degraded).inner();
+  aegis::stats().reset();
+  const int multiplies = 400;
+  std::atomic<int> wrong{0};
+  const auto serve = [&](int t) {
+    Vector x(a.cols()), y, want;
+    for (int k = 0; k < multiplies; ++k) {
+      for (Index i = 0; i < x.size(); ++i) {
+        x[i] = 1.0 + static_cast<Scalar>((i + k + 31 * t) % 11);
+      }
+      h->degraded->spmv(x, y);
+      inner.spmv(x, want);
+      if (std::memcmp(y.data(), want.data(),
+                      sizeof(Scalar) * static_cast<std::size_t>(y.size())) !=
+          0) {
+        ++wrong;
+      }
+    }
+  };
+  std::thread first(serve, 0);
+  std::thread second(serve, 1);
+  first.join();
+  second.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(aegis::stats().abft_verifications.load(), 200u);
+  EXPECT_EQ(aegis::stats().abft_failures.load(), 0u);
+  aegis::stats().reset();
 }
 
 // --------------------------------------------------------------------------

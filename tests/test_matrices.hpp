@@ -4,6 +4,7 @@
 // random, power-law row lengths, empty rows, a dense row, tiny edge cases).
 
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "base/rng.hpp"
@@ -163,5 +164,45 @@ inline std::vector<Scalar> random_x(Index n, std::uint64_t seed = 9) {
   for (auto& v : x) v = rng.uniform(-1.0, 1.0);
   return x;
 }
+
+/// Delegating wrapper that corrupts y once, right after the first inner
+/// multiply after arm(): a transient soft error landing between a multiply
+/// and its ABFT verification (wrap it in aegis::AbftMatrix).
+class FaultOnce final : public mat::Matrix {
+ public:
+  explicit FaultOnce(mat::MatrixPtr inner) : inner_(std::move(inner)) {}
+
+  void arm(std::function<void(Scalar*, Index)> fault) const {
+    fault_ = std::move(fault);
+  }
+
+  Index rows() const override { return inner_->rows(); }
+  Index cols() const override { return inner_->cols(); }
+  std::int64_t nnz() const override { return inner_->nnz(); }
+  void spmv(const Scalar* x, Scalar* y) const override {
+    inner_->spmv(x, y);
+    if (fault_) {
+      const auto fault = std::move(fault_);
+      fault_ = nullptr;
+      fault(y, rows());
+    }
+  }
+  using Matrix::spmv;
+  void get_diagonal(Vector& d) const override { inner_->get_diagonal(d); }
+  void abft_col_checksum(Vector& c) const override {
+    inner_->abft_col_checksum(c);
+  }
+  std::string format_name() const override { return inner_->format_name(); }
+  std::size_t storage_bytes() const override {
+    return inner_->storage_bytes();
+  }
+  std::size_t spmv_traffic_bytes() const override {
+    return inner_->spmv_traffic_bytes();
+  }
+
+ private:
+  mat::MatrixPtr inner_;
+  mutable std::function<void(Scalar*, Index)> fault_;
+};
 
 }  // namespace kestrel::testing
